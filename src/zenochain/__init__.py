@@ -10,6 +10,7 @@ from .analysis import (
     EnsembleSummary,
     VelocityFit,
     aggregate,
+    ensemble_fidelities,
     fit_velocity,
     protocol_fidelity,
     uhlmann_fidelity,
@@ -31,6 +32,7 @@ from .protocols import (
     Trajectory,
     run_continuous,
     run_exact_subspace,
+    run_lockstep,
     run_projective,
     run_protocol,
     run_pulsed,
@@ -77,6 +79,7 @@ __all__ = [
     "Trajectory",
     "VelocityFit",
     "aggregate",
+    "ensemble_fidelities",
     "coupling_hamiltonian",
     "derive_seed",
     "edge_population",
@@ -96,6 +99,7 @@ __all__ = [
     "remainder_constant",
     "run_continuous",
     "run_exact_subspace",
+    "run_lockstep",
     "run_projective",
     "run_protocol",
     "run_pulsed",

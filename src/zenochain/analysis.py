@@ -10,7 +10,7 @@ import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, hopping_matrix, leftmost_excited
-from .protocols import Trajectory
+from .protocols import Trajectory, run_exact_subspace
 from .theory import TheoryPrediction
 
 DM_TOL = 1e-10
@@ -71,18 +71,40 @@ def embed_state(psi_sub: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _overlaps(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """|<ideal_r|psi_r>| row by row: the Uhlmann fidelity of pure states.
+
+    Ideal rows cover the first sites of their protocol rows.  Both stacks
+    must be normalized, the trace check uhlmann_fidelity makes of |psi><psi|.
+    """
+    for stack in (states, ideal):
+        dev = np.abs((np.abs(stack) ** 2).sum(1) - 1.0)
+        if np.any(dev > DM_TOL):
+            raise InvalidDensityMatrixError(f"state norm^2 is off 1 by {dev.max():.3e}")
+    return np.clip(np.abs((ideal.conj() * states[:, : ideal.shape[1]]).sum(1)), 0.0, 1.0)
+
+
 def protocol_fidelity(traj: Trajectory, reference: Trajectory) -> float:
-    """Uhlmann fidelity of the final protocol state against the ideal one.
+    """Fidelity of the final protocol state against the ideal one.
 
     The reference comes from run_exact_subspace and lives in the subspace;
-    it is zero-padded to the protocol dimension before comparing.
+    both states are pure, so the fidelity is their overlap.
     """
     t_a, t_b = traj.total_time, reference.total_time
     if abs(t_a - t_b) > 1e-9 * max(1.0, abs(t_a), abs(t_b)):
         raise TimeMismatchError(f"trajectory at t={t_a}, reference at t={t_b}")
-    dim = len(traj.final_state)
-    ref_full = embed_state(reference.final_state, dim)
-    return uhlmann_fidelity(density_matrix(traj.final_state), density_matrix(ref_full))
+    return float(_overlaps(traj.final_state[None], reference.final_state[None])[0])
+
+
+def ensemble_fidelities(
+    spec: ChainSpec, psi0: np.ndarray, realizations: Sequence[Trajectory]
+) -> np.ndarray:
+    """``protocol_fidelity`` of every realization at its own end time.
+
+    The ideal states at all end times come from one eigendecomposition.
+    """
+    ref = run_exact_subspace(spec, psi0, np.array([t.total_time for t in realizations]))
+    return _overlaps(np.array([t.final_state for t in realizations]), np.array(ref.states))
 
 
 @dataclass(frozen=True)
@@ -100,18 +122,20 @@ def aggregate(
 ) -> EnsembleSummary:
     """Log-survival statistics over an ensemble of realizations.
 
-    The most-probable-value estimate is the center of the tallest
-    histogram bin of ln P, with bin width std/5 (the sample mean when the
-    ensemble is degenerate).
+    ln P is each realization's ``log_survival``.  The most-probable-value
+    estimate is the center of the tallest histogram bin of ln P, with bin
+    width std/5 (the sample mean when the ensemble is degenerate: the bins
+    would not span more than a few representable floats).
     """
     if not realizations:
         raise ValueError("need at least one realization")
     finals = np.array([t.final_survival for t in realizations])
-    logs = np.log(finals)
+    # sorted, so no statistic depends on the order of the realizations
+    logs = np.sort([t.log_survival for t in realizations])
     mean = float(np.mean(logs))
     std = float(np.std(logs, ddof=1)) if len(logs) > 1 else 0.0
-    if std > 0:
-        width = std / 5.0
+    width = std / 5.0
+    if width > 16 * np.spacing(np.max(np.abs(logs))):
         nbins = max(1, int(np.ceil((logs.max() - logs.min()) / width)))
         counts, edges = np.histogram(logs, bins=nbins)
         k = int(np.argmax(counts))

@@ -2,40 +2,39 @@
 
 All outputs are CSV (RFC-4180 commas, 15 significant digits); plotting is
 left to external tools.  Runs are deterministic for a fixed seed: each
-realization gets a child stream derived from the master seed, so results do
-not depend on scheduling.  The optional worker pool is capped by the
-``ZENO_LAB_THREADS`` environment variable (0 = one worker per CPU; unset = 1,
-i.e. serial).
+realization gets a child stream derived from the master seed, and all
+realizations of an ensemble advance together in one lockstep kernel
+(``protocols.run_lockstep``) whose columns do not interact, so a
+realization's numbers are bit-identical however many run beside it.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
-import os
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import aggregate, protocol_fidelity
-from .chain import ChainSpec, w_state
+from .analysis import aggregate, ensemble_fidelities
+from .chain import ChainSpec, leftmost_excited, w_state, zeno_hamiltonian
 from .config import ExperimentConfig
 from .protocols import (
     ProtocolConfig,
     ProtocolKind,
     Trajectory,
     run_continuous,
-    run_exact_subspace,
+    run_lockstep,
     run_projective,
-    run_protocol,
     run_pulsed,
 )
 from .stochastics import IntervalDistribution, SeededSampler, moments
 from .theory import (
     edge_population,
     pstar_time_averaged,
+    pstar_time_averaged_curve,
     three_level_hamiltonian,
     three_level_survival,
 )
@@ -72,19 +71,16 @@ def write_trajectory_csv(
     traj: Trajectory, path: Path, reproducible: bool = False
 ) -> None:
     """Per-step export: step, t_us, mu_us, q_j, P_cum, pop_subspace."""
-    rows = []
-    for j in range(len(traj.times)):
-        q = traj.survival_factors[j] if traj.survival_factors is not None else ""
-        rows.append(
-            (
-                j + 1,
-                traj.times[j],
-                traj.intervals[j],
-                q,
-                traj.cumulative_survival[j],
-                traj.subspace_population[j],
-            )
-        )
+    steps = len(traj.times)
+    q = traj.survival_factors if traj.survival_factors is not None else [""] * steps
+    rows = zip(
+        range(1, steps + 1),
+        traj.times,
+        traj.intervals,
+        q,
+        traj.cumulative_survival,
+        traj.subspace_population,
+    )
     write_csv(
         path,
         ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace"),
@@ -93,40 +89,23 @@ def write_trajectory_csv(
     )
 
 
-def worker_count() -> int:
-    raw = os.environ.get("ZENO_LAB_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def run_realizations(
-    fn: Callable[[int], Trajectory], count: int
-) -> list[Trajectory]:
-    """Run fn(0..count-1); order of the result is by index regardless of pool."""
-    workers = worker_count()
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _eigenstate_edge_weight(spec: ChainSpec, psi0: np.ndarray) -> float:
     """|c_lambda|^2 of the subspace eigenstate closest to psi0.
 
     Used by the constant-edge prediction: the confined dynamics relaxes
     toward the dominant eigenstate of the subspace Hamiltonian.
     """
-    from .chain import zeno_hamiltonian
-
     lam = spec.subspace_size
     dec = linalg.hermitian_eig(zeno_hamiltonian(spec))
     overlaps = np.abs(dec.eigenvectors.conj().T @ np.asarray(psi0[:lam], dtype=complex))
     k = int(np.argmax(overlaps))
     return float(np.abs(dec.eigenvectors[lam - 1, k]) ** 2)
+
+
+def _edge_series(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m: int):
+    """Ideal edge population over the m intervals' expected span."""
+    mean = moments(d).mean
+    return edge_population(spec, psi0, t_max=m * mean, dt=mean / EDGE_SERIES_STEPS_PER_MEAN)
 
 
 def _theory_row(
@@ -137,9 +116,7 @@ def _theory_row(
 ):
     mom = moments(d)
     c2_eigen = _eigenstate_edge_weight(spec, psi0)
-    series = edge_population(
-        spec, psi0, t_max=m * mom.mean, dt=mom.mean / EDGE_SERIES_STEPS_PER_MEAN
-    )
+    series = _edge_series(spec, psi0, d, m)
     pred_avg = pstar_time_averaged(m, d, series, spec.beta)
     pstar_const = float(
         np.exp(-m * spec.beta**2 * c2_eigen * (1.0 + mom.kappa) * mom.mean**2)
@@ -191,20 +168,13 @@ def run_ensemble(
     """All realizations for one chain geometry; returns (trajectories, fidelities).
 
     Each realization i draws its intervals from the child stream
-    derive_seed(seed, i) and is scored against the ideal confined evolution
-    at its own realized total time.
+    derive_seed(seed, i); all of them advance together in one lockstep
+    kernel and are scored against the ideal confined evolution at their own
+    realized total times.
     """
     base = SeededSampler(seed)
-
-    def one(i: int) -> Trajectory:
-        return run_protocol(spec, psi0, protocol, base.spawn(i))
-
-    trajs = run_realizations(one, realizations)
-    fids = []
-    for traj in trajs:
-        ref = run_exact_subspace(spec, psi0, np.array([0.0, traj.total_time]))
-        fids.append(protocol_fidelity(traj, ref))
-    return trajs, fids
+    trajs = run_lockstep(spec, psi0, protocol, [base.spawn(i) for i in range(realizations)])
+    return trajs, ensemble_fidelities(spec, psi0, trajs).tolist()
 
 
 def run_experiment(
@@ -253,13 +223,7 @@ def run_experiment(
     for lam in config.lambda_sweep or ():
         if lam == config.chain.subspace_size:
             continue
-        spec_l = ChainSpec(
-            n_sites=config.chain.n_sites,
-            subspace_size=lam,
-            alpha=config.chain.alpha,
-            beta=config.chain.beta,
-            include_field_phase=config.chain.include_field_phase,
-        )
+        spec_l = replace(config.chain, subspace_size=lam)
         psi0_l = config.initial_state.resolve(spec_l)
         trajs_l, fids_l = run_ensemble(
             spec_l, psi0_l, config.protocol, config.realizations, config.seed
@@ -268,15 +232,7 @@ def run_experiment(
 
     for p1, mu1, mu2 in config.kappa_sweep or ():
         d = IntervalDistribution.bimodal(mu1, mu2, p1)
-        proto = ProtocolConfig(
-            kind=config.protocol.kind,
-            num_intervals=config.protocol.num_intervals,
-            distribution=d,
-            pulse_area=config.protocol.pulse_area,
-            coupling=config.protocol.coupling,
-            record_states=False,
-            bernoulli=config.protocol.bernoulli,
-        )
+        proto = replace(config.protocol, distribution=d, record_states=False)
         trajs_k, fids_k = run_ensemble(
             config.chain, psi0, proto, config.realizations, config.seed
         )
@@ -302,13 +258,7 @@ def write_theory_csv(
         l for l in (config.lambda_sweep or ()) if l != config.chain.subspace_size
     ]
     for lam in lams:
-        spec_l = ChainSpec(
-            n_sites=config.chain.n_sites,
-            subspace_size=lam,
-            alpha=config.chain.alpha,
-            beta=config.chain.beta,
-            include_field_phase=config.chain.include_field_phase,
-        )
+        spec_l = replace(config.chain, subspace_size=lam)
         psi0_l = config.initial_state.resolve(spec_l)
         row, _ = _theory_row(
             spec_l, psi0_l, config.protocol.distribution, config.protocol.num_intervals
@@ -372,7 +322,6 @@ def preset_fig2(
     d = BIMODAL_1_5
     mom = moments(d)
     rows = []
-    from .theory import pstar_time_averaged_curve
 
     for lam in range(1, 10):
         spec = ChainSpec(n_sites=N_SITES, subspace_size=lam)
@@ -381,26 +330,16 @@ def preset_fig2(
             kind=ProtocolKind.PROJECTIVE, num_intervals=m, distribution=d
         )
         traj = run_projective(spec, psi0, proto, SeededSampler(seed + lam))
-        series = edge_population(
-            spec, psi0, t_max=m * mom.mean, dt=mom.mean / EDGE_SERIES_STEPS_PER_MEAN
-        )
+        series = _edge_series(spec, psi0, d, m)
         m_axis = np.arange(1, m + 1)
         curve_avg = pstar_time_averaged_curve(m_axis, d, series, spec.beta)
         c2_eigen = _eigenstate_edge_weight(spec, psi0)
         curve_const = np.exp(
             -m_axis * spec.beta**2 * c2_eigen * (1.0 + mom.kappa) * mom.mean**2
         )
-        for j in range(m):
-            rows.append(
-                (
-                    lam,
-                    j + 1,
-                    traj.times[j],
-                    traj.cumulative_survival[j],
-                    curve_avg[j],
-                    curve_const[j],
-                )
-            )
+        rows.extend(
+            zip([lam] * m, m_axis, traj.times, traj.cumulative_survival, curve_avg, curve_const)
+        )
     path = Path(out_dir) / "fig2_survival.csv"
     write_csv(
         path,
@@ -415,9 +354,6 @@ def preset_fig3(
     out_dir: str, seed: int = 3001, m: int = 2000, reproducible: bool = False
 ) -> Path:
     """Leftmost-excited staircase at lambda = 9 with the edge-population trace."""
-    from .chain import leftmost_excited
-    from .theory import pstar_time_averaged_curve
-
     d = BIMODAL_1_5
     mom = moments(d)
     out = Path(out_dir)
@@ -426,16 +362,11 @@ def preset_fig3(
     psi0 = leftmost_excited(N_SITES)
     proto = ProtocolConfig(kind=ProtocolKind.PROJECTIVE, num_intervals=m, distribution=d)
     traj = run_projective(spec, psi0, proto, SeededSampler(seed))
-    series = edge_population(
-        spec, psi0, t_max=m * mom.mean, dt=mom.mean / EDGE_SERIES_STEPS_PER_MEAN
-    )
+    series = _edge_series(spec, psi0, d, m)
     m_axis = np.arange(1, m + 1)
     curve = pstar_time_averaged_curve(m_axis, d, series, spec.beta)
     edge_at_steps = np.interp(traj.times, series.t_grid, series.values)
-    rows = [
-        (j + 1, traj.times[j], traj.cumulative_survival[j], curve[j], edge_at_steps[j])
-        for j in range(m)
-    ]
+    rows = zip(m_axis, traj.times, traj.cumulative_survival, curve, edge_at_steps)
     main = out / "fig3_main.csv"
     write_csv(main, ("m", "t_us", "P_sim", "pstar_time_avg", "edge_pop"), rows, reproducible)
 
@@ -443,9 +374,7 @@ def preset_fig3(
     for lam_i in range(1, 10):
         spec_i = ChainSpec(n_sites=N_SITES, subspace_size=lam_i)
         psi0_i = leftmost_excited(N_SITES)
-        series_i = edge_population(
-            spec_i, psi0_i, t_max=m * mom.mean, dt=mom.mean / EDGE_SERIES_STEPS_PER_MEAN
-        )
+        series_i = _edge_series(spec_i, psi0_i, d, m)
         curve_i = pstar_time_averaged_curve(m_axis, d, series_i, spec_i.beta)
         for j in (np.arange(0, m, 10)):
             inset_rows.append((lam_i, j + 1, curve_i[j]))
@@ -561,17 +490,13 @@ def preset_fig5(
     reproducible: bool = False,
 ) -> Path:
     """Protocol performance versus interval disorder (1 + kappa) at fixed mean."""
-    from .chain import leftmost_excited
-
     spec = ChainSpec(n_sites=N_SITES, subspace_size=lam)
     psi0 = w_state(N_SITES, lam) if initial == "wstate" else leftmost_excited(N_SITES)
     rows = []
     for p1, mu1, mu2 in kappa_family():
         d = IntervalDistribution.bimodal(mu1, mu2, p1)
         mom = moments(d)
-        series = edge_population(
-            spec, psi0, t_max=m * mom.mean, dt=mom.mean / EDGE_SERIES_STEPS_PER_MEAN
-        )
+        series = _edge_series(spec, psi0, d, m)
         pred = pstar_time_averaged(m, d, series, spec.beta)
         fid_by_kind = {}
         surv = None

@@ -66,13 +66,19 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) for Hermitian h (rad/us) and time t (us)."""
-    if not np.isfinite(t):
+def propagators(h: np.ndarray, times) -> np.ndarray:
+    """Stack of unitaries exp(-i h t), one per time, from one eigendecomposition."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
         raise ValueError("time must be finite")
     dec = hermitian_eig(h)
-    phases = np.exp(-1j * dec.eigenvalues * t)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    phases = np.exp(-1j * np.multiply.outer(times, dec.eigenvalues))
+    return (dec.eigenvectors * phases[:, None, :]) @ dec.eigenvectors.conj().T
+
+
+def propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary exp(-i h t) for Hermitian h (rad/us) and time t (us)."""
+    return propagators(h, [t])[0]
 
 
 def sqrt_psd(a: np.ndarray) -> np.ndarray:

@@ -83,8 +83,10 @@ class Trajectory:
     cumulative_survival for the projective protocol is the running product
     of the q_j; for the coherent protocols it is the instantaneous subspace
     population (those protocols are unitary, nothing is post-selected).
-    survival_factors is None for the coherent protocols.  aborted_at is the
-    1-based step of the first failed Bernoulli outcome, None otherwise.
+    survival_factors is None for the coherent protocols.  Post-selected
+    projective runs keep log_cumulative_survival, the running sum of ln q_j,
+    finite where the product underflows.  aborted_at is the 1-based step of
+    the first failed Bernoulli outcome, None otherwise.
     """
 
     kind: ProtocolKind
@@ -94,6 +96,7 @@ class Trajectory:
     subspace_population: np.ndarray
     final_state: np.ndarray
     survival_factors: Optional[np.ndarray] = None
+    log_cumulative_survival: Optional[np.ndarray] = None
     states: Optional[list[np.ndarray]] = None
     aborted_at: Optional[int] = None
     metadata: dict = field(default_factory=dict)
@@ -108,6 +111,8 @@ class Trajectory:
 
     @property
     def log_survival(self) -> float:
+        if self.log_cumulative_survival is not None:
+            return float(self.log_cumulative_survival[-1])
         return float(np.log(self.cumulative_survival[-1]))
 
 
@@ -122,9 +127,90 @@ def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:
     return psi0.copy()
 
 
-def _cached_propagators(h: np.ndarray, d: IntervalDistribution) -> dict[float, np.ndarray]:
-    # one matrix exponential per distinct atom; runs reuse them m times
-    return {mu: linalg.propagator(h, mu) for mu in d.values}
+def _lockstep(
+    kind: ProtocolKind,
+    spec: ChainSpec,
+    psi0: np.ndarray,
+    config: ProtocolConfig,
+    samplers: list[SeededSampler],
+    h: Optional[np.ndarray],
+) -> list[Trajectory]:
+    """Advance every realization of a projective or pulsed ensemble together.
+
+    Column r draws from samplers[r] exactly as a lone run would, and each
+    step is one gather plus one batched product, so no column's numbers
+    depend on the width of the ensemble.
+    """
+    lam, m, width = spec.subspace_size, config.num_intervals, len(samplers)
+    psi = np.repeat(_check_initial_state(psi0, lam)[None, :, None], width, axis=0)
+    h = hamiltonian(spec) if h is None else h
+    d = config.distribution
+    projective = kind is ProtocolKind.PROJECTIVE
+    if not projective:
+        kick = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area)
+    steps = linalg.propagators(h, d.values)  # one free evolution per atom
+    intervals = np.array([sample_intervals(d, s, m) for s in samplers])
+    atoms = np.argmax(intervals.T[:, :, None] == d.values, axis=2)  # m x width
+    bernoulli = projective and config.bernoulli
+    outcomes = np.array([s.uniforms(m) for s in samplers]) if bernoulli else None
+
+    qs, pops, snaps = [], [], []
+    aborted_at = np.zeros(width, dtype=int)  # 0 = never
+    collapsed: dict[int, np.ndarray] = {}
+    for j in range(m):
+        psi = steps[atoms[j]] @ psi
+        if not projective:
+            psi = kick @ psi
+        q = (np.abs(psi[:, :lam, 0]) ** 2).sum(1)
+        if projective:
+            if q.min() < DEAD_BRANCH and np.any(q[aborted_at == 0] < DEAD_BRANCH):
+                raise ZeroSurvivalError(f"survival factor underflow at step {j + 1}")
+            qs.append(q)
+            if bernoulli:
+                for r in np.flatnonzero((aborted_at == 0) & (outcomes[:, j] >= q)):
+                    # failed outcome: collapse onto the complement and freeze
+                    out = psi[r, :, 0].copy()
+                    out[:lam] = 0.0
+                    collapsed[r] = out / np.linalg.norm(out)
+                    aborted_at[r] = j + 1
+                    samplers[r].rewind(m - j - 1)  # outcome draws never made
+                q = np.where(aborted_at == 0, q, 1.0)
+            psi[:, lam:] = 0.0
+            psi /= np.sqrt(q)[:, None, None]
+            q = (np.abs(psi[:, :lam, 0]) ** 2).sum(1)
+        pops.append(q)
+        if config.record_states:
+            snaps.append(psi[:, :, 0].copy())
+        if bernoulli and np.all(aborted_at):
+            break
+
+    pops = np.array(pops).T.copy()  # width x steps, like every per-step array
+    factors = np.array(qs).T.copy() if projective else None
+    log_cum = np.cumsum(np.log(factors), axis=1) if projective and not bernoulli else None
+    states = np.stack(snaps, axis=1) if config.record_states else None
+    trajs = []
+    for r in range(width):
+        n = aborted_at[r] or m
+        cum = np.ones(n) if bernoulli else np.exp(log_cum[r]) if projective else pops[r]
+        if r in collapsed:
+            cum[-1] = pops[r, n - 1] = 0.0
+            if states is not None:
+                states[r, n - 1] = collapsed[r]
+        trajs.append(
+            Trajectory(
+                kind=kind,
+                intervals=intervals[r, :n],
+                times=np.cumsum(intervals[r, :n]),
+                cumulative_survival=cum,
+                subspace_population=pops[r, :n],
+                final_state=collapsed.get(r, psi[r, :, 0]),
+                survival_factors=factors[r, :n] if projective else None,
+                log_cumulative_survival=None if log_cum is None else log_cum[r],
+                states=None if states is None else list(states[r, :n]),
+                aborted_at=int(aborted_at[r]) or None,
+            )
+        )
+    return trajs
 
 
 def run_projective(
@@ -136,57 +222,9 @@ def run_projective(
     hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval projective protocol (post-selected by default)."""
-    lam = spec.subspace_size
-    psi = _check_initial_state(psi0, lam)
-    h = hamiltonian(spec) if hamiltonian_override is None else hamiltonian_override
-    props = _cached_propagators(h, config.distribution)
-    intervals = sample_intervals(config.distribution, sampler, config.num_intervals)
-
-    qs: list[float] = []
-    cum: list[float] = []
-    pops: list[float] = []
-    states: list[np.ndarray] = []
-    log_p = 0.0
-    aborted_at: Optional[int] = None
-
-    for j, mu in enumerate(intervals, start=1):
-        psi = props[mu] @ psi
-        q = float(np.sum(np.abs(psi[:lam]) ** 2))
-        if q < DEAD_BRANCH:
-            raise ZeroSurvivalError(f"survival factor underflow at step {j}")
-        qs.append(q)
-        if config.bernoulli and sampler.uniform() >= q:
-            # failed outcome: collapse onto the complement and stop
-            psi[:lam] = 0.0
-            psi /= np.linalg.norm(psi)
-            cum.append(0.0)
-            pops.append(0.0)
-            if config.record_states:
-                states.append(psi.copy())
-            aborted_at = j
-            break
-        log_p += np.log(q)
-        psi[lam:] = 0.0
-        psi /= np.sqrt(q)
-        cum.append(1.0 if config.bernoulli else float(np.exp(log_p)))
-        pops.append(float(np.sum(np.abs(psi[:lam]) ** 2)))
-        if config.record_states:
-            states.append(psi.copy())
-
-    n = len(qs)
-    intervals = intervals[:n]
-    return Trajectory(
-        kind=ProtocolKind.PROJECTIVE,
-        intervals=intervals,
-        times=np.cumsum(intervals),
-        cumulative_survival=np.array(cum),
-        subspace_population=np.array(pops),
-        survival_factors=np.array(qs),
-        states=states if config.record_states else None,
-        final_state=psi,
-        aborted_at=aborted_at,
-        metadata={"log_survival_product": log_p},
-    )
+    return _lockstep(
+        ProtocolKind.PROJECTIVE, spec, psi0, config, [sampler], hamiltonian_override
+    )[0]
 
 
 def run_pulsed(
@@ -198,30 +236,9 @@ def run_pulsed(
     hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval kick protocol: psi <- exp(-i H_c s) U(mu_j) psi."""
-    lam = spec.subspace_size
-    psi = _check_initial_state(psi0, lam)
-    h = hamiltonian(spec) if hamiltonian_override is None else hamiltonian_override
-    kick = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area)
-    props = _cached_propagators(h, config.distribution)
-    intervals = sample_intervals(config.distribution, sampler, config.num_intervals)
-
-    pops = np.empty(len(intervals))
-    states: list[np.ndarray] = []
-    for j, mu in enumerate(intervals):
-        psi = kick @ (props[mu] @ psi)
-        pops[j] = float(np.sum(np.abs(psi[:lam]) ** 2))
-        if config.record_states:
-            states.append(psi.copy())
-
-    return Trajectory(
-        kind=ProtocolKind.PULSED,
-        intervals=intervals,
-        times=np.cumsum(intervals),
-        cumulative_survival=pops.copy(),
-        subspace_population=pops,
-        states=states if config.record_states else None,
-        final_state=psi,
-    )
+    return _lockstep(
+        ProtocolKind.PULSED, spec, psi0, config, [sampler], hamiltonian_override
+    )[0]
 
 
 def run_continuous(
@@ -325,24 +342,35 @@ def run_protocol(
     config: ProtocolConfig,
     sampler: SeededSampler,
 ) -> Trajectory:
-    """Dispatch one realization of the configured protocol.
+    """Dispatch one realization of the configured protocol."""
+    return run_lockstep(spec, psi0, config, [sampler])[0]
 
-    The continuous protocol is deterministic: it runs for the expected
-    total time num_intervals * mean(mu) and reports the population on the
-    same per-interval grid the stochastic protocols use.
+
+def run_lockstep(
+    spec: ChainSpec,
+    psi0: np.ndarray,
+    config: ProtocolConfig,
+    samplers: list[SeededSampler],
+) -> list[Trajectory]:
+    """One realization of the configured protocol per sampler, run together.
+
+    Realization r is bit-identical to a lone run with samplers[r].  The
+    continuous protocol is deterministic: it runs once, for the expected
+    total time num_intervals * mean(mu), reports the population on the same
+    per-interval grid the stochastic protocols use, and that one trajectory
+    stands for every realization.
     """
-    if config.kind is ProtocolKind.PROJECTIVE:
-        return run_projective(spec, psi0, config, sampler)
-    if config.kind is ProtocolKind.PULSED:
-        return run_pulsed(spec, psi0, config, sampler)
+    if not samplers:
+        raise ValueError("need at least one realization")
+    if config.kind is not ProtocolKind.CONTINUOUS:
+        return _lockstep(config.kind, spec, psi0, config, samplers, None)
     mean = moments(config.distribution).mean
-    total = config.num_intervals * mean
-    grid = mean * np.arange(1, config.num_intervals + 1)
-    return run_continuous(
+    traj = run_continuous(
         spec,
         psi0,
-        total_time=total,
+        total_time=config.num_intervals * mean,
         coupling=config.effective_coupling(),
-        sample_times=grid,
+        sample_times=mean * np.arange(1, config.num_intervals + 1),
         record_states=config.record_states,
     )
+    return [traj] * len(samplers)

@@ -5,6 +5,9 @@ constants, rather than a platform RNG: identical seeds must give identical
 interval sequences on every platform, since seeded runs are part of the
 package contract.  Child streams for parallel realizations are derived with
 ``derive_seed(seed, index)`` built from the same mixing function.
+
+The state is a Weyl sequence, so draw k is ``mix64(state + k * GAMMA)`` and
+a block of draws is one numpy ``uint64`` expression (Salmon et al., SC'11).
 """
 
 from __future__ import annotations
@@ -52,6 +55,18 @@ class SeededSampler:
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * (2.0 ** -53)
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """The next k ``uniform()`` draws as one array; the state advances by k."""
+        z = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * _GAMMA
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
+        return ((z ^ (z >> 31)) >> 11) * (2.0 ** -53)
+
+    def rewind(self, k: int) -> None:
+        """Step the stream back by k draws, so the next k draws repeat."""
+        self._state = (self._state - k * _GAMMA) & _MASK64
 
     def spawn(self, index: int) -> "SeededSampler":
         return SeededSampler(derive_seed(self.seed, index))
@@ -140,12 +155,7 @@ def sample_intervals(
         raise ValueError("m must be >= 1")
     cdf = np.cumsum(d.probabilities)
     cdf[-1] = 1.0
-    values = d.values
-    out = np.empty(m)
-    for j in range(m):
-        u = sampler.uniform()
-        out[j] = values[np.searchsorted(cdf, u, side="right")]
-    return out
+    return d.values[np.searchsorted(cdf, sampler.uniforms(m), side="right")]
 
 
 def weak_zeno_margin(d: IntervalDistribution, m: int, c_bound: float) -> float:

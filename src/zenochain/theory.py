@@ -67,6 +67,10 @@ class ExceptionalPointError(ValueError):
     """Damped edge generator too close to an exceptional point to diagonalize."""
 
 
+class VarianceCrossCheckError(RuntimeError):
+    """The two routes to the leakage-generator variance disagree."""
+
+
 @dataclass(frozen=True)
 class TheoryPrediction:
     pstar: float
@@ -109,9 +113,8 @@ def variance_h_pi(psi: np.ndarray, spec: ChainSpec) -> float:
     lam = spec.subspace_size
     if np.linalg.norm(psi[lam:]) <= 1e-12:
         closed = spec.beta**2 * float(np.abs(psi[lam - 1]) ** 2)
-        assert abs(value - closed) <= 1e-12 * max(1.0, closed), (
-            f"variance routes disagree: {value} vs {closed}"
-        )
+        if abs(value - closed) > 1e-12 * max(1.0, closed):
+            raise VarianceCrossCheckError(f"variance routes disagree: {value} vs {closed}")
     return value
 
 

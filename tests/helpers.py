@@ -1,15 +1,31 @@
-"""Brute-force oracles used by the tests.
+"""Brute-force and reference oracles used by the tests.
 
-Everything here works in the full 2^n tensor-product space and never touches
+The full-space helpers work in the 2^n tensor-product space and never touch
 the package's sector-reduced representations, so the two routes stay
 independent.  Keep n <= 6.
+
+The scalar_* functions are the one-realization, one-draw-at-a-time protocol
+loops the lockstep ensemble kernel replaced, kept verbatim as its reference.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from typing import Optional
 
 import numpy as np
+
+from zenochain import linalg
+from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian
+from zenochain.protocols import (
+    DEAD_BRANCH,
+    ProtocolConfig,
+    ProtocolKind,
+    Trajectory,
+    ZeroSurvivalError,
+    _check_initial_state,
+)
+from zenochain.stochastics import IntervalDistribution, SeededSampler
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,3 +107,121 @@ def survival_trace_formula(
     for mu in intervals:
         phi = proj @ (propagator(h, mu) @ phi)
     return float(np.real(np.vdot(phi, phi)))
+
+
+def scalar_sample_intervals(
+    d: IntervalDistribution, sampler: SeededSampler, m: int
+) -> np.ndarray:
+    """Draw m i.i.d. waiting times by inverse CDF in atom order."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    cdf = np.cumsum(d.probabilities)
+    cdf[-1] = 1.0
+    values = d.values
+    out = np.empty(m)
+    for j in range(m):
+        u = sampler.uniform()
+        out[j] = values[np.searchsorted(cdf, u, side="right")]
+    return out
+
+
+def _cached_propagators(h: np.ndarray, d: IntervalDistribution) -> dict[float, np.ndarray]:
+    # one matrix exponential per distinct atom; runs reuse them m times
+    return {mu: linalg.propagator(h, mu) for mu in d.values}
+
+
+def scalar_run_projective(
+    spec: ChainSpec,
+    psi0: np.ndarray,
+    config: ProtocolConfig,
+    sampler: SeededSampler,
+    *,
+    hamiltonian_override: Optional[np.ndarray] = None,
+) -> Trajectory:
+    """Random-interval projective protocol (post-selected by default)."""
+    lam = spec.subspace_size
+    psi = _check_initial_state(psi0, lam)
+    h = hamiltonian(spec) if hamiltonian_override is None else hamiltonian_override
+    props = _cached_propagators(h, config.distribution)
+    intervals = scalar_sample_intervals(config.distribution, sampler, config.num_intervals)
+
+    qs: list[float] = []
+    cum: list[float] = []
+    pops: list[float] = []
+    states: list[np.ndarray] = []
+    log_p = 0.0
+    aborted_at: Optional[int] = None
+
+    for j, mu in enumerate(intervals, start=1):
+        psi = props[mu] @ psi
+        q = float(np.sum(np.abs(psi[:lam]) ** 2))
+        if q < DEAD_BRANCH:
+            raise ZeroSurvivalError(f"survival factor underflow at step {j}")
+        qs.append(q)
+        if config.bernoulli and sampler.uniform() >= q:
+            # failed outcome: collapse onto the complement and stop
+            psi[:lam] = 0.0
+            psi /= np.linalg.norm(psi)
+            cum.append(0.0)
+            pops.append(0.0)
+            if config.record_states:
+                states.append(psi.copy())
+            aborted_at = j
+            break
+        log_p += np.log(q)
+        psi[lam:] = 0.0
+        psi /= np.sqrt(q)
+        cum.append(1.0 if config.bernoulli else float(np.exp(log_p)))
+        pops.append(float(np.sum(np.abs(psi[:lam]) ** 2)))
+        if config.record_states:
+            states.append(psi.copy())
+
+    n = len(qs)
+    intervals = intervals[:n]
+    return Trajectory(
+        kind=ProtocolKind.PROJECTIVE,
+        intervals=intervals,
+        times=np.cumsum(intervals),
+        cumulative_survival=np.array(cum),
+        subspace_population=np.array(pops),
+        survival_factors=np.array(qs),
+        states=states if config.record_states else None,
+        final_state=psi,
+        aborted_at=aborted_at,
+        metadata={"log_survival_product": log_p},
+    )
+
+
+def scalar_run_pulsed(
+    spec: ChainSpec,
+    psi0: np.ndarray,
+    config: ProtocolConfig,
+    sampler: SeededSampler,
+    *,
+    hamiltonian_override: Optional[np.ndarray] = None,
+) -> Trajectory:
+    """Random-interval kick protocol: psi <- exp(-i H_c s) U(mu_j) psi."""
+    lam = spec.subspace_size
+    psi = _check_initial_state(psi0, lam)
+    h = hamiltonian(spec) if hamiltonian_override is None else hamiltonian_override
+    kick = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area)
+    props = _cached_propagators(h, config.distribution)
+    intervals = scalar_sample_intervals(config.distribution, sampler, config.num_intervals)
+
+    pops = np.empty(len(intervals))
+    states: list[np.ndarray] = []
+    for j, mu in enumerate(intervals):
+        psi = kick @ (props[mu] @ psi)
+        pops[j] = float(np.sum(np.abs(psi[:lam]) ** 2))
+        if config.record_states:
+            states.append(psi.copy())
+
+    return Trajectory(
+        kind=ProtocolKind.PULSED,
+        intervals=intervals,
+        times=np.cumsum(intervals),
+        cumulative_survival=pops.copy(),
+        subspace_population=pops,
+        states=states if config.record_states else None,
+        final_state=psi,
+    )

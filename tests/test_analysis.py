@@ -8,6 +8,7 @@ from zenochain.analysis import (
     aggregate,
     density_matrix,
     embed_state,
+    ensemble_fidelities,
     first_peak_time,
     fit_velocity,
     local_maxima,
@@ -18,7 +19,9 @@ from zenochain.chain import ChainSpec, hamiltonian, w_state
 from zenochain.protocols import (
     ProtocolConfig,
     ProtocolKind,
+    Trajectory,
     run_exact_subspace,
+    run_lockstep,
     run_projective,
 )
 from zenochain.stochastics import IntervalDistribution, SeededSampler
@@ -114,6 +117,28 @@ class TestProtocolFidelity:
         with pytest.raises(TimeMismatchError):
             protocol_fidelity(traj, ref)
 
+    def test_rejects_unnormalized_state(self):
+        spec = ChainSpec(n_sites=6, subspace_size=2)
+        config = ProtocolConfig(ProtocolKind.PROJECTIVE, 10, BIMODAL)
+        traj = run_projective(spec, w_state(6, 2), config, SeededSampler(1))
+        ref = run_exact_subspace(spec, w_state(6, 2), np.array([0.0, traj.total_time]))
+        traj.final_state = 1.01 * traj.final_state
+        with pytest.raises(InvalidDensityMatrixError):
+            protocol_fidelity(traj, ref)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_ensemble_fidelities_match_single_scoring(self, kind):
+        spec = ChainSpec(n_sites=10, subspace_size=3)
+        psi0 = w_state(10, 3)
+        config = ProtocolConfig(kind, 80, BIMODAL)
+        trajs = run_lockstep(spec, psi0, config, [SeededSampler(8).spawn(i) for i in range(6)])
+        fids = ensemble_fidelities(spec, psi0, trajs)
+        for traj, f in zip(trajs, fids):
+            ref = run_exact_subspace(spec, psi0, np.array([0.0, traj.total_time]))
+            assert abs(f - protocol_fidelity(traj, ref)) <= 1e-12
+            rho_ref = density_matrix(embed_state(ref.final_state, 10))
+            assert abs(f - uhlmann_fidelity(density_matrix(traj.final_state), rho_ref)) <= 1e-9
+
     def test_embed(self):
         out = embed_state(np.array([1.0, 2.0]), 5)
         assert np.array_equal(out, [1.0, 2.0, 0.0, 0.0, 0.0])
@@ -168,6 +193,62 @@ class TestAggregate:
         trajs = self.run_ensemble(10, 2, 200, 80, 23)
         summary = aggregate(trajs)
         assert abs(summary.log_mode - summary.log_mean) <= 3 * summary.log_std
+
+
+    def test_long_runs_summarized_from_log_survival(self):
+        # P underflows to 0 at m = 2000, but ln P = -817.4 is tracked directly
+        spec = ChainSpec(n_sites=12, subspace_size=1)
+        config = ProtocolConfig(
+            ProtocolKind.PROJECTIVE, 2000, IntervalDistribution.deterministic(20.0)
+        )
+        trajs = [
+            run_projective(spec, w_state(12, 1), config, SeededSampler(seed)) for seed in (0, 1)
+        ]
+        assert all(t.final_survival == 0.0 for t in trajs)
+        summary = aggregate(trajs)
+        assert abs(summary.log_mean + 817.40) <= 0.01
+        assert summary.log_std == 0.0
+        assert summary.log_mode == summary.log_mean
+
+
+def ln_p_realization(log_p):
+    """A one-step projective trajectory whose ln P is exactly log_p."""
+    one = np.ones(1)
+    return Trajectory(
+        kind=ProtocolKind.PROJECTIVE,
+        intervals=one,
+        times=one,
+        cumulative_survival=np.exp([log_p]),
+        subspace_population=one,
+        final_state=np.array([1.0 + 0j]),
+        log_cumulative_survival=np.array([log_p]),
+    )
+
+
+class TestAggregateNearDegenerate:
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("log_p", [-0.37, -2.5, -817.4])
+    def test_spread_below_float_resolution_is_degenerate(self, log_p, ulps):
+        high = log_p
+        for _ in range(ulps):
+            high = np.nextafter(high, 0.0)
+        trajs = [ln_p_realization(log_p)] * 25 + [ln_p_realization(high)] * 25
+        summary = aggregate(trajs)
+        assert summary.log_std > 0.0
+        assert summary.log_mode == summary.log_mean
+        assert log_p <= summary.log_mean <= high
+
+    def test_one_ulp_in_linear_survival(self):
+        # 25 copies each of p and p(1 + 2.2e-16), p = e^-0.37
+        p = np.exp(-0.37)
+        trajs = [ln_p_realization(np.log(p))] * 25 + [ln_p_realization(np.log(p * (1 + 2.2e-16)))] * 25
+        summary = aggregate(trajs)
+        assert summary.log_mode == summary.log_mean
+
+    def test_resolvable_spread_still_histogrammed(self):
+        trajs = [ln_p_realization(-1.0)] * 30 + [ln_p_realization(-1.0 + 1e-9)] * 10
+        summary = aggregate(trajs)
+        assert summary.log_mode < summary.log_mean  # the bulk sits at -1.0
 
 
 class TestVelocity:

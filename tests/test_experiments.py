@@ -1,18 +1,21 @@
 import csv
-import os
 
 import numpy as np
+import pytest
 
+from zenochain.chain import ChainSpec, w_state
 from zenochain.cli import main as cli_main
 from zenochain.config import parse_config
 from zenochain.experiments import (
     kappa_family,
+    run_ensemble,
     run_experiment,
     run_three_level,
     scaling_sweep,
-    worker_count,
     write_theory_csv,
 )
+from zenochain.protocols import ProtocolConfig, ProtocolKind, run_projective, run_pulsed
+from zenochain.stochastics import IntervalDistribution, SeededSampler
 
 CONFIG = """
 [chain]
@@ -112,19 +115,25 @@ class TestRunExperiment:
         assert abs(kappas[1] - 0.0) <= 1e-12
         assert abs(kappas[2] - 16.0 / 9.0) <= 1e-12
 
-    def test_worker_pool_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZENO_LAB_THREADS", "2")
-        assert worker_count() == 2
-        config = parse_config(CONFIG)
-        result = run_experiment(config, out_dir=tmp_path / "par", reproducible=True)
-        monkeypatch.delenv("ZENO_LAB_THREADS")
-        run_experiment(config, out_dir=tmp_path / "ser", reproducible=True)
-        for name in result["files"]:
-            assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "ser" / name).read_bytes()
-
-    def test_worker_count_auto(self, monkeypatch):
-        monkeypatch.setenv("ZENO_LAB_THREADS", "0")
-        assert worker_count() == (os.cpu_count() or 1)
+    @pytest.mark.parametrize(
+        "kind, run_one", [(ProtocolKind.PROJECTIVE, run_projective), (ProtocolKind.PULSED, run_pulsed)]
+    )
+    def test_realization_independent_of_ensemble_width(self, kind, run_one):
+        # realization i alone and inside an R=50 ensemble: bit-identical
+        spec = ChainSpec(n_sites=12, subspace_size=3)
+        psi0 = w_state(12, 3)
+        config = ProtocolConfig(kind, 120, IntervalDistribution.bimodal(1.0, 5.0, 0.5))
+        trajs, _ = run_ensemble(spec, psi0, config, 50, seed=4242)
+        for i in (0, 1, 23, 49):
+            alone = run_one(spec, psi0, config, SeededSampler(4242).spawn(i))
+            inside = trajs[i]
+            assert np.array_equal(alone.intervals, inside.intervals)
+            assert np.array_equal(alone.cumulative_survival, inside.cumulative_survival)
+            assert np.array_equal(alone.subspace_population, inside.subspace_population)
+            assert np.array_equal(alone.final_state, inside.final_state)
+            if kind is ProtocolKind.PROJECTIVE:
+                assert np.array_equal(alone.survival_factors, inside.survival_factors)
+                assert alone.log_survival == inside.log_survival
 
 
 class TestTheoryOnly:

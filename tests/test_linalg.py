@@ -8,6 +8,7 @@ from zenochain.linalg import (
     hermitian_eig,
     is_hermitian,
     propagator,
+    propagators,
     sqrt_psd,
 )
 
@@ -133,3 +134,19 @@ class TestSqrtPSD:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             sqrt_psd(np.diag([1.0, -1e-6]))
+
+
+class TestPropagators:
+    def test_stack_matches_single_propagators(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        h = a + a.conj().T
+        times = [0.0, 0.3, 2.5, 7.0]
+        stack = propagators(h, times)
+        assert stack.shape == (4, 5, 5)
+        for u, t in zip(stack, times):
+            assert np.array_equal(u, propagator(h, t))
+
+    def test_rejects_non_finite_time(self):
+        with pytest.raises(ValueError):
+            propagators(np.eye(2), [1.0, np.nan])

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zenochain import linalg
 from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, leftmost_excited, projector, w_state
 from zenochain.linalg import propagator
 from zenochain.protocols import (
     InitialStateOutsideSubspaceError,
     ProtocolConfig,
     ProtocolKind,
+    ZeroSurvivalError,
     run_continuous,
     run_exact_subspace,
+    run_lockstep,
     run_projective,
     run_protocol,
     run_pulsed,
@@ -16,7 +21,7 @@ from zenochain.protocols import (
 from zenochain.stochastics import IntervalDistribution, SeededSampler
 from zenochain.theory import three_level_survival
 
-from helpers import survival_trace_formula
+from helpers import scalar_run_projective, scalar_run_pulsed, survival_trace_formula
 
 BIMODAL = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
 
@@ -244,3 +249,137 @@ class TestDispatcher:
         traj = run_protocol(spec, w_state(9, 3), config, SeededSampler(1))
         assert traj.kind is ProtocolKind.PROJECTIVE
         assert len(traj.survival_factors) == 15
+
+
+def assert_close(a, b, tol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= tol
+
+
+@st.composite
+def small_runs(draw):
+    """A random small chain, initial state, interval law, m and seed."""
+    n = draw(st.integers(2, 8))
+    lam = draw(st.integers(1, n))
+    mus = draw(st.lists(st.floats(0.05, 12.0), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(mus), max_size=len(mus)))
+    probs = np.array(weights, dtype=float) / sum(weights)
+    d = IntervalDistribution.from_atoms(zip(mus, probs))
+    psi0 = w_state(n, lam) if draw(st.booleans()) else leftmost_excited(n)
+    pulsed = lam + 2 <= n and draw(st.booleans())
+    kind = ProtocolKind.PULSED if pulsed else ProtocolKind.PROJECTIVE
+    config = ProtocolConfig(kind, draw(st.integers(1, 80)), d)
+    return ChainSpec(n_sites=n, subspace_size=lam), psi0, config, draw(st.integers(0, 2**64 - 1))
+
+
+class TestLockstepKernel:
+    """The ensemble kernel against the scalar per-realization loops it replaced."""
+
+    @pytest.mark.parametrize("n, lam, m, seed", [(12, 2, 400, 1), (12, 9, 600, 3), (5, 2, 300, 7)])
+    def test_projective_matches_scalar_oracle(self, n, lam, m, seed):
+        spec, psi0 = ChainSpec(n_sites=n, subspace_size=lam), w_state(n, lam)
+        config = pm_config(m, record_states=True)
+        a = run_projective(spec, psi0, config, SeededSampler(seed))
+        b = scalar_run_projective(spec, psi0, config, SeededSampler(seed))
+        assert np.array_equal(a.intervals, b.intervals)
+        assert abs(a.log_survival - b.metadata["log_survival_product"]) <= 1e-12
+        assert_close(a.survival_factors, b.survival_factors)
+        assert_close(a.cumulative_survival, b.cumulative_survival)
+        assert_close(a.subspace_population, b.subspace_population)
+        assert_close(a.final_state, b.final_state)
+        assert_close(np.array(a.states), np.array(b.states))
+
+    @pytest.mark.parametrize("n, lam, m, seed", [(12, 4, 800, 2), (6, 3, 300, 5)])
+    def test_pulsed_matches_scalar_oracle(self, n, lam, m, seed):
+        spec, psi0 = ChainSpec(n_sites=n, subspace_size=lam), leftmost_excited(n)
+        config = ProtocolConfig(ProtocolKind.PULSED, m, BIMODAL, record_states=True)
+        a = run_pulsed(spec, psi0, config, SeededSampler(seed))
+        b = scalar_run_pulsed(spec, psi0, config, SeededSampler(seed))
+        assert np.array_equal(a.intervals, b.intervals)
+        assert_close(a.subspace_population, b.subspace_population)
+        assert_close(a.cumulative_survival, b.cumulative_survival)
+        assert_close(a.final_state, b.final_state)
+        assert_close(np.array(a.states), np.array(b.states))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bernoulli_ensemble_matches_scalar_oracle(self, seed):
+        # a few percent leakage per step: columns abort at scattered steps
+        # and some survive all 60, so the frozen-column mask is exercised
+        spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
+        config = pm_config(60, IntervalDistribution.bimodal(4.0, 9.0, 0.5),
+                           bernoulli=True, record_states=True)
+        base = SeededSampler(seed)
+        samplers = [base.spawn(i) for i in range(8)]
+        trajs = run_lockstep(spec, psi0, config, samplers)
+        for i, a in enumerate(trajs):
+            own = base.spawn(i)
+            b = scalar_run_projective(spec, psi0, config, own)
+            assert a.aborted_at == b.aborted_at
+            assert np.array_equal(a.intervals, b.intervals)
+            assert np.array_equal(a.cumulative_survival, b.cumulative_survival)
+            assert_close(a.survival_factors, b.survival_factors)
+            assert_close(a.subspace_population, b.subspace_population)
+            assert_close(a.final_state, b.final_state)
+            assert_close(np.array(a.states), np.array(b.states))
+            # the stream continues where the scalar run left it
+            assert samplers[i].next_uint64() == own.next_uint64()
+
+    def test_log_survival_finite_where_product_underflows(self):
+        spec = ChainSpec(n_sites=12, subspace_size=1)
+        config = pm_config(2000, IntervalDistribution.deterministic(20.0))
+        traj = run_projective(spec, leftmost_excited(12), config, SeededSampler(0))
+        oracle = scalar_run_projective(spec, leftmost_excited(12), config, SeededSampler(0))
+        assert traj.final_survival == 0.0  # exp(-817) underflows
+        assert abs(traj.log_survival - oracle.metadata["log_survival_product"]) <= 1e-12 * 817
+        assert abs(traj.log_survival + 817.40) <= 0.01
+
+    def test_continuous_runs_once_for_the_ensemble(self):
+        spec = ChainSpec(n_sites=9, subspace_size=3)
+        config = ProtocolConfig(ProtocolKind.CONTINUOUS, 40, BIMODAL)
+        trajs = run_lockstep(spec, w_state(9, 3), config, [SeededSampler(i) for i in range(5)])
+        assert len(trajs) == 5
+        assert all(t is trajs[0] for t in trajs)
+        assert abs(trajs[0].total_time - 40 * 3.0) <= 1e-9
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_empty_ensemble_rejected(self, kind):
+        spec = ChainSpec(n_sites=6, subspace_size=2)
+        with pytest.raises(ValueError, match="at least one realization"):
+            run_lockstep(spec, w_state(6, 2), ProtocolConfig(kind, 5, BIMODAL), [])
+
+    def test_dead_branch_raises(self, monkeypatch):
+        # a step that swaps site 1 out of the subspace leaves q = 0 exactly
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(linalg, "propagators", lambda h, times: np.array([swap] * len(times)))
+        spec = ChainSpec(n_sites=2, subspace_size=1)
+        with pytest.raises(ZeroSurvivalError, match="step 1"):
+            run_projective(spec, leftmost_excited(2), pm_config(3), SeededSampler(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=small_runs())
+    def test_log_survival_matches_oracle_on_random_runs(self, run):
+        spec, psi0, config, seed = run
+        if config.kind is ProtocolKind.PROJECTIVE:
+            a = run_projective(spec, psi0, config, SeededSampler(seed))
+            b = scalar_run_projective(spec, psi0, config, SeededSampler(seed))
+            want = b.metadata["log_survival_product"]
+        else:
+            a = run_pulsed(spec, psi0, config, SeededSampler(seed))
+            b = scalar_run_pulsed(spec, psi0, config, SeededSampler(seed))
+            want = np.log(b.cumulative_survival[-1])
+        assert np.array_equal(a.intervals, b.intervals)
+        assert abs(a.log_survival - want) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=small_runs())
+    def test_projective_survival_non_increasing(self, run):
+        spec, psi0, config, seed = run
+        traj = run_projective(spec, psi0, config, SeededSampler(seed))
+        p = traj.cumulative_survival
+        # q_j <= 1 up to the rounding of one unitary step on n sites (with
+        # lambda = n every q_j is 1 to a few ulps)
+        slack = 16 * spec.n_sites * np.finfo(float).eps
+        assert np.all(traj.survival_factors <= 1.0 + slack)
+        assert np.all(np.diff(p) <= slack * p[:-1])
+        assert np.all(np.diff(traj.log_cumulative_survival) <= slack)

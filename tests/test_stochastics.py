@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenochain.stochastics import (
     IntervalDistribution,
@@ -9,6 +11,8 @@ from zenochain.stochastics import (
     sample_intervals,
     weak_zeno_margin,
 )
+
+from helpers import scalar_sample_intervals
 
 
 class TestDistribution:
@@ -125,6 +129,40 @@ class TestSampler:
         d = IntervalDistribution.deterministic(1.0)
         with pytest.raises(ValueError):
             sample_intervals(d, SeededSampler(0), 0)
+
+
+class TestBlockDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.integers(-(2**70), 2**70),
+            st.integers(2**63, 2**64 - 1),
+            st.integers(-(2**63), -1),
+        ),
+        k=st.integers(0, 300),
+    )
+    def test_uniforms_equal_scalar_draws_and_state(self, seed, k):
+        block, scalar = SeededSampler(seed), SeededSampler(seed)
+        u = block.uniforms(k)
+        assert np.array_equal(u, [scalar.uniform() for _ in range(k)])
+        # same state afterwards: the streams continue identically
+        assert block.next_uint64() == scalar.next_uint64()
+        assert block.uniform() == scalar.uniform()
+
+    def test_rewind_repeats_draws(self):
+        s = SeededSampler(5)
+        first = s.uniforms(10)
+        s.rewind(4)
+        assert np.array_equal(s.uniforms(4), first[6:])
+        s.rewind(10)
+        assert np.array_equal(s.uniforms(10), first)
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**63 + 11, 2**64 - 1])
+    def test_sample_intervals_match_scalar_path(self, seed):
+        d = IntervalDistribution.from_atoms([(1.0, 0.2), (2.5, 0.3), (7.0, 0.5)])
+        a, b = SeededSampler(seed), SeededSampler(seed)
+        assert np.array_equal(sample_intervals(d, a, 777), scalar_sample_intervals(d, b, 777))
+        assert a.next_uint64() == b.next_uint64()
 
 
 class TestWeakZenoMargin:

@@ -5,6 +5,7 @@ from zenochain.chain import ChainSpec, basis_state, leftmost_excited, w_state
 from zenochain.linalg import propagator
 from zenochain.protocols import ProtocolConfig, ProtocolKind, run_projective
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments, weak_zeno_margin
+from zenochain import theory
 from zenochain.theory import (
     ExceptionalPointError,
     GridTooCoarseError,
@@ -21,6 +22,7 @@ from zenochain.theory import (
     three_level_hamiltonian,
     three_level_survival,
     three_level_transform,
+    VarianceCrossCheckError,
     variance_h_pi,
 )
 
@@ -57,6 +59,15 @@ class TestVarianceHPi:
         h_pi = h - p @ h @ p
         want = np.real(np.vdot(h_pi @ psi, h_pi @ psi) - np.vdot(psi, h_pi @ psi) ** 2)
         assert abs(variance_h_pi(psi, spec) - want) <= 1e-14
+
+
+    def test_disagreeing_routes_raise_named_error(self, monkeypatch):
+        # a wrong projector (the identity) makes H - PHP vanish while the
+        # closed form still reads beta^2 |c_lambda|^2; survives python -O
+        monkeypatch.setattr(theory, "projector", lambda spec: np.eye(spec.n_sites))
+        spec = ChainSpec(n_sites=6, subspace_size=2)
+        with pytest.raises(VarianceCrossCheckError, match="disagree"):
+            variance_h_pi(w_state(6, 2), spec)
 
 
 class TestWeakStrong:
