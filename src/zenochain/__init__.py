@@ -25,10 +25,11 @@ from .chain import (
     w_state,
     zeno_hamiltonian,
 )
-from .linalg import EigenDecomposition, hermitian_eig, propagator, sqrt_psd
+from .linalg import EigenDecomposition, evolve, hermitian_eig, propagator, sqrt_psd
 from .protocols import (
     ProtocolConfig,
     ProtocolKind,
+    SubspaceEvolution,
     Trajectory,
     run_continuous,
     run_exact_subspace,
@@ -75,6 +76,7 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolKind",
     "SeededSampler",
+    "SubspaceEvolution",
     "TheoryPrediction",
     "Trajectory",
     "VelocityFit",
@@ -83,6 +85,7 @@ __all__ = [
     "coupling_hamiltonian",
     "derive_seed",
     "edge_population",
+    "evolve",
     "fit_velocity",
     "hamiltonian",
     "hermitian_eig",

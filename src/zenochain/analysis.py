@@ -10,7 +10,7 @@ import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, hopping_matrix, leftmost_excited
-from .protocols import Trajectory, run_exact_subspace
+from .protocols import SubspaceEvolution, Trajectory, run_exact_subspace
 from .theory import TheoryPrediction
 
 DM_TOL = 1e-10
@@ -21,7 +21,7 @@ class InvalidDensityMatrixError(ValueError):
 
 
 class TimeMismatchError(ValueError):
-    """Protocol and reference trajectories ended at different times."""
+    """Protocol trajectory and reference evolution ended at different times."""
 
 
 class NoPeakFoundError(RuntimeError):
@@ -84,16 +84,17 @@ def _overlaps(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return np.clip(np.abs((ideal.conj() * states[:, : ideal.shape[1]]).sum(1)), 0.0, 1.0)
 
 
-def protocol_fidelity(traj: Trajectory, reference: Trajectory) -> float:
+def protocol_fidelity(traj: Trajectory, reference: SubspaceEvolution) -> float:
     """Fidelity of the final protocol state against the ideal one.
 
     The reference comes from run_exact_subspace and lives in the subspace;
-    both states are pure, so the fidelity is their overlap.
+    its last time must be the trajectory's total time.  Both states are
+    pure, so the fidelity is their overlap.
     """
-    t_a, t_b = traj.total_time, reference.total_time
+    t_a, t_b = traj.total_time, float(reference.times[-1])
     if abs(t_a - t_b) > 1e-9 * max(1.0, abs(t_a), abs(t_b)):
         raise TimeMismatchError(f"trajectory at t={t_a}, reference at t={t_b}")
-    return float(_overlaps(traj.final_state[None], reference.final_state[None])[0])
+    return float(_overlaps(traj.final_state[None], reference.states[-1:])[0])
 
 
 def ensemble_fidelities(
@@ -104,7 +105,7 @@ def ensemble_fidelities(
     The ideal states at all end times come from one eigendecomposition.
     """
     ref = run_exact_subspace(spec, psi0, np.array([t.total_time for t in realizations]))
-    return _overlaps(np.array([t.final_state for t in realizations]), np.array(ref.states))
+    return _overlaps(np.array([t.final_state for t in realizations]), ref.states)
 
 
 @dataclass(frozen=True)
@@ -193,15 +194,9 @@ def fit_velocity(
     peaks = []
     for lam in subspace_sizes:
         h = hopping_matrix(lam, spec.alpha, spec.beta, spec.include_field_phase)
-        dec = linalg.hermitian_eig(h)
-        psi0 = leftmost_excited(lam)
-        coeff = dec.eigenvectors.conj().T @ psi0
-        t_max = np.pi * (lam + 2) / (2.0 * spec.beta)
-        t_grid = np.arange(0.0, t_max, dt)
-        amps = dec.eigenvectors[-1, :] @ (
-            np.exp(-1j * np.outer(dec.eigenvalues, t_grid)) * coeff[:, None]
-        )
-        peaks.append(first_peak_time(t_grid, np.abs(amps) ** 2, threshold))
+        t_grid = np.arange(0.0, np.pi * (lam + 2) / (2.0 * spec.beta), dt)
+        edge = linalg.evolve(h, leftmost_excited(lam), t_grid)[:, -1]
+        peaks.append(first_peak_time(t_grid, np.abs(edge) ** 2, threshold))
     peaks = np.array(peaks)
     distances = np.array([lam - 1 for lam in subspace_sizes], dtype=float)
     if len(peaks) == 1:

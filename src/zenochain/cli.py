@@ -103,8 +103,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             config = _load_config(args.config, args)
             result = run_experiment(config, reproducible=args.reproducible)
-            theory_path = Path(result["out_dir"]) / "theory.csv"
-            pstar = _read_pstar(theory_path)
+            pstar = result["pstar_time_avg"]
             mean_ln = result["mean_log_survival"]
             print(f"mean ln P (simulation): {mean_ln:.6f}")
             print(f"ln P* (time-averaged theory): {np.log(pstar):.6f}")
@@ -142,16 +141,6 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _read_pstar(theory_path: Path) -> float:
-    import csv as _csv
-
-    with open(theory_path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = list(_csv.reader(lines))
-    header, first = rows[0], rows[1]
-    return float(first[header.index("pstar_time_avg")])
 
 
 if __name__ == "__main__":

@@ -76,6 +76,10 @@ class ExperimentConfig:
     lambda_sweep: Optional[tuple[int, ...]] = None
     kappa_sweep: Optional[tuple[tuple[float, float, float], ...]] = None
 
+    def __post_init__(self) -> None:
+        if self.realizations < 1:
+            raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
+
 
 _CHAIN_KEYS = {"n", "alpha", "beta", "lambda", "include_field_phase"}
 _PROTOCOL_KEYS = {"kind", "m", "dist", "pulse_area", "coupling", "record_states", "bernoulli"}
@@ -178,16 +182,20 @@ def parse_config(text: str) -> ExperimentConfig:
         dist = IntervalDistribution.from_literal(dist_raw)
     except ValueError as exc:
         raise ParseError(dist_line, str(exc))
-    coupling_raw, _c_line = take("protocol", "coupling")
-    protocol = ProtocolConfig(
+    coupling_raw, c_line = take("protocol", "coupling")
+    fields = dict(
         kind=kind,
         num_intervals=_parse_int(m_raw, m_line),
         distribution=dist,
         pulse_area=_parse_float(*take("protocol", "pulse_area", str(np.pi / 2))),
-        coupling=None if coupling_raw is None else float(coupling_raw),
+        coupling=None if coupling_raw is None else _parse_float(coupling_raw, c_line),
         record_states=_maybe_bool(*take("protocol", "record_states", "false")),
         bernoulli=_maybe_bool(*take("protocol", "bernoulli", "false")),
     )
+    try:
+        protocol = ProtocolConfig(**fields)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if kind in (ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
         if chain.subspace_size + 2 > chain.n_sites:
             raise ValidationError(

@@ -35,6 +35,7 @@ from .theory import (
     edge_population,
     pstar_time_averaged,
     pstar_time_averaged_curve,
+    pstar_weak,
     three_level_hamiltonian,
     three_level_survival,
 )
@@ -118,9 +119,7 @@ def _theory_row(
     c2_eigen = _eigenstate_edge_weight(spec, psi0)
     series = _edge_series(spec, psi0, d, m)
     pred_avg = pstar_time_averaged(m, d, series, spec.beta)
-    pstar_const = float(
-        np.exp(-m * spec.beta**2 * c2_eigen * (1.0 + mom.kappa) * mom.mean**2)
-    )
+    pstar_const = pstar_weak(m, d, spec.beta**2 * c2_eigen).pstar
     return (
         spec.subspace_size,
         m,
@@ -217,8 +216,9 @@ def run_experiment(
                 moments(d).mean,
             )
         )
+        return pred
 
-    add_rows(config.chain, psi0, config.protocol.distribution, trajs, fids)
+    base_pred = add_rows(config.chain, psi0, config.protocol.distribution, trajs, fids)
 
     for lam in config.lambda_sweep or ():
         if lam == config.chain.subspace_size:
@@ -243,6 +243,7 @@ def run_experiment(
     return {
         "out_dir": out,
         "mean_log_survival": float(np.mean([t.log_survival for t in trajs])),
+        "pstar_time_avg": base_pred.pstar,
         "mu_mean": mom.mean,
         "files": sorted(p.name for p in out.glob("*.csv")),
     }
@@ -292,11 +293,7 @@ def run_three_level(
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
     rows = []
     for g in g_list:
-        h = three_level_hamiltonian(omega, g)
-        dec = linalg.hermitian_eig(h)
-        amp0 = dec.eigenvectors[0, :]  # <1|k>
-        # c_1(t) = sum_k e^{-i w_k t} |<1|k>|^2
-        c1 = (np.abs(amp0) ** 2) @ np.exp(-1j * np.outer(dec.eigenvalues, t_grid))
+        c1 = linalg.evolve(three_level_hamiltonian(omega, g), [1.0, 0.0, 0.0], t_grid)[:, 0]
         numeric = np.abs(c1) ** 2
         formula = three_level_survival(omega, g, t_grid)
         for t, pf, pn in zip(t_grid, formula, numeric):

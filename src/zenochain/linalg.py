@@ -76,6 +76,17 @@ def propagators(h: np.ndarray, times) -> np.ndarray:
     return (dec.eigenvectors * phases[:, None, :]) @ dec.eigenvectors.conj().T
 
 
+def evolve(h: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
+    """States exp(-i h t) psi, one row per time, from one eigendecomposition."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time must be finite")
+    dec = hermitian_eig(h)
+    coeff = dec.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
+    phases = np.exp(-1j * np.outer(dec.eigenvalues, times))
+    return (dec.eigenvectors @ (phases * coeff[:, None])).T
+
+
 def propagator(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary exp(-i h t) for Hermitian h (rad/us) and time t (us)."""
     return propagators(h, [t])[0]

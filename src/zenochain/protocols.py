@@ -97,7 +97,7 @@ class Trajectory:
     final_state: np.ndarray
     survival_factors: Optional[np.ndarray] = None
     log_cumulative_survival: Optional[np.ndarray] = None
-    states: Optional[list[np.ndarray]] = None
+    states: Optional[np.ndarray] = None  # steps x dim, when recorded
     aborted_at: Optional[int] = None
     metadata: dict = field(default_factory=dict)
 
@@ -206,7 +206,7 @@ def _lockstep(
                 final_state=collapsed.get(r, psi[r, :, 0]),
                 survival_factors=factors[r, :n] if projective else None,
                 log_cumulative_survival=None if log_cum is None else log_cum[r],
-                states=None if states is None else list(states[r, :n]),
+                states=None if states is None else states[r, :n],
                 aborted_at=int(aborted_at[r]) or None,
             )
         )
@@ -266,14 +266,9 @@ def run_continuous(
     ):
         raise ValueError("sample_times must lie inside [0, total_time]")
 
-    dec = linalg.hermitian_eig(h_tot)
-    coeff = dec.eigenvectors.conj().T @ psi
-    # amplitudes for all sample times in one shot: dim x n_times
-    amps = dec.eigenvectors @ (
-        np.exp(-1j * np.outer(dec.eigenvalues, sample_times)) * coeff[:, None]
-    )
-    pops = np.sum(np.abs(amps[:lam, :]) ** 2, axis=0)
-    final = dec.eigenvectors @ (np.exp(-1j * dec.eigenvalues * total_time) * coeff)
+    # the final state rides along as one more time of the same evolution
+    states = linalg.evolve(h_tot, psi, np.append(sample_times, total_time))
+    pops = np.sum(np.abs(states[:-1, :lam]) ** 2, axis=1)
 
     return Trajectory(
         kind=ProtocolKind.CONTINUOUS,
@@ -281,8 +276,8 @@ def run_continuous(
         times=sample_times,
         cumulative_survival=pops.copy(),
         subspace_population=pops,
-        states=[amps[:, k].copy() for k in range(amps.shape[1])] if record_states else None,
-        final_state=final,
+        states=states[:-1] if record_states else None,
+        final_state=states[-1].copy(),  # not a view pinning the whole grid
         metadata={"coupling": coupling, "total_time": float(total_time)},
     )
 
@@ -307,33 +302,27 @@ def _subspace_state(spec: ChainSpec, psi0: np.ndarray) -> np.ndarray:
     return psi_sub
 
 
+@dataclass(frozen=True)
+class SubspaceEvolution:
+    """Ideal confined evolution: states[k] = exp(-i H_Z times[k]) psi0.
+
+    states is len(times) x subspace_size; nothing leaks by construction.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+
+
 def run_exact_subspace(
     spec: ChainSpec, psi0: np.ndarray, t_grid: np.ndarray
-) -> Trajectory:
+) -> SubspaceEvolution:
     """Ideal confined evolution under the subspace Hamiltonian.
 
-    This is the fidelity reference.  States are subspace_size-dimensional;
-    psi0 is accepted as in ``_subspace_state``.
+    This is the fidelity reference; psi0 is accepted as in ``_subspace_state``.
     """
-    psi_sub = _subspace_state(spec, psi0)
     t_grid = np.asarray(t_grid, dtype=float)
-    dec = linalg.hermitian_eig(zeno_hamiltonian(spec))
-    coeff = dec.eigenvectors.conj().T @ psi_sub
-    amps = dec.eigenvectors @ (
-        np.exp(-1j * np.outer(dec.eigenvalues, t_grid)) * coeff[:, None]
-    )
-
-    ones = np.ones(len(t_grid))
-    return Trajectory(
-        kind=ProtocolKind.PROJECTIVE,  # reference dynamics, no leakage by construction
-        intervals=np.diff(t_grid, prepend=t_grid[0] if len(t_grid) else 0.0),
-        times=t_grid,
-        cumulative_survival=ones.copy(),
-        subspace_population=ones,
-        states=[amps[:, k].copy() for k in range(amps.shape[1])],
-        final_state=amps[:, -1].copy() if len(t_grid) else psi_sub,
-        metadata={"reference": True},
-    )
+    states = linalg.evolve(zeno_hamiltonian(spec), _subspace_state(spec, psi0), t_grid)
+    return SubspaceEvolution(times=t_grid, states=states)
 
 
 def run_protocol(

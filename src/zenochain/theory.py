@@ -211,6 +211,12 @@ def _damped_edge_values(
     return pops[-1] / np.sum(pops, axis=0)
 
 
+def _cumulative_trapezoid(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of values over t_grid, 0 at t_grid[0]."""
+    steps = 0.5 * (values[1:] + values[:-1]) * np.diff(t_grid)
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
 def edge_population(
     spec: ChainSpec,
     psi0: np.ndarray,
@@ -232,11 +238,10 @@ def edge_population(
         raise ValueError("t_max and dt must be positive")
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
     if distribution is None:
-        ref = run_exact_subspace(spec, psi0, t_grid)
-        values = np.array([float(np.abs(s[-1]) ** 2) for s in ref.states])
+        values = np.abs(run_exact_subspace(spec, psi0, t_grid).states[:, -1]) ** 2
     else:
         values = _damped_edge_values(spec, psi0, t_grid, distribution)
-    avg = float(np.trapezoid(values, t_grid) / t_grid[-1])
+    avg = float(_cumulative_trapezoid(values, t_grid)[-1] / t_grid[-1])
     return EdgePopulationSeries(t_grid=t_grid, values=values, time_average=avg)
 
 
@@ -271,14 +276,9 @@ def pstar_time_averaged_curve(
     t_ends = m_values * mom.mean
     if t_ends.max() > series.t_grid[-1] + 1e-9:
         raise ValueError("edge population series does not cover m * mean(mu)")
-    # running trapezoid integral of |c_lambda|^2
-    dt_steps = np.diff(series.t_grid)
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (series.values[1:] + series.values[:-1]) * dt_steps)]
-    )
-    integral = np.interp(t_ends, series.t_grid, cum)
-    avg = integral / t_ends
-    return np.exp(-m_values * beta**2 * (1.0 + mom.kappa) * mom.mean**2 * avg)
+    cum = _cumulative_trapezoid(series.values, series.t_grid)
+    avg = np.interp(t_ends, series.t_grid, cum) / t_ends
+    return np.exp(-_exponent(m_values, mom, beta**2 * avg))
 
 
 def one_step_survival(

@@ -136,7 +136,7 @@ class TestProtocolFidelity:
         for traj, f in zip(trajs, fids):
             ref = run_exact_subspace(spec, psi0, np.array([0.0, traj.total_time]))
             assert abs(f - protocol_fidelity(traj, ref)) <= 1e-12
-            rho_ref = density_matrix(embed_state(ref.final_state, 10))
+            rho_ref = density_matrix(embed_state(ref.states[-1], 10))
             assert abs(f - uhlmann_fidelity(density_matrix(traj.final_state), rho_ref)) <= 1e-9
 
     def test_embed(self):

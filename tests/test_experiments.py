@@ -263,6 +263,26 @@ class TestCLI:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [
+            (("realizations = 3", "realizations = 0"), []),
+            ((), ["--realizations", "0"]),
+            (("m = 60", "m = 0"), []),
+            (("kind = projective", "kind = continuous\ncoupling = abc"), []),
+            (("kind = projective", "kind = continuous\ncoupling = -1"), []),
+        ],
+        ids=["realizations-file", "realizations-flag", "m-zero", "coupling-text",
+             "coupling-negative"],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, edit, flags):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG.replace(*edit) if edit else CONFIG)
+        rc = cli_main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")] + flags)
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG)

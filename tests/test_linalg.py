@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenochain.linalg import (
     EigenDecomposition,
     NotHermitianError,
     NotPSDError,
+    evolve,
     hermitian_eig,
     is_hermitian,
     propagator,
@@ -150,3 +153,32 @@ class TestPropagators:
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             propagators(np.eye(2), [1.0, np.nan])
+
+
+class TestEvolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5),
+    )
+    def test_matches_propagator(self, dim, seed, times):
+        h = random_hermitian(dim, seed)
+        psi = random_state(dim, seed + 1)
+        states = evolve(h, psi, times)
+        assert states.shape == (len(times), dim)
+        for state, t in zip(states, times):
+            assert np.max(np.abs(state - propagator(h, t) @ psi)) <= 1e-12
+
+    def test_zero_time_returns_state(self):
+        psi = random_state(7, seed=31)
+        assert np.max(np.abs(evolve(random_hermitian(7, seed=30), psi, [0.0])[0] - psi)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError):
+            evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, t])
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            evolve(np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([1.0, 0.0]), [1.0])

@@ -203,6 +203,13 @@ class TestContinuous:
         with pytest.raises(ValueError):
             run_continuous(spec, w_state(5, 2), 10.0, 1.0, sample_times=np.array([0.0, 11.0]))
 
+    def test_final_state_is_last_recorded_state(self):
+        spec = ChainSpec(n_sites=9, subspace_size=4)
+        traj = run_continuous(spec, w_state(9, 4), total_time=80.0, coupling=0.3,
+                              record_states=True)
+        assert traj.states.shape == (2001, 9)
+        assert np.max(np.abs(traj.final_state - traj.states[-1])) <= 1e-15
+
 
 class TestExactSubspace:
     def test_single_site_population_constant(self):
@@ -214,8 +221,9 @@ class TestExactSubspace:
     def test_two_site_rabi(self):
         spec = ChainSpec(n_sites=6, subspace_size=2)
         grid = np.linspace(0.0, 160.0, 401)
-        traj = run_exact_subspace(spec, leftmost_excited(6), grid)
-        pops = np.array([np.abs(s[1]) ** 2 for s in traj.states])
+        ref = run_exact_subspace(spec, leftmost_excited(6), grid)
+        assert ref.states.shape == (401, 2)
+        pops = np.abs(ref.states[:, 1]) ** 2
         assert np.max(np.abs(pops - np.sin(spec.beta * grid) ** 2)) <= 1e-10
 
     def test_w_state_is_two_site_eigenstate(self):

@@ -254,14 +254,15 @@ class TestTimeAveraged:
         )
         assert pstar_time_averaged(100, BIMODAL, series, 0.03).pstar == 1.0
 
-    def test_curve_endpoint_matches_scalar_form(self):
-        spec = ChainSpec(n_sites=12, subspace_size=9)
+    @pytest.mark.parametrize("lam, m", [(9, 400), (9, 2000), (4, 10000)])
+    def test_curve_endpoint_matches_scalar_form(self, lam, m):
+        # same integral, same exponent: equal to the last bit
+        spec = ChainSpec(n_sites=12, subspace_size=lam)
         d = BIMODAL
-        m = 400
         series = edge_population(spec, leftmost_excited(12), t_max=m * 3.0, dt=0.15)
-        curve = pstar_time_averaged_curve(np.array([m]), d, series, spec.beta)
+        curve = pstar_time_averaged_curve(np.arange(1, m + 1), d, series, spec.beta)
         scalar = pstar_time_averaged(m, d, series, spec.beta)
-        assert abs(curve[0] - scalar.pstar) <= 1e-10
+        assert curve[-1] == scalar.pstar
 
     def test_curve_requires_coverage(self):
         spec = ChainSpec(n_sites=12, subspace_size=9)
