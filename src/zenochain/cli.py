@@ -24,6 +24,7 @@ from .experiments import (
     run_three_level,
     write_theory_csv,
 )
+from .protocols import ProtocolKind
 
 
 def _load_config(path: str, args: argparse.Namespace) -> ExperimentConfig:
@@ -102,6 +103,10 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         elif args.command == "compare":
             config = _load_config(args.config, args)
+            if config.protocol.kind is not ProtocolKind.PROJECTIVE or config.protocol.bernoulli:
+                raise ValidationError(
+                    "compare covers post-selected projective configs only; no prediction applies"
+                )
             result = run_experiment(config, reproducible=args.reproducible)
             pstar = result["pstar_time_avg"]
             mean_ln = result["mean_log_survival"]
@@ -110,8 +115,10 @@ def main(argv=None) -> int:
             rel = abs(mean_ln - np.log(pstar)) / abs(np.log(pstar))
             print(f"relative deviation: {rel:.4f}")
         elif args.command == "figure":
+            for flag, value in (("--m", args.m), ("--realizations", args.realizations)):
+                if value is not None and value < 1:
+                    raise ValidationError(f"{flag} must be >= 1, got {value}")
             out = args.out_dir or "out"
-            seed = args.seed
             kwargs = {"reproducible": args.reproducible}
             if args.m is not None:
                 kwargs["m"] = args.m
@@ -123,8 +130,8 @@ def main(argv=None) -> int:
                 "fig4": preset_fig4,
                 "fig5": preset_fig5,
             }[args.name]
-            if seed is not None:
-                kwargs["seed"] = seed
+            if args.seed is not None:
+                kwargs["seed"] = args.seed
             path = runner(out, **kwargs)
             print(f"wrote {path}")
         elif args.command == "three-level":

@@ -82,7 +82,7 @@ class ExperimentConfig:
 
 
 _CHAIN_KEYS = {"n", "alpha", "beta", "lambda", "include_field_phase"}
-_PROTOCOL_KEYS = {"kind", "m", "dist", "pulse_area", "coupling", "record_states", "bernoulli"}
+_PROTOCOL_KEYS = {"kind", "m", "dist", "pulse_area", "coupling", "bernoulli"}
 _EXPERIMENT_KEYS = {
     "initial_state",
     "amplitudes",
@@ -157,7 +157,7 @@ def parse_config(text: str) -> ExperimentConfig:
             subspace_size=_parse_int(lam_raw, lam_line),
             alpha=_parse_float(*take("chain", "alpha", str(DEFAULT_RATE))),
             beta=_parse_float(*take("chain", "beta", str(DEFAULT_RATE))),
-            include_field_phase=_maybe_bool(*take("chain", "include_field_phase", "false")),
+            include_field_phase=_parse_bool(*take("chain", "include_field_phase", "false")),
         )
     except InvalidSpecError as exc:
         raise ValidationError(str(exc)) from exc
@@ -189,8 +189,7 @@ def parse_config(text: str) -> ExperimentConfig:
         distribution=dist,
         pulse_area=_parse_float(*take("protocol", "pulse_area", str(np.pi / 2))),
         coupling=None if coupling_raw is None else _parse_float(coupling_raw, c_line),
-        record_states=_maybe_bool(*take("protocol", "record_states", "false")),
-        bernoulli=_maybe_bool(*take("protocol", "bernoulli", "false")),
+        bernoulli=_parse_bool(*take("protocol", "bernoulli", "false")),
     )
     try:
         protocol = ProtocolConfig(**fields)
@@ -267,7 +266,3 @@ def _parse_float(raw: str, line_no: int) -> float:
         return float(raw)
     except ValueError:
         raise ParseError(line_no, f"expected a number, got {raw!r}")
-
-
-def _maybe_bool(raw: str, line_no: int) -> bool:
-    return _parse_bool(raw, line_no if line_no else 0)

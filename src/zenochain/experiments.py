@@ -32,6 +32,7 @@ from .protocols import (
 )
 from .stochastics import IntervalDistribution, SeededSampler, moments
 from .theory import (
+    _exponent,
     edge_population,
     pstar_time_averaged,
     pstar_time_averaged_curve,
@@ -109,12 +110,14 @@ def _edge_series(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m: 
     return edge_population(spec, psi0, t_max=m * mean, dt=mean / EDGE_SERIES_STEPS_PER_MEAN)
 
 
-def _theory_row(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    d: IntervalDistribution,
-    m: int,
-):
+def _predicted_staircase(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m: int):
+    """The ideal edge series and the time-averaged P* after 1..m intervals."""
+    series = _edge_series(spec, psi0, d, m)
+    return series, pstar_time_averaged_curve(np.arange(1, m + 1), d, series, spec.beta)
+
+
+def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
+    d, m = protocol.distribution, protocol.num_intervals
     mom = moments(d)
     c2_eigen = _eigenstate_edge_weight(spec, psi0)
     series = _edge_series(spec, psi0, d, m)
@@ -176,6 +179,19 @@ def run_ensemble(
     return trajs, ensemble_fidelities(spec, psi0, trajs).tolist()
 
 
+def _sweep_points(config: ExperimentConfig):
+    """(spec, psi0, protocol) per sweep point: the base configuration, then each
+    lambda_sweep value other than the base lambda, then each kappa_sweep triple."""
+    base = config.chain.subspace_size
+    for lam in [base] + [l for l in config.lambda_sweep or () if l != base]:
+        spec = replace(config.chain, subspace_size=lam)
+        yield spec, config.initial_state.resolve(spec), config.protocol
+    psi0 = config.initial_state.resolve(config.chain)
+    for p1, mu1, mu2 in config.kappa_sweep or ():
+        d = IntervalDistribution.bimodal(mu1, mu2, p1)
+        yield config.chain, psi0, replace(config.protocol, distribution=d)
+
+
 def run_experiment(
     config: ExperimentConfig,
     out_dir: Optional[str] = None,
@@ -189,62 +205,34 @@ def run_experiment(
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    psi0 = config.initial_state.resolve(config.chain)
-    trajs, fids = run_ensemble(
-        config.chain, psi0, config.protocol, config.realizations, config.seed
-    )
-    for i, traj in enumerate(trajs):
-        write_trajectory_csv(traj, out / f"trajectory_r{i}.csv", reproducible)
-
-    summary_rows = []
-    theory_rows = []
-    mom = moments(config.protocol.distribution)
-
-    def add_rows(spec: ChainSpec, psi0_l, d: IntervalDistribution, trajs_l, fids_l):
-        trow, pred = _theory_row(spec, psi0_l, d, config.protocol.num_intervals)
+    summary_rows, theory_rows = [], []
+    for k, (spec, psi0, protocol) in enumerate(_sweep_points(config)):
+        trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
+        trow, pred = _theory_row(spec, psi0, protocol)
+        if k == 0:
+            base_trajs, base_pred = trajs, pred
+            for i, traj in enumerate(trajs):
+                write_trajectory_csv(traj, out / f"trajectory_r{i}.csv", reproducible)
         theory_rows.append(trow)
-        summary = aggregate(trajs_l, pred)
         summary_rows.append(
             (
                 spec.subspace_size,
-                config.protocol.kind.value,
-                float(np.mean(fids_l)),
-                float(np.mean(summary.final_survival)),
+                protocol.kind.value,
+                float(np.mean(fids)),
+                float(np.mean(aggregate(trajs, pred).final_survival)),
                 pred.pstar,
-                moments(d).kappa,
-                config.protocol.num_intervals,
-                moments(d).mean,
+                pred.interval_moments.kappa,
+                protocol.num_intervals,
+                pred.interval_moments.mean,
             )
         )
-        return pred
-
-    base_pred = add_rows(config.chain, psi0, config.protocol.distribution, trajs, fids)
-
-    for lam in config.lambda_sweep or ():
-        if lam == config.chain.subspace_size:
-            continue
-        spec_l = replace(config.chain, subspace_size=lam)
-        psi0_l = config.initial_state.resolve(spec_l)
-        trajs_l, fids_l = run_ensemble(
-            spec_l, psi0_l, config.protocol, config.realizations, config.seed
-        )
-        add_rows(spec_l, psi0_l, config.protocol.distribution, trajs_l, fids_l)
-
-    for p1, mu1, mu2 in config.kappa_sweep or ():
-        d = IntervalDistribution.bimodal(mu1, mu2, p1)
-        proto = replace(config.protocol, distribution=d, record_states=False)
-        trajs_k, fids_k = run_ensemble(
-            config.chain, psi0, proto, config.realizations, config.seed
-        )
-        add_rows(config.chain, psi0, d, trajs_k, fids_k)
 
     write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows, reproducible)
     write_csv(out / "theory.csv", THEORY_HEADER, theory_rows, reproducible)
     return {
         "out_dir": out,
-        "mean_log_survival": float(np.mean([t.log_survival for t in trajs])),
+        "mean_log_survival": float(np.mean([t.log_survival for t in base_trajs])),
         "pstar_time_avg": base_pred.pstar,
-        "mu_mean": mom.mean,
         "files": sorted(p.name for p in out.glob("*.csv")),
     }
 
@@ -252,29 +240,9 @@ def run_experiment(
 def write_theory_csv(
     config: ExperimentConfig, out_dir: Optional[str] = None, reproducible: bool = False
 ) -> Path:
-    """Theory-only run: one row per lambda (base + sweep) and kappa point."""
-    out = Path(out_dir if out_dir is not None else config.output_path)
-    rows = []
-    lams = [config.chain.subspace_size] + [
-        l for l in (config.lambda_sweep or ()) if l != config.chain.subspace_size
-    ]
-    for lam in lams:
-        spec_l = replace(config.chain, subspace_size=lam)
-        psi0_l = config.initial_state.resolve(spec_l)
-        row, _ = _theory_row(
-            spec_l, psi0_l, config.protocol.distribution, config.protocol.num_intervals
-        )
-        rows.append(row)
-    for p1, mu1, mu2 in config.kappa_sweep or ():
-        d = IntervalDistribution.bimodal(mu1, mu2, p1)
-        row, _ = _theory_row(
-            config.chain,
-            config.initial_state.resolve(config.chain),
-            d,
-            config.protocol.num_intervals,
-        )
-        rows.append(row)
-    path = out / "theory.csv"
+    """Theory-only run: the theory.csv rows of ``run_experiment``, same sweep."""
+    path = Path(out_dir if out_dir is not None else config.output_path) / "theory.csv"
+    rows = [_theory_row(*point)[0] for point in _sweep_points(config)]
     write_csv(path, THEORY_HEADER, rows, reproducible)
     return path
 
@@ -318,6 +286,7 @@ def preset_fig2(
     """W-state survival staircases for subspace sizes 1..9 plus both predictions."""
     d = BIMODAL_1_5
     mom = moments(d)
+    m_axis = np.arange(1, m + 1)
     rows = []
 
     for lam in range(1, 10):
@@ -327,13 +296,9 @@ def preset_fig2(
             kind=ProtocolKind.PROJECTIVE, num_intervals=m, distribution=d
         )
         traj = run_projective(spec, psi0, proto, SeededSampler(seed + lam))
-        series = _edge_series(spec, psi0, d, m)
-        m_axis = np.arange(1, m + 1)
-        curve_avg = pstar_time_averaged_curve(m_axis, d, series, spec.beta)
+        _, curve_avg = _predicted_staircase(spec, psi0, d, m)
         c2_eigen = _eigenstate_edge_weight(spec, psi0)
-        curve_const = np.exp(
-            -m_axis * spec.beta**2 * c2_eigen * (1.0 + mom.kappa) * mom.mean**2
-        )
+        curve_const = np.exp(-_exponent(m_axis, mom, spec.beta**2 * c2_eigen))
         rows.extend(
             zip([lam] * m, m_axis, traj.times, traj.cumulative_survival, curve_avg, curve_const)
         )
@@ -352,29 +317,24 @@ def preset_fig3(
 ) -> Path:
     """Leftmost-excited staircase at lambda = 9 with the edge-population trace."""
     d = BIMODAL_1_5
-    mom = moments(d)
     out = Path(out_dir)
-    lam = 9
-    spec = ChainSpec(n_sites=N_SITES, subspace_size=lam)
     psi0 = leftmost_excited(N_SITES)
+    specs = [ChainSpec(n_sites=N_SITES, subspace_size=lam) for lam in range(1, 10)]
+    predicted = [_predicted_staircase(spec, psi0, d, m) for spec in specs]
+
     proto = ProtocolConfig(kind=ProtocolKind.PROJECTIVE, num_intervals=m, distribution=d)
-    traj = run_projective(spec, psi0, proto, SeededSampler(seed))
-    series = _edge_series(spec, psi0, d, m)
-    m_axis = np.arange(1, m + 1)
-    curve = pstar_time_averaged_curve(m_axis, d, series, spec.beta)
+    traj = run_projective(specs[-1], psi0, proto, SeededSampler(seed))
+    series, curve = predicted[-1]
     edge_at_steps = np.interp(traj.times, series.t_grid, series.values)
-    rows = zip(m_axis, traj.times, traj.cumulative_survival, curve, edge_at_steps)
+    rows = zip(np.arange(1, m + 1), traj.times, traj.cumulative_survival, curve, edge_at_steps)
     main = out / "fig3_main.csv"
     write_csv(main, ("m", "t_us", "P_sim", "pstar_time_avg", "edge_pop"), rows, reproducible)
 
-    inset_rows = []
-    for lam_i in range(1, 10):
-        spec_i = ChainSpec(n_sites=N_SITES, subspace_size=lam_i)
-        psi0_i = leftmost_excited(N_SITES)
-        series_i = _edge_series(spec_i, psi0_i, d, m)
-        curve_i = pstar_time_averaged_curve(m_axis, d, series_i, spec_i.beta)
-        for j in (np.arange(0, m, 10)):
-            inset_rows.append((lam_i, j + 1, curve_i[j]))
+    inset_rows = [
+        (spec.subspace_size, j + 1, curve_i[j])
+        for spec, (_, curve_i) in zip(specs, predicted)
+        for j in range(0, m, 10)
+    ]
     write_csv(
         out / "fig3_inset.csv", ("lambda", "m", "pstar_time_avg"), inset_rows, reproducible
     )
@@ -396,8 +356,6 @@ def preset_fig4(
         spec = ChainSpec(n_sites=N_SITES, subspace_size=lam)
         psi0 = w_state(N_SITES, lam)
         for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
-            if kind is not ProtocolKind.PROJECTIVE and lam + 2 > N_SITES:
-                continue
             proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
             trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed + lam)
             rows.append(

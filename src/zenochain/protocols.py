@@ -278,28 +278,7 @@ def run_continuous(
         subspace_population=pops,
         states=states[:-1] if record_states else None,
         final_state=states[-1].copy(),  # not a view pinning the whole grid
-        metadata={"coupling": coupling, "total_time": float(total_time)},
     )
-
-
-def _subspace_state(spec: ChainSpec, psi0: np.ndarray) -> np.ndarray:
-    """psi0 restricted to the first subspace_size sites, checked and normalized.
-
-    psi0 may be given in full chain dimension as long as its support lies
-    inside the subspace.
-    """
-    lam = spec.subspace_size
-    psi0 = np.asarray(psi0, dtype=complex)
-    if len(psi0) >= lam and np.linalg.norm(psi0[lam:]) > NORM_TOL:
-        raise InitialStateOutsideSubspaceError(
-            "initial state has weight outside the subspace"
-        )
-    psi_sub = psi0[:lam].copy()
-    norm = np.linalg.norm(psi_sub)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise InitialStateOutsideSubspaceError("initial state is not normalized")
-    psi_sub /= norm
-    return psi_sub
 
 
 @dataclass(frozen=True)
@@ -318,10 +297,12 @@ def run_exact_subspace(
 ) -> SubspaceEvolution:
     """Ideal confined evolution under the subspace Hamiltonian.
 
-    This is the fidelity reference; psi0 is accepted as in ``_subspace_state``.
+    This is the fidelity reference; psi0 is checked as by every runner.
     """
+    lam = spec.subspace_size
     t_grid = np.asarray(t_grid, dtype=float)
-    states = linalg.evolve(zeno_hamiltonian(spec), _subspace_state(spec, psi0), t_grid)
+    psi_sub = _check_initial_state(psi0, lam)[:lam]
+    states = linalg.evolve(zeno_hamiltonian(spec), psi_sub, t_grid)
     return SubspaceEvolution(times=t_grid, states=states)
 
 

@@ -39,14 +39,14 @@ survival P(t) = (1 - (2 omega^2/(omega^2+g^2)) sin^2(sqrt(omega^2+g^2) t/2))^2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, hamiltonian, projector, zeno_hamiltonian
-from .protocols import _subspace_state, run_exact_subspace
+from .protocols import _check_initial_state, run_exact_subspace
 from .stochastics import IntervalDistribution, Moments, moments
 
 STRONG_REGIME_BOUND = 0.1
@@ -192,8 +192,8 @@ def _damped_edge_values(
     d: IntervalDistribution,
 ) -> np.ndarray:
     # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|
-    psi_sub = _subspace_state(spec, psi0)
     lam = spec.subspace_size
+    psi_sub = _check_initial_state(psi0, lam)[:lam]
     gen = zeno_hamiltonian(spec)
     gen[lam - 1, lam - 1] -= 1j * edge_damping_rate(d, spec.beta)
     w, v = np.linalg.eig(gen)
@@ -249,15 +249,7 @@ def pstar_time_averaged(
     m: int, d: IntervalDistribution, series: EdgePopulationSeries, beta: float
 ) -> TheoryPrediction:
     """Time-averaged prediction using <|c_lambda|^2> over the whole series."""
-    mom = moments(d)
-    variance = beta**2 * series.time_average
-    return TheoryPrediction(
-        pstar=float(np.exp(-_exponent(m, mom, variance))),
-        regime="time_averaged",
-        num_intervals=m,
-        interval_moments=mom,
-        variance_term=variance,
-    )
+    return replace(pstar_weak(m, d, beta**2 * series.time_average), regime="time_averaged")
 
 
 def pstar_time_averaged_curve(

@@ -1,7 +1,35 @@
+import ast
+import importlib
+from pathlib import Path
+
 import zenochain
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in zenochain.__all__ if not hasattr(zenochain, name)]
     assert missing == []
     assert len(set(zenochain.__all__)) == len(zenochain.__all__)
+
+
+def test_every_name_the_demos_import_resolves():
+    # read the import lines only; running the demos takes seconds
+    checked, missing = set(), []
+    for path in sorted(DEMOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "zenochain"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                checked.add(f"{node.module}.{alias.name}")
+                if not hasattr(module, alias.name):
+                    missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert missing == []
+    assert {
+        "zenochain.experiments.write_csv",
+        "zenochain.experiments.run_ensemble",
+        "zenochain.experiments.scaling_sweep",
+        "zenochain.experiments.kappa_family",
+    } <= checked

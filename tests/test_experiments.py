@@ -283,6 +283,70 @@ class TestCLI:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["fig5", "--m", "5", "--realizations", "0"],
+            ["fig2", "--m", "0"],
+            ["fig4", "--m", "5", "--realizations", "-1"],
+            ["fig3", "--m", "-3"],
+        ],
+        ids=["fig5-realizations-zero", "fig2-m-zero", "fig4-realizations-negative",
+             "fig3-m-negative"],
+    )
+    def test_bad_figure_flag_is_a_config_error(self, tmp_path, capsys, flags):
+        rc = cli_main(["figure"] + flags + ["--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("kind = projective", "kind = pulsed"),
+            ("kind = projective", "kind = continuous"),
+            ("kind = projective", "kind = projective\nbernoulli = true"),
+        ],
+        ids=["pulsed", "continuous", "bernoulli"],
+    )
+    def test_compare_without_a_prediction_is_a_config_error(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace(*edit))
+        rc = cli_main(["compare", str(cfg), "--out-dir", str(tmp_path / "cmp")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+        # simulate still runs every config that compare turns away
+        rc = cli_main(["simulate", str(cfg), "--out-dir", str(tmp_path / "sim")])
+        assert rc == 0
+        assert (tmp_path / "sim" / "summary.csv").exists()
+
+    def test_theory_writes_the_theory_csv_of_simulate(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace(
+            "seed = 4242",
+            "seed = 4242\nlambda_sweep = 1,2,3\nkappa_sweep = (1.0, 3.0, 3.0); (0.8, 1.0, 11.0)",
+        ))
+        for command in ("simulate", "theory"):
+            rc = cli_main([command, str(cfg), "--out-dir", str(tmp_path / command),
+                           "--reproducible"])
+            assert rc == 0
+        simulated = (tmp_path / "simulate" / "theory.csv").read_bytes()
+        assert simulated == (tmp_path / "theory" / "theory.csv").read_bytes()
+        _, rows = read_csv(tmp_path / "theory" / "theory.csv")
+        assert [r[0] for r in rows] == ["2", "1", "3", "2", "2"]
+
+    def test_fig3_inset_repeats_the_main_prediction(self, tmp_path):
+        from zenochain.experiments import preset_fig3
+
+        preset_fig3(tmp_path, m=60, reproducible=True)
+        header, rows = read_csv(tmp_path / "fig3_main.csv")
+        main = {r[0]: r[header.index("pstar_time_avg")] for r in rows}
+        _, inset = read_csv(tmp_path / "fig3_inset.csv")
+        at_nine = [(m, p) for lam, m, p in inset if lam == "9"]
+        assert [m for m, _ in at_nine] == [str(k) for k in range(1, 61, 10)]
+        assert [p for _, p in at_nine] == [main[m] for m, _ in at_nine]
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG)
