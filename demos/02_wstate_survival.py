@@ -13,6 +13,8 @@ Writes demo_out/wstate_survival.csv with the full staircases.
 
 from pathlib import Path
 
+import numpy as np
+
 from zenochain import (
     ChainSpec,
     IntervalDistribution,
@@ -34,7 +36,7 @@ mom = moments(d)
 m = 500
 out = Path("demo_out")
 
-rows = []
+columns = []
 print(f"bimodal intervals: mean {mom.mean} us, kappa = {mom.kappa:.4f}")
 print()
 print("lambda   ln P (sim)   ln P* (const)   ln P* (time-avg)")
@@ -51,10 +53,13 @@ for lam in range(1, 10):
         f"{lam:4d}    {traj.log_survival:9.4f}    {const.log_pstar:11.4f}    "
         f"{averaged.log_pstar:13.4f}"
     )
-    for j in range(m):
-        rows.append((lam, j + 1, traj.times[j], traj.cumulative_survival[j]))
+    columns.append((np.full(m, lam), np.arange(1, m + 1), traj.times, traj.cumulative_survival))
 
-write_csv(out / "wstate_survival.csv", ("lambda", "m", "t_us", "P_sim"), rows)
+write_csv(
+    out / "wstate_survival.csv",
+    ("lambda", "m", "t_us", "P_sim"),
+    [np.concatenate(column) for column in zip(*columns)],
+)
 print(f"\nwrote {out / 'wstate_survival.csv'}")
 print("note: the constant-edge form is exact for lambda = 1, 2 (eigenstates);")
 print("for larger subspaces the time-averaged form tracks the simulation.")

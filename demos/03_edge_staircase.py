@@ -62,14 +62,10 @@ for s in sim_steps:
     print(f"  burst at step {s:4d}  <->  edge peak at step {nearest:4d}  "
           f"(offset {s - nearest:+d})")
 
-rows = [
-    (j + 1, traj.times[j], traj.cumulative_survival[j], curve[j], edge_at_steps[j])
-    for j in range(m)
-]
 out = Path("demo_out")
 write_csv(
     out / "edge_staircase.csv",
     ("m", "t_us", "P_sim", "pstar_time_avg", "edge_pop"),
-    rows,
+    (np.arange(1, m + 1), traj.times, traj.cumulative_survival, curve, edge_at_steps),
 )
 print(f"\nwrote {out / 'edge_staircase.csv'}")

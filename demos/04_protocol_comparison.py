@@ -43,14 +43,14 @@ for lam in (2, 3, 4, 5, 6, 7, 8):
         f"{fids['continuous']:.6f}     {survival:.4f}"
     )
 
-write_csv(out / "protocol_fidelity.csv", ("lambda", "protocol", "F_mean"), rows)
+write_csv(out / "protocol_fidelity.csv", ("lambda", "protocol", "F_mean"), zip(*rows))
 
 print("\nZeno-limit sweep at fixed m * mu = 1500 us (lambda = 5, deterministic mu):")
 sweep = scaling_sweep()
 write_csv(
     out / "protocol_scaling.csv",
     ("mu_us", "m", "leak_pm", "leak_pc", "leak_cc"),
-    sweep,
+    zip(*sweep),
 )
 arr = np.array(sweep)
 for name, col in (("measurements", 2), ("kicks", 3), ("continuous", 4)):

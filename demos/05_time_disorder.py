@@ -53,7 +53,7 @@ for p1, mu1, mu2 in kappa_family():
 write_csv(
     out / "time_disorder.csv",
     ("kappa", "one_plus_kappa", "mu1_us", "mu2_us", "ln_pstar", "ln_P_sim_mean"),
-    rows,
+    zip(*rows),
 )
 print(f"\nwrote {out / 'time_disorder.csv'}")
 print("the exponent is linear in 1 + kappa: disorder at fixed mean always hurts.")

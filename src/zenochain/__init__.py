@@ -35,7 +35,6 @@ from .protocols import (
     run_exact_subspace,
     run_lockstep,
     run_projective,
-    run_protocol,
     run_pulsed,
 )
 from .stochastics import (
@@ -104,7 +103,6 @@ __all__ = [
     "run_exact_subspace",
     "run_lockstep",
     "run_projective",
-    "run_protocol",
     "run_pulsed",
     "sample_intervals",
     "sqrt_psd",

@@ -61,16 +61,6 @@ def uhlmann_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return float(np.clip(f, 0.0, 1.0))
 
 
-def embed_state(psi_sub: np.ndarray, dim: int) -> np.ndarray:
-    """Zero-pad a subspace state vector up to the full chain dimension."""
-    psi_sub = np.asarray(psi_sub, dtype=complex)
-    if len(psi_sub) > dim:
-        raise ValueError("state longer than target dimension")
-    out = np.zeros(dim, dtype=complex)
-    out[: len(psi_sub)] = psi_sub
-    return out
-
-
 def _overlaps(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     """|<ideal_r|psi_r>| row by row: the Uhlmann fidelity of pure states.
 

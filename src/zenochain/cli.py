@@ -118,11 +118,15 @@ def main(argv=None) -> int:
             for flag, value in (("--m", args.m), ("--realizations", args.realizations)):
                 if value is not None and value < 1:
                     raise ValidationError(f"{flag} must be >= 1, got {value}")
+            if args.realizations is not None and args.name in ("fig2", "fig3"):
+                raise ValidationError(
+                    f"{args.name} runs one realization per lambda; --realizations is for fig4/fig5"
+                )
             out = args.out_dir or "out"
             kwargs = {"reproducible": args.reproducible}
             if args.m is not None:
                 kwargs["m"] = args.m
-            if args.realizations is not None and args.name in ("fig4", "fig5"):
+            if args.realizations is not None:
                 kwargs["realizations"] = args.realizations
             runner = {
                 "fig2": preset_fig2,

@@ -10,7 +10,6 @@ realization's numbers are bit-identical however many run beside it.
 
 from __future__ import annotations
 
-import csv
 import datetime
 from dataclasses import replace
 from pathlib import Path
@@ -45,28 +44,54 @@ from . import linalg
 EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.15g}"
+def _cells(column, lone: bool) -> tuple[str, list]:
+    """Row-format field and cells of one column, chosen by its dtype.
+
+    Text cells are quoted as csv.writer quotes them: where they hold a comma,
+    a quote or a line break, or are their row's only field and empty.
+    """
+    values = np.asarray(column)
+    if values.dtype.kind in "biu":
+        return "%d", values.tolist()
+    if values.dtype.kind == "f":
+        return "%.15g", values.tolist()
+    if values.dtype.kind != "U":
+        raise TypeError(f"cannot write a column of dtype {values.dtype}")
+    cells = list(column)  # the caller's strings: numpy drops trailing NULs
+    if lone or any(ch in "".join(cells) for ch in ',"\r\n'):
+        quote = [(lone and not c) or any(ch in c for ch in ',"\r\n') for c in cells]
+        cells = ['"' + c.replace('"', '""') + '"' if q else c for c, q in zip(cells, quote)]
+    return "%s", cells
 
 
 def write_csv(
     path: Path,
     header: Sequence[str],
-    rows: Iterable[Sequence],
+    columns: Iterable[Sequence],
     reproducible: bool = False,
 ) -> None:
+    """Write a table given as one sequence of cells per header field.
+
+    Each column is formatted once, by its dtype: integers and bools in
+    decimal, floats as ``%.15g``, strings as they are, quoted the way
+    ``csv.writer`` quotes them.  Lines end in CRLF.  Unless
+    ``reproducible``, a ``# generated <timestamp>`` comment comes first.
+    """
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
+    lone = len(header) == 1
+    formatted = [_cells(c, lone) for c in columns]
+    line = ",".join(field for field, _ in formatted) + "\r\n"
+    rows = zip(*(cells for _, cells in formatted))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         if not reproducible:
             fh.write(f"# generated {datetime.datetime.now().isoformat()}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(_cells(header, lone)[1]) + "\r\n")
+        fh.write("".join(map(line.__mod__, rows)))
 
 
 def write_trajectory_csv(
@@ -75,18 +100,17 @@ def write_trajectory_csv(
     """Per-step export: step, t_us, mu_us, q_j, P_cum, pop_subspace."""
     steps = len(traj.times)
     q = traj.survival_factors if traj.survival_factors is not None else [""] * steps
-    rows = zip(
-        range(1, steps + 1),
-        traj.times,
-        traj.intervals,
-        q,
-        traj.cumulative_survival,
-        traj.subspace_population,
-    )
     write_csv(
         path,
         ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace"),
-        rows,
+        (
+            np.arange(1, steps + 1),
+            traj.times,
+            traj.intervals,
+            q,
+            traj.cumulative_survival,
+            traj.subspace_population,
+        ),
         reproducible,
     )
 
@@ -227,8 +251,8 @@ def run_experiment(
             )
         )
 
-    write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows, reproducible)
-    write_csv(out / "theory.csv", THEORY_HEADER, theory_rows, reproducible)
+    write_csv(out / "summary.csv", SUMMARY_HEADER, zip(*summary_rows), reproducible)
+    write_csv(out / "theory.csv", THEORY_HEADER, zip(*theory_rows), reproducible)
     return {
         "out_dir": out,
         "mean_log_survival": float(np.mean([t.log_survival for t in base_trajs])),
@@ -243,7 +267,7 @@ def write_theory_csv(
     """Theory-only run: the theory.csv rows of ``run_experiment``, same sweep."""
     path = Path(out_dir if out_dir is not None else config.output_path) / "theory.csv"
     rows = [_theory_row(*point)[0] for point in _sweep_points(config)]
-    write_csv(path, THEORY_HEADER, rows, reproducible)
+    write_csv(path, THEORY_HEADER, zip(*rows), reproducible)
     return path
 
 
@@ -259,15 +283,21 @@ def run_three_level(
     if not (omega >= 0 and t_max > 0 and dt > 0):
         raise ValueError("omega, t_max, dt must be positive")
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
-    rows = []
+    formula, numeric = [], []
     for g in g_list:
         c1 = linalg.evolve(three_level_hamiltonian(omega, g), [1.0, 0.0, 0.0], t_grid)[:, 0]
-        numeric = np.abs(c1) ** 2
-        formula = three_level_survival(omega, g, t_grid)
-        for t, pf, pn in zip(t_grid, formula, numeric):
-            rows.append((g, t, pf, pn, abs(pf - pn)))
+        numeric.append(np.abs(c1) ** 2)
+        formula.append(three_level_survival(omega, g, t_grid))
+    formula, numeric = np.ravel(formula), np.ravel(numeric)
+    columns = (
+        np.repeat(g_list, len(t_grid)),
+        np.tile(t_grid, len(g_list)),
+        formula,
+        numeric,
+        np.abs(formula - numeric),
+    )
     path = Path(out_dir) / "three_level.csv"
-    write_csv(path, ("g", "t", "P_formula", "P_numeric", "abs_diff"), rows, reproducible)
+    write_csv(path, ("g", "t", "P_formula", "P_numeric", "abs_diff"), columns, reproducible)
     return path
 
 
@@ -287,7 +317,7 @@ def preset_fig2(
     d = BIMODAL_1_5
     mom = moments(d)
     m_axis = np.arange(1, m + 1)
-    rows = []
+    per_lambda = []
 
     for lam in range(1, 10):
         spec = ChainSpec(n_sites=N_SITES, subspace_size=lam)
@@ -299,14 +329,14 @@ def preset_fig2(
         _, curve_avg = _predicted_staircase(spec, psi0, d, m)
         c2_eigen = _eigenstate_edge_weight(spec, psi0)
         curve_const = np.exp(-_exponent(m_axis, mom, spec.beta**2 * c2_eigen))
-        rows.extend(
-            zip([lam] * m, m_axis, traj.times, traj.cumulative_survival, curve_avg, curve_const)
+        per_lambda.append(
+            (np.full(m, lam), m_axis, traj.times, traj.cumulative_survival, curve_avg, curve_const)
         )
     path = Path(out_dir) / "fig2_survival.csv"
     write_csv(
         path,
         ("lambda", "m", "t_us", "P_sim", "pstar_time_avg", "pstar_const"),
-        rows,
+        [np.concatenate(column) for column in zip(*per_lambda)],
         reproducible,
     )
     return path
@@ -326,18 +356,17 @@ def preset_fig3(
     traj = run_projective(specs[-1], psi0, proto, SeededSampler(seed))
     series, curve = predicted[-1]
     edge_at_steps = np.interp(traj.times, series.t_grid, series.values)
-    rows = zip(np.arange(1, m + 1), traj.times, traj.cumulative_survival, curve, edge_at_steps)
+    columns = (np.arange(1, m + 1), traj.times, traj.cumulative_survival, curve, edge_at_steps)
     main = out / "fig3_main.csv"
-    write_csv(main, ("m", "t_us", "P_sim", "pstar_time_avg", "edge_pop"), rows, reproducible)
+    write_csv(main, ("m", "t_us", "P_sim", "pstar_time_avg", "edge_pop"), columns, reproducible)
 
-    inset_rows = [
-        (spec.subspace_size, j + 1, curve_i[j])
-        for spec, (_, curve_i) in zip(specs, predicted)
-        for j in range(0, m, 10)
-    ]
-    write_csv(
-        out / "fig3_inset.csv", ("lambda", "m", "pstar_time_avg"), inset_rows, reproducible
+    inset_m = np.arange(1, m + 1, 10)
+    inset = (
+        np.repeat([spec.subspace_size for spec in specs], len(inset_m)),
+        np.tile(inset_m, len(specs)),
+        np.concatenate([curve_i[::10] for _, curve_i in predicted]),
     )
+    write_csv(out / "fig3_inset.csv", ("lambda", "m", "pstar_time_avg"), inset, reproducible)
     return main
 
 
@@ -358,23 +387,15 @@ def preset_fig4(
         for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
             proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
             trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed + lam)
-            rows.append(
-                (
-                    lam,
-                    kind.value,
-                    float(np.mean(fids)),
-                    float(np.mean([t.final_survival for t in trajs])),
-                    realizations,
-                )
-            )
+            survival = float(np.mean([t.final_survival for t in trajs]))
+            rows.append((lam, kind.value, float(np.mean(fids)), survival, realizations))
     path = out / "fig4_fidelity.csv"
-    write_csv(path, ("lambda", "protocol", "F_mean", "P_final_mean", "R"), rows, reproducible)
-
-    scaling_rows = scaling_sweep()
+    header = ("lambda", "protocol", "F_mean", "P_final_mean", "R")
+    write_csv(path, header, zip(*rows), reproducible)
     write_csv(
         out / "fig4_inset_scaling.csv",
         ("mu_us", "m", "leak_pm", "leak_pc", "leak_cc"),
-        scaling_rows,
+        zip(*scaling_sweep()),
         reproducible,
     )
     return path
@@ -453,26 +474,15 @@ def preset_fig5(
         mom = moments(d)
         series = _edge_series(spec, psi0, d, m)
         pred = pstar_time_averaged(m, d, series, spec.beta)
-        fid_by_kind = {}
-        surv = None
+        mean_fids = []  # F_pm, F_pc, F_cc
         for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
             proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
             trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed)
-            fid_by_kind[kind.value] = float(np.mean(fids))
+            mean_fids.append(float(np.mean(fids)))
             if kind is ProtocolKind.PROJECTIVE:
                 surv = aggregate(trajs, pred)
         rows.append(
-            (
-                mom.kappa,
-                1.0 + mom.kappa,
-                mu1,
-                mu2,
-                surv.log_mean,
-                pred.log_pstar,
-                fid_by_kind["projective"],
-                fid_by_kind["pulsed"],
-                fid_by_kind["continuous"],
-            )
+            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, surv.log_mean, pred.log_pstar, *mean_fids)
         )
     path = Path(out_dir) / ("fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv")
     write_csv(
@@ -488,7 +498,7 @@ def preset_fig5(
             "F_pc",
             "F_cc",
         ),
-        rows,
+        zip(*rows),
         reproducible,
     )
     return path

@@ -306,16 +306,6 @@ def run_exact_subspace(
     return SubspaceEvolution(times=t_grid, states=states)
 
 
-def run_protocol(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    config: ProtocolConfig,
-    sampler: SeededSampler,
-) -> Trajectory:
-    """Dispatch one realization of the configured protocol."""
-    return run_lockstep(spec, psi0, config, [sampler])[0]
-
-
 def run_lockstep(
     spec: ChainSpec,
     psi0: np.ndarray,

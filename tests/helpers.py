@@ -5,13 +5,17 @@ the package's sector-reduced representations, so the two routes stay
 independent.  Keep n <= 6.
 
 The scalar_* functions are the one-realization, one-draw-at-a-time protocol
-loops the lockstep ensemble kernel replaced, kept verbatim as its reference.
+loops the lockstep ensemble kernel replaced, kept verbatim as its reference,
+and the cell-by-cell CSV writer the column-wise ``write_csv`` replaced.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime
 from functools import reduce
-from typing import Optional
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -225,3 +229,27 @@ def scalar_run_pulsed(
         states=states if config.record_states else None,
         final_state=psi,
     )
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return f"{float(value):.15g}"
+
+
+def scalar_write_csv(
+    path: Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    reproducible: bool = False,
+) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        if not reproducible:
+            fh.write(f"# generated {datetime.datetime.now().isoformat()}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])

@@ -7,7 +7,6 @@ from zenochain.analysis import (
     TimeMismatchError,
     aggregate,
     density_matrix,
-    embed_state,
     ensemble_fidelities,
     first_peak_time,
     fit_velocity,
@@ -136,12 +135,8 @@ class TestProtocolFidelity:
         for traj, f in zip(trajs, fids):
             ref = run_exact_subspace(spec, psi0, np.array([0.0, traj.total_time]))
             assert abs(f - protocol_fidelity(traj, ref)) <= 1e-12
-            rho_ref = density_matrix(embed_state(ref.states[-1], 10))
+            rho_ref = density_matrix(np.pad(ref.states[-1], (0, 10 - len(ref.states[-1]))))
             assert abs(f - uhlmann_fidelity(density_matrix(traj.final_state), rho_ref)) <= 1e-9
-
-    def test_embed(self):
-        out = embed_state(np.array([1.0, 2.0]), 5)
-        assert np.array_equal(out, [1.0, 2.0, 0.0, 0.0, 0.0])
 
 
 class TestAggregate:

@@ -1,8 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zenochain import experiments
 from zenochain.chain import ChainSpec, w_state
 from zenochain.cli import main as cli_main
 from zenochain.config import parse_config
@@ -12,10 +16,13 @@ from zenochain.experiments import (
     run_experiment,
     run_three_level,
     scaling_sweep,
+    write_csv,
     write_theory_csv,
 )
 from zenochain.protocols import ProtocolConfig, ProtocolKind, run_projective, run_pulsed
 from zenochain.stochastics import IntervalDistribution, SeededSampler
+
+from helpers import scalar_write_csv
 
 CONFIG = """
 [chain]
@@ -134,6 +141,127 @@ class TestRunExperiment:
             if kind is ProtocolKind.PROJECTIVE:
                 assert np.array_equal(alone.survival_factors, inside.survival_factors)
                 assert alone.log_survival == inside.log_survival
+
+
+# ASCII text, so every cell can be written under any locale; it holds the
+# characters csv quoting turns on (comma, quote, CR, LF) and NUL
+TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=6)
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308, -1e308,
+               1.7976931348623157e308, 1e15, 999999999999999.9, 1e15 + 0.5, 1e16,
+               9999999999999998.0, 1e16 + 2.0, 0.1 + 0.2, 1.0 / 3.0]
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def columns(draw, rows):
+    """One column of a given length: Python or numpy values of one type."""
+    kind = draw(st.sampled_from(["int", "numpy-int", "bool", "numpy-bool", "float",
+                                 "numpy-float", "float32", "str", "numpy-str"]))
+    if kind == "numpy-int":
+        dtype = draw(st.sampled_from([np.int8, np.int32, np.int64, np.uint16, np.uint64]))
+        info = np.iinfo(dtype)
+        values = draw(st.lists(st.integers(int(info.min), int(info.max)),
+                               min_size=rows, max_size=rows))
+        return np.array(values, dtype=dtype)
+    if kind == "float32":
+        values = draw(st.lists(st.floats(width=32), min_size=rows, max_size=rows))
+        return np.array(values, dtype=np.float32)
+    element = {
+        "int": st.integers(-(2**63), 2**63 - 1),
+        "bool": st.booleans(),
+        "float": FLOATS,
+        "str": TEXT,
+    }[kind.removeprefix("numpy-")]
+    values = draw(st.lists(element, min_size=rows, max_size=rows))
+    return np.array(values) if kind.startswith("numpy-") else values
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 8))
+    width = draw(st.integers(1, 5))
+    header = draw(st.lists(TEXT, min_size=width, max_size=width))
+    return header, [draw(columns(rows)) for _ in range(width)]
+
+
+def data_lines(path):
+    text = path.read_bytes()
+    return text.split(b"\r\n", 1)[1] if text.startswith(b"# generated") else text
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables(), reproducible=st.booleans())
+    def test_matches_the_cell_by_cell_writer(self, tmp_path_factory, table, reproducible):
+        header, cols = table
+        out = tmp_path_factory.mktemp("csv")
+        write_csv(out / "columns.csv", header, cols, reproducible)
+        scalar_write_csv(out / "cells.csv", header, zip(*cols), reproducible)
+        assert data_lines(out / "columns.csv") == data_lines(out / "cells.csv")
+        stamped = (out / "columns.csv").read_bytes().startswith(b"# generated ")
+        assert stamped is not reproducible
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_round_trip(self, tmp_path_factory, ints, data):
+        # ints come back exactly; floats agree to 15 significant digits
+        rows = len(ints)
+        floats = data.draw(st.lists(FLOATS, min_size=rows, max_size=rows))
+        texts = data.draw(st.lists(TEXT, min_size=rows, max_size=rows))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, ("i", "x", "s"), (ints, np.array(floats), texts), reproducible=True)
+        with open(path, newline="") as fh:
+            header, *back = csv.reader(fh)
+        assert header == ["i", "x", "s"]
+        assert [int(r[0]) for r in back] == ints
+        for (_, cell, _), x in zip(back, floats):
+            if math.isnan(x):
+                assert math.isnan(float(cell))
+            elif math.isfinite(x) and math.isinf(float(f"{x:.15g}")):
+                # rounded to 15 digits, the largest doubles pass the double
+                # range and read back as infinite
+                assert float(cell) == math.copysign(math.inf, x)
+            else:
+                assert math.isclose(float(cell), x, rel_tol=5e-15 + 2**-52, abs_tol=5e-324)
+        assert [r[2] for r in back] == texts
+
+    def test_unequal_columns_are_an_error(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            write_csv(tmp_path / "t.csv", ("a", "b"), ([1, 2, 3], [0.5, 0.25]))
+        with pytest.raises(ValueError, match="header fields"):
+            write_csv(tmp_path / "t.csv", ("a", "b"), ([1, 2],))
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ("a", "b"), ([], np.array([])), reproducible=True)
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
+
+    def test_every_output_goes_through_write_csv(self, tmp_path, monkeypatch):
+        # the benchmark times write_csv for its CSV rows/s; a writer that
+        # bypassed it would go unmeasured
+        written = []
+
+        def counting(path, *args, **kwargs):
+            written.append(path)
+            return real(path, *args, **kwargs)
+
+        real = experiments.write_csv
+        monkeypatch.setattr(experiments, "write_csv", counting)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace("kind = projective", "kind = pulsed")
+                       .replace("seed = 4242", "seed = 4242\nlambda_sweep = 1,3"))
+        runs = {
+            tmp_path / "sim": ["simulate", str(cfg)],
+            tmp_path / "fig3": ["figure", "fig3", "--m", "20"],
+        }
+        for out, argv in runs.items():
+            assert cli_main(argv + ["--out-dir", str(out), "--reproducible"]) == 0
+            files = sorted(out.glob("*.csv"))
+            assert len(files) >= 2
+            assert files == sorted(p for p in written if p.parent == out)
 
 
 class TestTheoryOnly:
@@ -290,9 +418,11 @@ class TestCLI:
             ["fig2", "--m", "0"],
             ["fig4", "--m", "5", "--realizations", "-1"],
             ["fig3", "--m", "-3"],
+            ["fig2", "--m", "5", "--realizations", "7"],
+            ["fig3", "--m", "5", "--realizations", "1"],
         ],
         ids=["fig5-realizations-zero", "fig2-m-zero", "fig4-realizations-negative",
-             "fig3-m-negative"],
+             "fig3-m-negative", "fig2-realizations", "fig3-realizations"],
     )
     def test_bad_figure_flag_is_a_config_error(self, tmp_path, capsys, flags):
         rc = cli_main(["figure"] + flags + ["--out-dir", str(tmp_path / "out")])

@@ -15,7 +15,6 @@ from zenochain.protocols import (
     run_exact_subspace,
     run_lockstep,
     run_projective,
-    run_protocol,
     run_pulsed,
 )
 from zenochain.stochastics import IntervalDistribution, SeededSampler
@@ -243,7 +242,7 @@ class TestDispatcher:
     def test_continuous_dispatch_uses_expected_time(self):
         spec = ChainSpec(n_sites=9, subspace_size=3)
         config = ProtocolConfig(ProtocolKind.CONTINUOUS, 40, BIMODAL)
-        traj = run_protocol(spec, w_state(9, 3), config, SeededSampler(1))
+        traj = run_lockstep(spec, w_state(9, 3), config, [SeededSampler(1)])[0]
         assert abs(traj.total_time - 40 * 3.0) <= 1e-9
         assert len(traj.times) == 40
 
@@ -254,7 +253,7 @@ class TestDispatcher:
     def test_projective_dispatch(self):
         spec = ChainSpec(n_sites=9, subspace_size=3)
         config = ProtocolConfig(ProtocolKind.PROJECTIVE, 15, BIMODAL)
-        traj = run_protocol(spec, w_state(9, 3), config, SeededSampler(1))
+        traj = run_lockstep(spec, w_state(9, 3), config, [SeededSampler(1)])[0]
         assert traj.kind is ProtocolKind.PROJECTIVE
         assert len(traj.survival_factors) == 15
 

@@ -3,7 +3,7 @@ import pytest
 
 from zenochain.chain import ChainSpec, basis_state, leftmost_excited, w_state
 from zenochain.linalg import propagator
-from zenochain.protocols import ProtocolConfig, ProtocolKind, run_projective
+from zenochain.protocols import ProtocolConfig, ProtocolKind, run_lockstep, run_projective
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments, weak_zeno_margin
 from zenochain import theory
 from zenochain.theory import (
@@ -271,19 +271,24 @@ class TestTimeAveraged:
             pstar_time_averaged_curve(np.array([1000]), BIMODAL, series, spec.beta)
 
     def test_in_regime_agreement_with_simulation(self):
-        # lambda=9 staircase stays within 10% of the prediction while the
-        # cumulative decay is still moderate (m = 500 here)
+        # lambda=9 staircase: the mean ln P of 20 runs stays within 10% of the
+        # ideal-series prediction while the cumulative decay is still moderate
+        # (m = 500 here).  One run scatters by as much as the limit; the
+        # ensemble's standard error is held to a fifth of it.
         spec = ChainSpec(n_sites=12, subspace_size=9)
         m = 500
-        traj = run_projective(
+        trajs = run_lockstep(
             spec,
             leftmost_excited(12),
             ProtocolConfig(ProtocolKind.PROJECTIVE, m, BIMODAL),
-            SeededSampler(7),
+            [SeededSampler(7).spawn(i) for i in range(20)],
         )
-        series = edge_population(spec, leftmost_excited(12), t_max=traj.total_time, dt=0.15)
+        logs = np.array([t.log_survival for t in trajs])
+        mean, stderr = logs.mean(), logs.std(ddof=1) / np.sqrt(len(logs))
+        series = edge_population(spec, leftmost_excited(12), t_max=m * 3.0, dt=0.15)
         pred = pstar_time_averaged(m, BIMODAL, series, spec.beta)
-        assert abs(traj.log_survival - pred.log_pstar) <= 0.10 * abs(pred.log_pstar)
+        assert stderr <= 0.02 * abs(pred.log_pstar)
+        assert abs(mean - pred.log_pstar) <= 0.10 * abs(pred.log_pstar)
 
 
 class TestLogQExpansionConsistency:
