@@ -43,7 +43,7 @@ for p1, mu1, mu2 in kappa_family():
         run_projective(spec, psi0, ProtocolConfig(ProtocolKind.PROJECTIVE, m, d), base.spawn(i))
         for i in range(realizations)
     ]
-    summary = aggregate(trajs, pred)
+    summary = aggregate(trajs)
     print(
         f"{1 + mom.kappa:7.3f}   {mu1:4.2f}, {mu2:5.2f}      "
         f"{pred.log_pstar:10.4f}    {summary.log_mean:10.4f}"

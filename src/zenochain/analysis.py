@@ -4,14 +4,13 @@ excitation-front velocity extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, hopping_matrix, leftmost_excited
 from .protocols import SubspaceEvolution, Trajectory, run_exact_subspace
-from .theory import TheoryPrediction
 
 DM_TOL = 1e-10
 
@@ -101,16 +100,12 @@ def ensemble_fidelities(
 @dataclass(frozen=True)
 class EnsembleSummary:
     realization_count: int
-    final_survival: np.ndarray
     log_mean: float
     log_std: float
     log_mode: float
-    theory_pstar: Optional[float]
 
 
-def aggregate(
-    realizations: Sequence[Trajectory], theory: Optional[TheoryPrediction] = None
-) -> EnsembleSummary:
+def aggregate(realizations: Sequence[Trajectory]) -> EnsembleSummary:
     """Log-survival statistics over an ensemble of realizations.
 
     ln P is each realization's ``log_survival``.  The most-probable-value
@@ -120,7 +115,6 @@ def aggregate(
     """
     if not realizations:
         raise ValueError("need at least one realization")
-    finals = np.array([t.final_survival for t in realizations])
     # sorted, so no statistic depends on the order of the realizations
     logs = np.sort([t.log_survival for t in realizations])
     mean = float(np.mean(logs))
@@ -134,12 +128,7 @@ def aggregate(
     else:
         mode = mean
     return EnsembleSummary(
-        realization_count=len(realizations),
-        final_survival=finals,
-        log_mean=mean,
-        log_std=std,
-        log_mode=mode,
-        theory_pstar=theory.pstar if theory is not None else None,
+        realization_count=len(realizations), log_mean=mean, log_std=std, log_mode=mode
     )
 
 

@@ -37,9 +37,9 @@ class ChainSpec:
 
     n_sites: number of spins (>= 2; coherent coupling needs
         subspace_size + 2 <= n_sites).
-    alpha: field strength in rad/us (enters only as a sector-constant
-        phase, see module docstring).
-    beta: hopping/coupling strength in rad/us, > 0.
+    alpha: field strength in rad/us, finite (enters only as a
+        sector-constant phase, see module docstring).
+    beta: hopping/coupling strength in rad/us, finite and > 0.
     subspace_size: number of leading sites forming the confined subspace.
     """
 
@@ -56,8 +56,10 @@ class ChainSpec:
             raise InvalidSpecError(
                 f"subspace_size must lie in [1, {self.n_sites}], got {self.subspace_size}"
             )
-        if not (self.beta > 0):
-            raise InvalidSpecError("beta must be positive")
+        if not (0 < self.beta < np.inf):
+            raise InvalidSpecError(f"beta must be positive and finite, got {self.beta}")
+        if not np.isfinite(self.alpha):
+            raise InvalidSpecError(f"alpha must be finite, got {self.alpha}")
 
 
 def hopping_matrix(

@@ -140,10 +140,13 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         elif args.command == "three-level":
             out = args.out_dir or "out"
-            g_list = [float(x) for x in args.g.split(",") if x.strip()]
-            path = run_three_level(
-                args.omega, g_list, args.t_max, args.dt, out, args.reproducible
-            )
+            try:  # run_three_level checks every value before it builds the grid
+                g_list = [float(x) for x in args.g.split(",") if x.strip()]
+                path = run_three_level(
+                    args.omega, g_list, args.t_max, args.dt, out, args.reproducible
+                )
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from exc
             print(f"wrote {path}")
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

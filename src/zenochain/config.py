@@ -3,6 +3,9 @@
 Format: ``key = value`` lines under ``[chain]``, ``[protocol]`` and
 ``[experiment]`` section headers; ``#`` starts a comment.  Distributions use
 the literal form ``dist = [(1.0, 0.5), (5.0, 0.5)]`` (us, probability).
+``SCHEMA`` lists every key with its parser and default.  Each value is
+parsed on its line, and every sweep point is built once at parse time, so a
+config that parses runs.
 
 Example::
 
@@ -24,13 +27,13 @@ Example::
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .chain import DEFAULT_RATE, ChainSpec, InvalidSpecError, leftmost_excited, w_state
-from .protocols import ProtocolConfig, ProtocolKind
+from .chain import DEFAULT_RATE, ChainSpec, leftmost_excited, w_state
+from .protocols import NORM_TOL, ProtocolConfig, ProtocolKind
 from .stochastics import IntervalDistribution
 
 
@@ -60,9 +63,14 @@ class InitialStateSpec:
             raise ValidationError("custom state longer than the chain")
         amps[: len(given)] = given
         norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValidationError("custom state has zero norm")
-        return amps / norm  # normalized on load
+        if not (0 < norm < np.inf):
+            raise ValidationError(f"custom state needs a finite nonzero norm, got {norm}")
+        amps /= norm  # normalized on load
+        if np.linalg.norm(amps[spec.subspace_size :]) > NORM_TOL:
+            raise ValidationError(
+                f"custom state has weight beyond the first {spec.subspace_size} sites"
+            )
+        return amps
 
 
 @dataclass(frozen=True)
@@ -80,36 +88,70 @@ class ExperimentConfig:
         if self.realizations < 1:
             raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
 
+    def sweep_points(self):
+        """(spec, psi0, protocol) per sweep point: the base configuration, then each
+        lambda_sweep value other than the base lambda, then each kappa_sweep triple."""
+        base = self.chain.subspace_size
+        for lam in [base] + [l for l in self.lambda_sweep or () if l != base]:
+            spec = replace(self.chain, subspace_size=lam)
+            yield spec, self.initial_state.resolve(spec), self.protocol
+        psi0 = self.initial_state.resolve(self.chain)
+        for p1, mu1, mu2 in self.kappa_sweep or ():
+            d = IntervalDistribution.bimodal(mu1, mu2, p1)
+            yield self.chain, psi0, replace(self.protocol, distribution=d)
 
-_CHAIN_KEYS = {"n", "alpha", "beta", "lambda", "include_field_phase"}
-_PROTOCOL_KEYS = {"kind", "m", "dist", "pulse_area", "coupling", "bernoulli"}
-_EXPERIMENT_KEYS = {
-    "initial_state",
-    "amplitudes",
-    "realizations",
-    "seed",
-    "output_path",
-    "lambda_sweep",
-    "kappa_sweep",
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError("expected a boolean")
+    return raw.lower() in ("true", "1", "yes", "on")
+
+
+def _initial_state(raw: str) -> str:
+    if raw.lower() not in ("wstate", "leftmost", "custom"):
+        raise ValueError("expected wstate, leftmost or custom")
+    return raw.lower()
+
+
+def _kappa_sweep(raw: str) -> tuple[tuple[float, float, float], ...]:
+    triples = [ast.literal_eval(t.strip()) for t in raw.split(";") if t.strip()]
+    return tuple((float(p1), float(mu1), float(mu2)) for p1, mu1, mu2 in triples)
+
+
+REQUIRED = object()
+
+# section -> key -> (parser of the value text, default or REQUIRED)
+SCHEMA = {
+    "chain": {
+        "n": (int, REQUIRED),
+        "lambda": (int, REQUIRED),
+        "alpha": (float, DEFAULT_RATE),
+        "beta": (float, DEFAULT_RATE),
+        "include_field_phase": (_bool, False),
+    },
+    "protocol": {
+        "kind": (lambda raw: ProtocolKind(raw.lower()), REQUIRED),
+        "m": (int, REQUIRED),
+        "dist": (IntervalDistribution.from_literal, REQUIRED),
+        "pulse_area": (float, np.pi / 2),
+        "coupling": (float, None),
+        "bernoulli": (_bool, False),
+    },
+    "experiment": {
+        "initial_state": (_initial_state, "wstate"),
+        "amplitudes": (lambda raw: tuple(complex(v) for v in ast.literal_eval(raw)), None),
+        "realizations": (int, 1),
+        "seed": (int, 0),
+        "output_path": (str, "out"),
+        "lambda_sweep": (lambda raw: tuple(int(v) for v in raw.split(",")), None),
+        "kappa_sweep": (_kappa_sweep, None),
+    },
 }
-
-
-def _parse_bool(raw: str, line_no: int) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ParseError(line_no, f"expected a boolean, got {raw!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config; errors carry the offending line number."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {
-        "chain": {},
-        "protocol": {},
-        "experiment": {},
-    }
+    values: dict[str, dict] = {section: {} for section in SCHEMA}
     current: Optional[str] = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -117,7 +159,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in sections:
+            if name not in SCHEMA:
                 raise ParseError(line_no, f"unknown section [{name}]")
             current = name
             continue
@@ -126,143 +168,57 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ParseError(line_no, "expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        allowed = {
-            "chain": _CHAIN_KEYS,
-            "protocol": _PROTOCOL_KEYS,
-            "experiment": _EXPERIMENT_KEYS,
-        }[current]
-        if key not in allowed:
+        key, value = key.strip().lower(), value.strip()
+        if key not in SCHEMA[current]:
             raise ParseError(line_no, f"unknown key {key!r} in [{current}]")
-        if key in sections[current]:
+        if key in values[current]:
             raise ParseError(line_no, f"duplicate key {key!r}")
-        sections[current][key] = (value, line_no)
+        try:
+            values[current][key] = SCHEMA[current][key][0](value)
+        except (ValueError, TypeError, SyntaxError) as exc:
+            raise ParseError(line_no, f"bad {key} {value!r}: {exc}") from exc
 
-    def take(section: str, key: str, default=None):
-        if key in sections[section]:
-            return sections[section][key]
-        return (default, 0)
+    for section, keys in SCHEMA.items():
+        for key, (_, default) in keys.items():
+            if key not in values[section]:
+                if default is REQUIRED:
+                    raise ValidationError(f"[{section}] {key} is required")
+                values[section][key] = default
 
-    # --- chain ---
-    n_raw, n_line = take("chain", "n")
-    if n_raw is None:
-        raise ValidationError("[chain] n is required")
-    lam_raw, lam_line = take("chain", "lambda")
-    if lam_raw is None:
-        raise ValidationError("[chain] lambda is required")
+    c, p, e = (values[section] for section in SCHEMA)
+    custom = e["initial_state"] == "custom"
     try:
-        chain = ChainSpec(
-            n_sites=_parse_int(n_raw, n_line),
-            subspace_size=_parse_int(lam_raw, lam_line),
-            alpha=_parse_float(*take("chain", "alpha", str(DEFAULT_RATE))),
-            beta=_parse_float(*take("chain", "beta", str(DEFAULT_RATE))),
-            include_field_phase=_parse_bool(*take("chain", "include_field_phase", "false")),
+        if c["n"] < 3:
+            raise ValueError("experiment configs need n >= 3")
+        if custom and e["amplitudes"] is None:
+            raise ValueError("custom initial_state needs an amplitudes key")
+        config = ExperimentConfig(
+            chain=ChainSpec(
+                n_sites=c["n"],
+                subspace_size=c["lambda"],
+                alpha=c["alpha"],
+                beta=c["beta"],
+                include_field_phase=c["include_field_phase"],
+            ),
+            protocol=ProtocolConfig(
+                kind=p["kind"],
+                num_intervals=p["m"],
+                distribution=p["dist"],
+                pulse_area=p["pulse_area"],
+                coupling=p["coupling"],
+                bernoulli=p["bernoulli"],
+            ),
+            initial_state=InitialStateSpec(e["initial_state"], e["amplitudes"] if custom else None),
+            realizations=e["realizations"],
+            seed=e["seed"],
+            output_path=e["output_path"],
+            lambda_sweep=e["lambda_sweep"],
+            kappa_sweep=e["kappa_sweep"],
         )
-    except InvalidSpecError as exc:
-        raise ValidationError(str(exc)) from exc
-    if chain.n_sites < 3:
-        raise ValidationError("experiment configs need n >= 3")
-
-    # --- protocol ---
-    kind_raw, kind_line = take("protocol", "kind")
-    if kind_raw is None:
-        raise ValidationError("[protocol] kind is required")
-    try:
-        kind = ProtocolKind(kind_raw.strip().lower())
-    except ValueError:
-        raise ParseError(kind_line, f"unknown protocol kind {kind_raw!r}")
-    m_raw, m_line = take("protocol", "m")
-    if m_raw is None:
-        raise ValidationError("[protocol] m is required")
-    dist_raw, dist_line = take("protocol", "dist")
-    if dist_raw is None:
-        raise ValidationError("[protocol] dist is required")
-    try:
-        dist = IntervalDistribution.from_literal(dist_raw)
-    except ValueError as exc:
-        raise ParseError(dist_line, str(exc))
-    coupling_raw, c_line = take("protocol", "coupling")
-    fields = dict(
-        kind=kind,
-        num_intervals=_parse_int(m_raw, m_line),
-        distribution=dist,
-        pulse_area=_parse_float(*take("protocol", "pulse_area", str(np.pi / 2))),
-        coupling=None if coupling_raw is None else _parse_float(coupling_raw, c_line),
-        bernoulli=_parse_bool(*take("protocol", "bernoulli", "false")),
-    )
-    try:
-        protocol = ProtocolConfig(**fields)
+        coherent = config.protocol.kind is not ProtocolKind.PROJECTIVE
+        for spec, _, _ in config.sweep_points():
+            if coherent and spec.subspace_size + 2 > spec.n_sites:
+                raise ValueError("SubspaceTooLarge: coherent protocols need lambda + 2 <= n")
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    if kind in (ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
-        if chain.subspace_size + 2 > chain.n_sites:
-            raise ValidationError(
-                "SubspaceTooLarge: coherent protocols need lambda + 2 <= n"
-            )
-
-    # --- experiment ---
-    state_raw, state_line = take("experiment", "initial_state", "wstate")
-    state_kind = state_raw.strip().lower()
-    if state_kind not in ("wstate", "leftmost", "custom"):
-        raise ParseError(state_line, f"unknown initial_state {state_raw!r}")
-    amplitudes = None
-    if state_kind == "custom":
-        amp_raw, amp_line = take("experiment", "amplitudes")
-        if amp_raw is None:
-            raise ValidationError("custom initial_state needs an amplitudes key")
-        try:
-            values = ast.literal_eval(amp_raw)
-            amplitudes = tuple(complex(v) for v in values)
-        except (ValueError, SyntaxError) as exc:
-            raise ParseError(amp_line, f"bad amplitudes literal: {exc}")
-
-    lambda_sweep = None
-    ls_raw, ls_line = take("experiment", "lambda_sweep")
-    if ls_raw is not None:
-        try:
-            lambda_sweep = tuple(int(v) for v in ls_raw.split(","))
-        except ValueError:
-            raise ParseError(ls_line, f"bad lambda_sweep {ls_raw!r}")
-        for lam in lambda_sweep:
-            if not (1 <= lam <= chain.n_sites):
-                raise ValidationError(f"lambda_sweep value {lam} outside [1, n]")
-
-    kappa_sweep = None
-    ks_raw, ks_line = take("experiment", "kappa_sweep")
-    if ks_raw is not None:
-        try:
-            triples = [t.strip() for t in ks_raw.split(";") if t.strip()]
-            kappa_sweep = tuple(
-                tuple(float(x) for x in ast.literal_eval(t)) for t in triples
-            )
-        except (ValueError, SyntaxError):
-            raise ParseError(ks_line, f"bad kappa_sweep {ks_raw!r}")
-        for p1, mu1, mu2 in kappa_sweep:
-            if not (0 < p1 <= 1 and mu1 > 0 and mu2 > 0):
-                raise ValidationError(f"bad kappa_sweep entry ({p1}, {mu1}, {mu2})")
-
-    return ExperimentConfig(
-        chain=chain,
-        protocol=protocol,
-        initial_state=InitialStateSpec(kind=state_kind, amplitudes=amplitudes),
-        realizations=_parse_int(*take("experiment", "realizations", "1")),
-        seed=_parse_int(*take("experiment", "seed", "0")),
-        output_path=take("experiment", "output_path", "out")[0],
-        lambda_sweep=lambda_sweep,
-        kappa_sweep=kappa_sweep,
-    )
-
-
-def _parse_int(raw: str, line_no: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(line_no, f"expected an integer, got {raw!r}")
-
-
-def _parse_float(raw: str, line_no: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(line_no, f"expected a number, got {raw!r}")
+    return config

@@ -11,7 +11,6 @@ realization's numbers are bit-identical however many run beside it.
 from __future__ import annotations
 
 import datetime
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -203,19 +202,6 @@ def run_ensemble(
     return trajs, ensemble_fidelities(spec, psi0, trajs).tolist()
 
 
-def _sweep_points(config: ExperimentConfig):
-    """(spec, psi0, protocol) per sweep point: the base configuration, then each
-    lambda_sweep value other than the base lambda, then each kappa_sweep triple."""
-    base = config.chain.subspace_size
-    for lam in [base] + [l for l in config.lambda_sweep or () if l != base]:
-        spec = replace(config.chain, subspace_size=lam)
-        yield spec, config.initial_state.resolve(spec), config.protocol
-    psi0 = config.initial_state.resolve(config.chain)
-    for p1, mu1, mu2 in config.kappa_sweep or ():
-        d = IntervalDistribution.bimodal(mu1, mu2, p1)
-        yield config.chain, psi0, replace(config.protocol, distribution=d)
-
-
 def run_experiment(
     config: ExperimentConfig,
     out_dir: Optional[str] = None,
@@ -230,7 +216,7 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     summary_rows, theory_rows = [], []
-    for k, (spec, psi0, protocol) in enumerate(_sweep_points(config)):
+    for k, (spec, psi0, protocol) in enumerate(config.sweep_points()):
         trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
         trow, pred = _theory_row(spec, psi0, protocol)
         if k == 0:
@@ -243,7 +229,7 @@ def run_experiment(
                 spec.subspace_size,
                 protocol.kind.value,
                 float(np.mean(fids)),
-                float(np.mean(aggregate(trajs, pred).final_survival)),
+                float(np.mean([t.final_survival for t in trajs])),
                 pred.pstar,
                 pred.interval_moments.kappa,
                 protocol.num_intervals,
@@ -266,7 +252,7 @@ def write_theory_csv(
 ) -> Path:
     """Theory-only run: the theory.csv rows of ``run_experiment``, same sweep."""
     path = Path(out_dir if out_dir is not None else config.output_path) / "theory.csv"
-    rows = [_theory_row(*point)[0] for point in _sweep_points(config)]
+    rows = [_theory_row(*point)[0] for point in config.sweep_points()]
     write_csv(path, THEORY_HEADER, zip(*rows), reproducible)
     return path
 
@@ -280,8 +266,10 @@ def run_three_level(
     reproducible: bool = False,
 ) -> Path:
     """Closed form vs numerical propagation of the three-level model."""
-    if not (omega >= 0 and t_max > 0 and dt > 0):
-        raise ValueError("omega, t_max, dt must be positive")
+    if not (0 <= omega < np.inf and 0 < t_max < np.inf and 0 < dt < np.inf):
+        raise ValueError("omega must be finite and >= 0, t_max and dt finite and > 0")
+    if not np.all(np.isfinite(g_list)):
+        raise ValueError(f"every g must be finite, got {list(g_list)}")
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
     formula, numeric = [], []
     for g in g_list:
@@ -480,7 +468,7 @@ def preset_fig5(
             trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed)
             mean_fids.append(float(np.mean(fids)))
             if kind is ProtocolKind.PROJECTIVE:
-                surv = aggregate(trajs, pred)
+                surv = aggregate(trajs)
         rows.append(
             (mom.kappa, 1.0 + mom.kappa, mu1, mu2, surv.log_mean, pred.log_pstar, *mean_fids)
         )

@@ -60,14 +60,14 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.num_intervals < 1:
             raise ValueError("num_intervals must be >= 1")
-        if self.kind is ProtocolKind.PULSED and not (self.pulse_area > 0):
-            raise ValueError("pulse_area must be positive")
+        if self.kind is ProtocolKind.PULSED and not (0 < self.pulse_area < np.inf):
+            raise ValueError(f"pulse_area must be positive and finite, got {self.pulse_area}")
         if (
             self.kind is ProtocolKind.CONTINUOUS
             and self.coupling is not None
-            and not (self.coupling > 0)
+            and not (0 < self.coupling < np.inf)
         ):
-            raise ValueError("coupling must be positive")
+            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
 
     def effective_coupling(self) -> float:
         """Continuous coupling strength; defaults to pi / (2 * mean interval)."""

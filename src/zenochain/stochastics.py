@@ -92,8 +92,8 @@ class IntervalDistribution:
         total = 0.0
         seen = set()
         for mu, p in self.atoms:
-            if not (mu > 0):
-                raise ValueError(f"interval must be positive, got {mu}")
+            if not (0 < mu < np.inf):
+                raise ValueError(f"interval must be positive and finite, got {mu}")
             if not (0 < p <= 1):
                 raise ValueError(f"probability must lie in (0, 1], got {p}")
             if mu in seen:
@@ -113,6 +113,9 @@ class IntervalDistribution:
 
     @classmethod
     def bimodal(cls, mu1: float, mu2: float, p1: float) -> "IntervalDistribution":
+        # checked here too, since the collapsed form drops mu2 and 1 - p1
+        if not (0 < p1 <= 1 and mu2 > 0):
+            raise ValueError(f"bimodal needs 0 < p1 <= 1 and mu2 > 0, got p1={p1}, mu2={mu2}")
         if abs(mu1 - mu2) < 1e-15 or p1 >= 1.0:
             return cls.deterministic(mu1)
         return cls(((float(mu1), float(p1)), (float(mu2), 1.0 - float(p1))))
@@ -126,7 +129,10 @@ class IntervalDistribution:
             raise ValueError(f"bad distribution literal: {text!r}") from exc
         if not isinstance(value, (list, tuple)):
             raise ValueError("distribution literal must be a list of (mu, prob) pairs")
-        return cls.from_atoms(value)
+        try:
+            return cls.from_atoms(value)
+        except TypeError as exc:
+            raise ValueError("distribution atoms must be (mu, prob) pairs") from exc
 
     @property
     def values(self) -> np.ndarray:

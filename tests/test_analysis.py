@@ -24,7 +24,6 @@ from zenochain.protocols import (
     run_projective,
 )
 from zenochain.stochastics import IntervalDistribution, SeededSampler
-from zenochain.theory import pstar_weak
 
 BIMODAL = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
 
@@ -178,11 +177,6 @@ class TestAggregate:
         assert a.log_mean == b.log_mean
         assert a.log_std == b.log_std
         assert a.log_mode == b.log_mode
-
-    def test_carries_theory_value(self):
-        trajs = self.run_ensemble(6, 2, 10, 2, 1)
-        pred = pstar_weak(10, BIMODAL, 1e-4)
-        assert aggregate(trajs, pred).theory_pstar == pred.pstar
 
     def test_mode_tracks_bulk(self):
         trajs = self.run_ensemble(10, 2, 200, 80, 23)

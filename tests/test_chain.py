@@ -194,6 +194,11 @@ class TestSpecValidation:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(InvalidSpecError):
             ChainSpec(n_sites=5, subspace_size=2, beta=0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidSpecError, match="beta"):
+                ChainSpec(n_sites=5, subspace_size=2, beta=bad)
+            with pytest.raises(InvalidSpecError, match="alpha"):
+                ChainSpec(n_sites=5, subspace_size=2, alpha=-bad, include_field_phase=True)
 
     def test_default_rate_value(self):
         assert abs(DEFAULT_RATE - 2 * np.pi * 0.005) < 1e-18

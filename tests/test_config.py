@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from zenochain.config import ParseError, ValidationError, parse_config
+from zenochain.config import SCHEMA, ParseError, ValidationError, parse_config
 from zenochain.protocols import ProtocolKind
 
 MINIMAL = """
@@ -114,3 +116,47 @@ class TestParse:
         config = parse_config(text)
         assert config.protocol.coupling == 0.25
         assert config.protocol.effective_coupling() == 0.25
+
+    def test_bad_value_reports_its_own_line(self):
+        # parsed on read: a bad value is named before any missing key
+        with pytest.raises(ParseError) as err:
+            parse_config("[protocol]\nkind = projective\nm = many\n")
+        assert err.value.line_no == 3
+
+    def test_amplitudes_parsed_whatever_the_initial_state(self):
+        with pytest.raises(ParseError, match="amplitudes"):
+            parse_config(MINIMAL + "amplitudes = [1, \n")
+        config = parse_config(MINIMAL + "amplitudes = [1, 1]\n")
+        assert config.initial_state.amplitudes is None
+
+    def test_sweep_points_in_order(self):
+        text = MINIMAL.replace(
+            "seed = 77", "seed = 77\nlambda_sweep = 5,2\nkappa_sweep = (1.0, 3.0, 3.0)"
+        )
+        points = list(parse_config(text).sweep_points())
+        assert [spec.subspace_size for spec, _, _ in points] == [5, 2, 5]
+        assert [np.count_nonzero(psi0) for _, psi0, _ in points] == [5, 2, 5]
+        assert points[-1][2].distribution.atoms == ((3.0, 1.0),)
+
+    @pytest.mark.parametrize(
+        "sweep", ["lambda_sweep = 2,13", "lambda_sweep = 0", "kappa_sweep = (1.5, 3.0, 3.0)",
+                  "kappa_sweep = (1.0, 3.0, -1.0)"],
+    )
+    def test_every_sweep_point_checked_at_parse_time(self, sweep):
+        with pytest.raises(ValidationError):
+            parse_config(MINIMAL.replace("seed = 77", "seed = 77\n" + sweep))
+
+
+def test_readme_config_block_sets_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```\n[chain]") + 4
+    block = readme[start : readme.index("```", start)]
+    parse_config(block)
+    keys, section = set(), None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            keys.add((section, line.partition("=")[0].strip()))
+    assert keys == {(section, key) for section in SCHEMA for key in SCHEMA[section]}

@@ -41,9 +41,17 @@ seed = 4242
 """
 
 
+DIST = "dist = [(1.0, 0.5), (5.0, 0.5)]"
+WSTATE = "initial_state = wstate"
+CUSTOM = "initial_state = custom\namplitudes = "
+
+
 def read_csv(path):
+    """Header and rows, past the ``# generated`` line if the file has one."""
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+        lines = list(fh)
+    if lines and lines[0].startswith("# generated"):
+        lines = lines[1:]
     rows = list(csv.reader(lines))
     return rows[0], rows[1:]
 
@@ -205,16 +213,17 @@ class TestWriteCsv:
     @given(
         ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
         data=st.data(),
+        reproducible=st.booleans(),
     )
-    def test_round_trip(self, tmp_path_factory, ints, data):
-        # ints come back exactly; floats agree to 15 significant digits
+    def test_round_trip(self, tmp_path_factory, ints, data, reproducible):
+        # ints come back exactly; floats agree to 15 significant digits; text
+        # reads back whole, also a quoted line break followed by '#'
         rows = len(ints)
         floats = data.draw(st.lists(FLOATS, min_size=rows, max_size=rows))
-        texts = data.draw(st.lists(TEXT, min_size=rows, max_size=rows))
+        texts = data.draw(st.lists(TEXT | st.just("\r#"), min_size=rows, max_size=rows))
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        write_csv(path, ("i", "x", "s"), (ints, np.array(floats), texts), reproducible=True)
-        with open(path, newline="") as fh:
-            header, *back = csv.reader(fh)
+        write_csv(path, ("i", "x", "s"), (ints, np.array(floats), texts), reproducible)
+        header, back = read_csv(path)
         assert header == ["i", "x", "s"]
         assert [int(r[0]) for r in back] == ints
         for (_, cell, _), x in zip(back, floats):
@@ -392,20 +401,46 @@ class TestCLI:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit, flags",
+        "edits, flags",
         [
-            (("realizations = 3", "realizations = 0"), []),
-            ((), ["--realizations", "0"]),
-            (("m = 60", "m = 0"), []),
-            (("kind = projective", "kind = continuous\ncoupling = abc"), []),
-            (("kind = projective", "kind = continuous\ncoupling = -1"), []),
+            ([("realizations = 3", "realizations = 0")], []),
+            ([], ["--realizations", "0"]),
+            ([("m = 60", "m = 0")], []),
+            ([("kind = projective", "kind = continuous\ncoupling = abc")], []),
+            ([("kind = projective", "kind = continuous\ncoupling = -1")], []),
+            ([(DIST, "dist = [5]")], []),
+            ([(DIST, "dist = [(1.0, 0.5), (5.0, 0.5), 3]")], []),
+            ([(DIST, "dist = [(1e400, 1.0)]")], []),
+            ([("seed = 4242", "seed = 4242\nkappa_sweep = (0.8, 1.0)")], []),
+            ([("seed = 4242", "seed = 4242\nkappa_sweep = 5")], []),
+            ([(WSTATE, CUSTOM + "5")], []),
+            ([("kind = projective", "kind = pulsed\npulse_area = inf")], []),
+            ([("kind = projective", "kind = continuous\ncoupling = inf")], []),
+            ([("lambda = 2", "lambda = 2\nbeta = inf")], []),
+            ([("lambda = 2", "lambda = 2\nalpha = inf\ninclude_field_phase = true")], []),
+            ([("kind = projective", "kind = pulsed"),
+              ("seed = 4242", "seed = 4242\nlambda_sweep = 2,7")], []),
+            ([(WSTATE, CUSTOM + "[0, 0, 1]")], []),
+            ([(WSTATE, CUSTOM + "[1, 0, 0, 0, 0, 0, 0, 0, 0]")], []),
+            ([(WSTATE, CUSTOM + "[0, 0]")], []),
+            ([(WSTATE, CUSTOM + "[1e400, 1]")], []),
         ],
         ids=["realizations-file", "realizations-flag", "m-zero", "coupling-text",
-             "coupling-negative"],
+             "coupling-negative", "dist-not-pairs", "dist-trailing-number", "dist-infinite",
+             "kappa-pair", "kappa-number", "amplitudes-number", "pulse-area-inf",
+             "coupling-inf", "beta-inf", "alpha-inf-with-phase", "pulsed-lambda-sweep",
+             "amplitudes-beyond-lambda", "amplitudes-longer-than-chain", "amplitudes-zero",
+             "amplitudes-overflow"],
     )
-    def test_bad_value_is_a_config_error(self, tmp_path, capsys, edit, flags):
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, edits, flags):
+        # n = 8, lambda = 2: the pulsed sweep's lambda = 7 leaves no room for
+        # the coupling, and nine amplitudes overrun the chain
+        text = CONFIG.replace("n = 12", "n = 8")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(CONFIG.replace(*edit) if edit else CONFIG)
+        cfg.write_text(text)
         rc = cli_main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")] + flags)
         assert rc == 2
         assert "config error" in capsys.readouterr().err
@@ -426,6 +461,17 @@ class TestCLI:
     )
     def test_bad_figure_flag_is_a_config_error(self, tmp_path, capsys, flags):
         rc = cli_main(["figure"] + flags + ["--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--g", "1,x"], ["--g", "1,inf"], ["--omega", "-1"], ["--dt", "0"], ["--t-max", "inf"]],
+        ids=["g-text", "g-inf", "omega-negative", "dt-zero", "t-max-inf"],
+    )
+    def test_bad_three_level_flag_is_a_config_error(self, tmp_path, capsys, flags):
+        rc = cli_main(["three-level"] + flags + ["--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

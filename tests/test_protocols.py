@@ -250,6 +250,22 @@ class TestDispatcher:
         config = ProtocolConfig(ProtocolKind.CONTINUOUS, 10, BIMODAL)
         assert abs(config.effective_coupling() - np.pi / 6.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (ProtocolKind.PROJECTIVE, {"num_intervals": 0}),
+            (ProtocolKind.PULSED, {"pulse_area": 0.0}),
+            (ProtocolKind.PULSED, {"pulse_area": np.inf}),
+            (ProtocolKind.PULSED, {"pulse_area": np.nan}),
+            (ProtocolKind.CONTINUOUS, {"coupling": -1.0}),
+            (ProtocolKind.CONTINUOUS, {"coupling": np.inf}),
+            (ProtocolKind.CONTINUOUS, {"coupling": np.nan}),
+        ],
+    )
+    def test_config_rejects_bad_values(self, kind, fields):
+        with pytest.raises(ValueError):
+            ProtocolConfig(kind, **{"num_intervals": 10, "distribution": BIMODAL, **fields})
+
     def test_projective_dispatch(self):
         spec = ChainSpec(n_sites=9, subspace_size=3)
         config = ProtocolConfig(ProtocolKind.PROJECTIVE, 15, BIMODAL)

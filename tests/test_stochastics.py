@@ -23,6 +23,8 @@ class TestDistribution:
     def test_intervals_must_be_positive(self):
         with pytest.raises(ValueError):
             IntervalDistribution(((0.0, 1.0),))
+        with pytest.raises(ValueError, match="finite"):
+            IntervalDistribution(((np.inf, 1.0),))
 
     def test_atoms_must_be_distinct(self):
         with pytest.raises(ValueError):
@@ -35,10 +37,25 @@ class TestDistribution:
     def test_from_literal_rejects_garbage(self):
         with pytest.raises(ValueError):
             IntervalDistribution.from_literal("not a list")
+        for text in ("[5]", "[(1.0, 0.5), (5.0, 0.5), 3]", "[(1e400, 1.0)]"):
+            with pytest.raises(ValueError):
+                IntervalDistribution.from_literal(text)
 
     def test_bimodal_collapses_to_deterministic(self):
         d = IntervalDistribution.bimodal(3.0, 3.0, 0.8)
         assert d.atoms == ((3.0, 1.0),)
+
+    @pytest.mark.parametrize(
+        "mu1, mu2, p1",
+        [(1.0, 5.0, 0.0), (1.0, 5.0, -0.5), (1.0, 5.0, 1.5), (3.0, 3.0, 1.5), (1.0, 5.0, np.nan),
+         (-1.0, 5.0, 0.5), (1.0, -5.0, 0.5), (3.0, -1.0, 1.0), (-3.0, -3.0, 0.5),
+         (3.0, np.nan, 1.0), (np.inf, 5.0, 0.5)],
+    )
+    def test_bimodal_rejects_bad_parameters_even_when_collapsed(self, mu1, mu2, p1):
+        # p1 outside (0, 1] or a non-positive interval; (3, 3, 1.5) and
+        # (3, -1, 1) would otherwise collapse to a valid deterministic(3)
+        with pytest.raises(ValueError):
+            IntervalDistribution.bimodal(mu1, mu2, p1)
 
 
 class TestMoments:
