@@ -4,8 +4,8 @@ Format: ``key = value`` lines under ``[chain]``, ``[protocol]`` and
 ``[experiment]`` section headers; ``#`` starts a comment.  Distributions use
 the literal form ``dist = [(1.0, 0.5), (5.0, 0.5)]`` (us, probability).
 ``SCHEMA`` lists every key with its parser and default.  Each value is
-parsed on its line, and every sweep point is built once at parse time, so a
-config that parses runs.
+parsed on its line, and ``ExperimentConfig`` builds every sweep point once
+when it is constructed, so a config that parses (or is built in Python) runs.
 
 Example::
 
@@ -85,18 +85,27 @@ class ExperimentConfig:
     kappa_sweep: Optional[tuple[tuple[float, float, float], ...]] = None
 
     def __post_init__(self) -> None:
+        """Check each sweep point by building it: a config that constructs also runs."""
         if self.realizations < 1:
             raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
+        coherent = self.protocol.kind is not ProtocolKind.PROJECTIVE
+        try:
+            for spec, _, _ in self.sweep_points():
+                if coherent and spec.subspace_size + 2 > spec.n_sites:
+                    raise ValueError("SubspaceTooLarge: coherent protocols need lambda + 2 <= n")
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
 
     def sweep_points(self):
         """(spec, psi0, protocol) per sweep point: the base configuration, then each
-        lambda_sweep value other than the base lambda, then each kappa_sweep triple."""
-        base = self.chain.subspace_size
-        for lam in [base] + [l for l in self.lambda_sweep or () if l != base]:
+        lambda_sweep value, then each kappa_sweep triple; a repeated value (or the
+        base lambda) is run once, where it is first seen."""
+        lambdas = dict.fromkeys((self.chain.subspace_size, *(self.lambda_sweep or ())))
+        for lam in lambdas:
             spec = replace(self.chain, subspace_size=lam)
             yield spec, self.initial_state.resolve(spec), self.protocol
         psi0 = self.initial_state.resolve(self.chain)
-        for p1, mu1, mu2 in self.kappa_sweep or ():
+        for p1, mu1, mu2 in dict.fromkeys(self.kappa_sweep or ()):
             d = IntervalDistribution.bimodal(mu1, mu2, p1)
             yield self.chain, psi0, replace(self.protocol, distribution=d)
 
@@ -215,10 +224,6 @@ def parse_config(text: str) -> ExperimentConfig:
             lambda_sweep=e["lambda_sweep"],
             kappa_sweep=e["kappa_sweep"],
         )
-        coherent = config.protocol.kind is not ProtocolKind.PROJECTIVE
-        for spec, _, _ in config.sweep_points():
-            if coherent and spec.subspace_size + 2 > spec.n_sites:
-                raise ValueError("SubspaceTooLarge: coherent protocols need lambda + 2 <= n")
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     return config

@@ -28,7 +28,7 @@ from .protocols import (
     run_projective,
     run_pulsed,
 )
-from .stochastics import IntervalDistribution, SeededSampler, moments
+from .stochastics import IntervalDistribution, SeededSampler, derive_seed, moments
 from .theory import (
     _exponent,
     edge_population,
@@ -73,7 +73,8 @@ def write_csv(
 
     Each column is formatted once, by its dtype: integers and bools in
     decimal, floats as ``%.15g``, strings as they are, quoted the way
-    ``csv.writer`` quotes them.  Lines end in CRLF.  Unless
+    ``csv.writer`` quotes them.  A column that is the same object as an
+    earlier one reuses its cells.  Lines end in CRLF.  Unless
     ``reproducible``, a ``# generated <timestamp>`` comment comes first.
     """
     columns = list(columns)
@@ -82,7 +83,11 @@ def write_csv(
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     lone = len(header) == 1
-    formatted = [_cells(c, lone) for c in columns]
+    by_id: dict[int, tuple[str, list]] = {}  # a column passed twice is formatted once
+    for c in columns:
+        if id(c) not in by_id:
+            by_id[id(c)] = _cells(c, lone)
+    formatted = [by_id[id(c)] for c in columns]
     line = ",".join(field for field, _ in formatted) + "\r\n"
     rows = zip(*(cells for _, cells in formatted))
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -197,8 +202,8 @@ def run_ensemble(
     kernel and are scored against the ideal confined evolution at their own
     realized total times.
     """
-    base = SeededSampler(seed)
-    trajs = run_lockstep(spec, psi0, protocol, [base.spawn(i) for i in range(realizations)])
+    children = derive_seed(seed, np.arange(realizations, dtype=np.uint64))
+    trajs = run_lockstep(spec, psi0, protocol, [SeededSampler(s) for s in children.tolist()])
     return trajs, ensemble_fidelities(spec, psi0, trajs).tolist()
 
 
@@ -268,8 +273,8 @@ def run_three_level(
     """Closed form vs numerical propagation of the three-level model."""
     if not (0 <= omega < np.inf and 0 < t_max < np.inf and 0 < dt < np.inf):
         raise ValueError("omega must be finite and >= 0, t_max and dt finite and > 0")
-    if not np.all(np.isfinite(g_list)):
-        raise ValueError(f"every g must be finite, got {list(g_list)}")
+    if not len(g_list) or not np.all(np.isfinite(g_list)):
+        raise ValueError(f"need one or more couplings g, each finite, got {list(g_list)}")
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
     formula, numeric = [], []
     for g in g_list:

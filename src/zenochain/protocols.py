@@ -27,7 +27,13 @@ import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, coupling_hamiltonian, hamiltonian, zeno_hamiltonian
-from .stochastics import IntervalDistribution, SeededSampler, moments, sample_intervals
+from .stochastics import (
+    IntervalDistribution,
+    SeededSampler,
+    atom_indices,
+    draw_uniforms,
+    moments,
+)
 
 NORM_TOL = 1e-10
 DEAD_BRANCH = 1e-300
@@ -81,8 +87,9 @@ class Trajectory:
     """One protocol realization.
 
     cumulative_survival for the projective protocol is the running product
-    of the q_j; for the coherent protocols it is the instantaneous subspace
-    population (those protocols are unitary, nothing is post-selected).
+    of the q_j; for the coherent protocols it is the same array as
+    subspace_population, the instantaneous subspace population (those
+    protocols are unitary, nothing is post-selected).
     survival_factors is None for the coherent protocols.  Post-selected
     projective runs keep log_cumulative_survival, the running sum of ln q_j,
     finite where the product underflows.  aborted_at is the 1-based step of
@@ -137,76 +144,94 @@ def _lockstep(
 ) -> list[Trajectory]:
     """Advance every realization of a projective or pulsed ensemble together.
 
-    Column r draws from samplers[r] exactly as a lone run would, and each
-    step is one gather plus one batched product, so no column's numbers
-    depend on the width of the ensemble.
+    One multi-stream draw gives every column its intervals (and Bernoulli
+    outcomes) from samplers[r], exactly as a lone run would.  A step is one
+    gather of per-atom matrices plus one batched product, column by column,
+    so no column's numbers depend on the width of the ensemble:
+
+    - pulsed: the fused kick @ U(mu) on the n-site state;
+    - projective: the lambda x lambda block P U(mu) P on a state that lives
+      on the subspace; the complement is built only for a column whose
+      Bernoulli outcome fails, and states are zero-padded back to n sites.
+
+    Survival, times and populations are whole (width x steps) arrays, and
+    each Trajectory holds row slices of them.
     """
-    lam, m, width = spec.subspace_size, config.num_intervals, len(samplers)
-    psi = np.repeat(_check_initial_state(psi0, lam)[None, :, None], width, axis=0)
+    n, lam, m, width = spec.n_sites, spec.subspace_size, config.num_intervals, len(samplers)
+    psi0 = _check_initial_state(psi0, lam)
     h = hamiltonian(spec) if h is None else h
     d = config.distribution
     projective = kind is ProtocolKind.PROJECTIVE
-    if not projective:
-        kick = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area)
-    steps = linalg.propagators(h, d.values)  # one free evolution per atom
-    intervals = np.array([sample_intervals(d, s, m) for s in samplers])
-    atoms = np.argmax(intervals.T[:, :, None] == d.values, axis=2)  # m x width
     bernoulli = projective and config.bernoulli
-    outcomes = np.array([s.uniforms(m) for s in samplers]) if bernoulli else None
+    steps = linalg.propagators(h, d.values)  # one free evolution per atom
+    if projective:
+        dim, mats = lam, steps[:, :lam, :lam].copy()  # contiguous: cheaper to gather
+    else:
+        dim, mats = n, linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
+    draws = draw_uniforms(samplers, 2 * m if bernoulli else m)  # intervals, then outcomes
+    atoms = atom_indices(d, draws[:, :m])  # width x m
+    intervals = d.values[atoms]
+    psi = np.repeat(psi0[None, :dim, None], width, axis=0)
 
-    qs, pops, snaps = [], [], []
+    pops = np.empty((width, m))
+    factors = np.empty((width, m)) if projective else None
+    states = np.zeros((width, m, n), dtype=complex) if config.record_states else None
     aborted_at = np.zeros(width, dtype=int)  # 0 = never
     collapsed: dict[int, np.ndarray] = {}
     for j in range(m):
-        psi = steps[atoms[j]] @ psi
-        if not projective:
-            psi = kick @ psi
+        prev, psi = psi, mats[atoms[:, j]] @ psi
         q = (np.abs(psi[:, :lam, 0]) ** 2).sum(1)
         if projective:
             if q.min() < DEAD_BRANCH and np.any(q[aborted_at == 0] < DEAD_BRANCH):
                 raise ZeroSurvivalError(f"survival factor underflow at step {j + 1}")
-            qs.append(q)
+            factors[:, j] = q
             if bernoulli:
-                for r in np.flatnonzero((aborted_at == 0) & (outcomes[:, j] >= q)):
+                for r in np.flatnonzero((aborted_at == 0) & (draws[:, m + j] >= q)):
                     # failed outcome: collapse onto the complement and freeze
-                    out = psi[r, :, 0].copy()
+                    out = steps[atoms[r, j], :, :lam] @ prev[r, :, 0]
                     out[:lam] = 0.0
                     collapsed[r] = out / np.linalg.norm(out)
                     aborted_at[r] = j + 1
                     samplers[r].rewind(m - j - 1)  # outcome draws never made
                 q = np.where(aborted_at == 0, q, 1.0)
-            psi[:, lam:] = 0.0
             psi /= np.sqrt(q)[:, None, None]
-            q = (np.abs(psi[:, :lam, 0]) ** 2).sum(1)
-        pops.append(q)
-        if config.record_states:
-            snaps.append(psi[:, :, 0].copy())
+            q = (np.abs(psi[:, :, 0]) ** 2).sum(1)
+        pops[:, j] = q
+        if states is not None:
+            states[:, j, :dim] = psi[:, :, 0]
         if bernoulli and np.all(aborted_at):
             break
 
-    pops = np.array(pops).T.copy()  # width x steps, like every per-step array
-    factors = np.array(qs).T.copy() if projective else None
-    log_cum = np.cumsum(np.log(factors), axis=1) if projective and not bernoulli else None
-    states = np.stack(snaps, axis=1) if config.record_states else None
+    times = np.cumsum(intervals, axis=1)
+    final = np.zeros((width, n), dtype=complex)
+    final[:, :dim] = psi[:, :, 0]
+    log_cum = None
+    if bernoulli:
+        cum = np.ones((width, m))
+    elif projective:
+        log_cum = np.cumsum(np.log(factors), axis=1)
+        cum = np.exp(log_cum)
+    for r, out in collapsed.items():
+        k = aborted_at[r] - 1
+        cum[r, k] = pops[r, k] = 0.0
+        final[r] = out
+        if states is not None:
+            states[r, k] = out
     trajs = []
     for r in range(width):
-        n = aborted_at[r] or m
-        cum = np.ones(n) if bernoulli else np.exp(log_cum[r]) if projective else pops[r]
-        if r in collapsed:
-            cum[-1] = pops[r, n - 1] = 0.0
-            if states is not None:
-                states[r, n - 1] = collapsed[r]
+        k = aborted_at[r] or m
+        pop = pops[r, :k]
         trajs.append(
             Trajectory(
                 kind=kind,
-                intervals=intervals[r, :n],
-                times=np.cumsum(intervals[r, :n]),
-                cumulative_survival=cum,
-                subspace_population=pops[r, :n],
-                final_state=collapsed.get(r, psi[r, :, 0]),
-                survival_factors=factors[r, :n] if projective else None,
+                intervals=intervals[r, :k],
+                times=times[r, :k],
+                cumulative_survival=cum[r, :k] if projective else pop,
+                subspace_population=pop,
+                final_state=final[r],
+                survival_factors=factors[r, :k] if projective else None,
                 log_cumulative_survival=None if log_cum is None else log_cum[r],
-                states=None if states is None else states[r, :n],
+                states=None if states is None else states[r, :k],
                 aborted_at=int(aborted_at[r]) or None,
             )
         )
@@ -274,7 +299,7 @@ def run_continuous(
         kind=ProtocolKind.CONTINUOUS,
         intervals=np.diff(sample_times, prepend=0.0),
         times=sample_times,
-        cumulative_survival=pops.copy(),
+        cumulative_survival=pops,
         subspace_population=pops,
         states=states[:-1] if record_states else None,
         final_state=states[-1].copy(),  # not a view pinning the whole grid

@@ -7,7 +7,8 @@ package contract.  Child streams for parallel realizations are derived with
 ``derive_seed(seed, index)`` built from the same mixing function.
 
 The state is a Weyl sequence, so draw k is ``mix64(state + k * GAMMA)`` and
-a block of draws is one numpy ``uint64`` expression (Salmon et al., SC'11).
+a block of draws, of one stream or of many, is one numpy ``uint64``
+expression (Salmon et al., SC'11).
 """
 
 from __future__ import annotations
@@ -24,16 +25,27 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer (Steele, Lea & Flood constants)."""
+def _mix64(z):
+    """SplitMix64 finalizer (Steele, Lea & Flood constants).
+
+    z is a Python int in [0, 2**64), returned mixed, or a ``uint64`` array,
+    mixed in place (numpy wraps its products modulo 2**64 already).
+    """
+    z ^= z >> 30
+    z *= _MIX1
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    z ^= z >> 27
+    z *= _MIX2
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Deterministic child seed for realization `index` of a master seed."""
+def derive_seed(seed: int, index):
+    """Deterministic child seed for realization `index` of a master seed.
+
+    index may be a ``uint64`` array; the child seeds are then one array.
+    """
     return _mix64((seed & _MASK64) ^ _mix64((index + 1) & _MASK64))
 
 
@@ -58,11 +70,7 @@ class SeededSampler:
 
     def uniforms(self, k: int) -> np.ndarray:
         """The next k ``uniform()`` draws as one array; the state advances by k."""
-        z = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * _GAMMA
-        self._state = (self._state + k * _GAMMA) & _MASK64
-        z = (z ^ (z >> 30)) * _MIX1
-        z = (z ^ (z >> 27)) * _MIX2
-        return ((z ^ (z >> 31)) >> 11) * (2.0 ** -53)
+        return draw_uniforms([self], k)[0]
 
     def rewind(self, k: int) -> None:
         """Step the stream back by k draws, so the next k draws repeat."""
@@ -70,6 +78,21 @@ class SeededSampler:
 
     def spawn(self, index: int) -> "SeededSampler":
         return SeededSampler(derive_seed(self.seed, index))
+
+
+def draw_uniforms(samplers: Sequence[SeededSampler], k: int) -> np.ndarray:
+    """The next k ``uniform()`` draws of every sampler, one row per sampler.
+
+    All rows are one ``uint64`` expression: draw j of row r mixes
+    ``state_r + (j + 1) * GAMMA``.  Each sampler's state advances by k.
+    """
+    z = np.array([s._state for s in samplers], dtype=np.uint64)[:, None]
+    z = z + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    for s in samplers:
+        s._state = (s._state + k * _GAMMA) & _MASK64
+    z = _mix64(z)
+    z >>= 11
+    return z * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -153,15 +176,20 @@ def moments(d: IntervalDistribution) -> Moments:
     return Moments(mean=mean, variance=variance, kappa=variance / mean**2, third_raw=third_raw)
 
 
+def atom_indices(d: IntervalDistribution, uniforms: np.ndarray) -> np.ndarray:
+    """Index of the atom each uniform draw selects, by inverse CDF in atom order."""
+    cdf = np.cumsum(d.probabilities)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, uniforms, side="right")
+
+
 def sample_intervals(
     d: IntervalDistribution, sampler: SeededSampler, m: int
 ) -> np.ndarray:
     """Draw m i.i.d. waiting times by inverse CDF in atom order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    cdf = np.cumsum(d.probabilities)
-    cdf[-1] = 1.0
-    return d.values[np.searchsorted(cdf, sampler.uniforms(m), side="right")]
+    return d.values[atom_indices(d, sampler.uniforms(m))]
 
 
 def weak_zeno_margin(d: IntervalDistribution, m: int, c_bound: float) -> float:

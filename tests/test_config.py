@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,27 @@ class TestParse:
         assert [spec.subspace_size for spec, _, _ in points] == [5, 2, 5]
         assert [np.count_nonzero(psi0) for _, psi0, _ in points] == [5, 2, 5]
         assert points[-1][2].distribution.atoms == ((3.0, 1.0),)
+
+    def test_repeated_sweep_values_run_once(self):
+        text = MINIMAL.replace(
+            "seed = 77",
+            "seed = 77\nlambda_sweep = 3,5,3,2,2\n"
+            "kappa_sweep = (1.0, 3.0, 3.0); (0.8, 1.0, 11.0); (1.0, 3.0, 3.0)",
+        )
+        points = list(parse_config(text).sweep_points())
+        assert [spec.subspace_size for spec, _, _ in points] == [5, 3, 2, 5, 5]
+        assert [p.distribution.atoms[0][0] for _, _, p in points[3:]] == [3.0, 1.0]
+
+    def test_config_built_in_python_walks_its_sweep(self):
+        pulsed = parse_config(
+            MINIMAL.replace("n = 12", "n = 8").replace("lambda = 5", "lambda = 2")
+            .replace("kind = projective", "kind = pulsed")
+        )
+        with pytest.raises(ValidationError, match="lambda \\+ 2 <= n"):
+            dataclasses.replace(pulsed, lambda_sweep=(7,))
+        with pytest.raises(ValidationError):
+            dataclasses.replace(pulsed, kappa_sweep=((1.5, 3.0, 3.0),))
+        assert dataclasses.replace(pulsed, lambda_sweep=(6,)).lambda_sweep == (6,)
 
     @pytest.mark.parametrize(
         "sweep", ["lambda_sweep = 2,13", "lambda_sweep = 0", "kappa_sweep = (1.5, 3.0, 3.0)",

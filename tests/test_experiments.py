@@ -248,6 +248,23 @@ class TestWriteCsv:
         write_csv(tmp_path / "t.csv", ("a", "b"), ([], np.array([])), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
 
+    def test_a_column_passed_twice_is_formatted_once(self, tmp_path, monkeypatch):
+        formatted = []
+
+        def counting(column, lone):
+            formatted.append(column)
+            return real(column, lone)
+
+        real = experiments._cells
+        monkeypatch.setattr(experiments, "_cells", counting)
+        pops = np.array([0.25, 1.0 / 3.0, 1e-300])
+        steps = np.arange(1, 4)
+        header = ("step", "P_cum", "pop_subspace")
+        write_csv(tmp_path / "t.csv", header, (steps, pops, pops), reproducible=True)
+        assert sum(c is pops for c in formatted) == 1
+        scalar_write_csv(tmp_path / "s.csv", header, zip(steps, pops, pops), reproducible=True)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
     def test_every_output_goes_through_write_csv(self, tmp_path, monkeypatch):
         # the benchmark times write_csv for its CSV rows/s; a writer that
         # bypassed it would go unmeasured
@@ -467,8 +484,9 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--g", "1,x"], ["--g", "1,inf"], ["--omega", "-1"], ["--dt", "0"], ["--t-max", "inf"]],
-        ids=["g-text", "g-inf", "omega-negative", "dt-zero", "t-max-inf"],
+        [["--g", "1,x"], ["--g", "1,inf"], ["--g", ","], ["--omega", "-1"], ["--dt", "0"],
+         ["--t-max", "inf"]],
+        ids=["g-text", "g-inf", "g-empty", "omega-negative", "dt-zero", "t-max-inf"],
     )
     def test_bad_three_level_flag_is_a_config_error(self, tmp_path, capsys, flags):
         rc = cli_main(["three-level"] + flags + ["--out-dir", str(tmp_path / "out")])

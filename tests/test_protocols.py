@@ -136,7 +136,8 @@ class TestPulsed:
         spec = ChainSpec(n_sites=10, subspace_size=3)
         config = ProtocolConfig(ProtocolKind.PULSED, 50, BIMODAL)
         traj = run_pulsed(spec, w_state(10, 3), config, SeededSampler(9))
-        assert np.array_equal(traj.subspace_population, traj.cumulative_survival)
+        # one array: the trajectory CSV formats its two columns once
+        assert traj.cumulative_survival is traj.subspace_population
         assert traj.survival_factors is None
 
     def test_swap_area_exchanges_outer_pair(self):
@@ -201,6 +202,11 @@ class TestContinuous:
         spec = ChainSpec(n_sites=5, subspace_size=2)
         with pytest.raises(ValueError):
             run_continuous(spec, w_state(5, 2), 10.0, 1.0, sample_times=np.array([0.0, 11.0]))
+
+    def test_population_is_cumulative_survival(self):
+        spec = ChainSpec(n_sites=6, subspace_size=2)
+        traj = run_continuous(spec, w_state(6, 2), total_time=30.0, coupling=0.3)
+        assert traj.cumulative_survival is traj.subspace_population
 
     def test_final_state_is_last_recorded_state(self):
         spec = ChainSpec(n_sites=9, subspace_size=4)
@@ -346,6 +352,28 @@ class TestLockstepKernel:
             assert_close(a.final_state, b.final_state)
             assert_close(np.array(a.states), np.array(b.states))
             # the stream continues where the scalar run left it
+            assert samplers[i].next_uint64() == own.next_uint64()
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    def test_full_subspace_matches_scalar_oracle(self, bernoulli):
+        # lambda = n: the block is the whole propagator and the complement is
+        # empty, so no outcome fails and states need no padding
+        spec, psi0 = ChainSpec(n_sites=5, subspace_size=5), w_state(5, 5)
+        config = pm_config(90, bernoulli=bernoulli, record_states=True)
+        base = SeededSampler(31)
+        samplers = [base.spawn(i) for i in range(4)]
+        for i, a in enumerate(run_lockstep(spec, psi0, config, samplers)):
+            own = base.spawn(i)
+            b = scalar_run_projective(spec, psi0, config, own)
+            assert a.aborted_at is None and b.aborted_at is None
+            assert np.array_equal(a.intervals, b.intervals)
+            if not bernoulli:
+                assert abs(a.log_survival - b.metadata["log_survival_product"]) <= 1e-12
+            assert_close(a.survival_factors, b.survival_factors)
+            assert_close(a.cumulative_survival, b.cumulative_survival)
+            assert_close(a.subspace_population, b.subspace_population)
+            assert_close(a.final_state, b.final_state)
+            assert_close(np.array(a.states), np.array(b.states))
             assert samplers[i].next_uint64() == own.next_uint64()
 
     def test_log_survival_finite_where_product_underflows(self):

@@ -7,6 +7,7 @@ from zenochain.stochastics import (
     IntervalDistribution,
     SeededSampler,
     derive_seed,
+    draw_uniforms,
     moments,
     sample_intervals,
     weak_zeno_margin,
@@ -142,6 +143,12 @@ class TestSampler:
         assert derive_seed(42, 3) != derive_seed(42, 4)
         assert derive_seed(42, 3) != derive_seed(43, 3)
 
+    @pytest.mark.parametrize("seed", [0, 42, -3, 2**63 + 11, 2**64 - 1, 2**70 + 5])
+    def test_derive_seed_over_an_index_array(self, seed):
+        children = derive_seed(seed, np.arange(40, dtype=np.uint64)).tolist()
+        assert children == [derive_seed(seed, i) for i in range(40)]
+        assert children == [SeededSampler(seed).spawn(i).seed for i in range(40)]
+
     def test_m_must_be_positive(self):
         d = IntervalDistribution.deterministic(1.0)
         with pytest.raises(ValueError):
@@ -165,6 +172,23 @@ class TestBlockDraws:
         # same state afterwards: the streams continue identically
         assert block.next_uint64() == scalar.next_uint64()
         assert block.uniform() == scalar.uniform()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=6),
+        k=st.integers(0, 200),
+    )
+    def test_multi_stream_rows_equal_each_stream(self, seeds, k):
+        # row r is samplers[r].uniforms(k) bit for bit, and every state ends
+        # where k single uniform() calls leave it
+        samplers = [SeededSampler(s) for s in seeds]
+        block = draw_uniforms(samplers, k)
+        assert block.shape == (len(seeds), k)
+        for row, s, seed in zip(block, samplers, seeds):
+            one, scalar = SeededSampler(seed), SeededSampler(seed)
+            assert np.array_equal(row, one.uniforms(k))
+            assert np.array_equal(row, [scalar.uniform() for _ in range(k)])
+            assert s.next_uint64() == one.next_uint64() == scalar.next_uint64()
 
     def test_rewind_repeats_draws(self):
         s = SeededSampler(5)
