@@ -74,8 +74,8 @@ def write_csv(
     Each column is formatted once, by its dtype: integers and bools in
     decimal, floats as ``%.15g``, strings as they are, quoted the way
     ``csv.writer`` quotes them.  A column that is the same object as an
-    earlier one reuses its cells.  Lines end in CRLF.  Unless
-    ``reproducible``, a ``# generated <timestamp>`` comment comes first.
+    earlier one is made text once for both fields.  Lines end in CRLF.
+    Unless ``reproducible``, a ``# generated <timestamp>`` comment comes first.
     """
     columns = list(columns)
     if len(columns) != len(header):
@@ -83,10 +83,13 @@ def write_csv(
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     lone = len(header) == 1
-    by_id: dict[int, tuple[str, list]] = {}  # a column passed twice is formatted once
+    by_id: dict[int, tuple[str, list]] = {}
     for c in columns:
         if id(c) not in by_id:
             by_id[id(c)] = _cells(c, lone)
+        elif by_id[id(c)][0] != "%s":  # a column passed twice is made text once
+            field, cells = by_id[id(c)]
+            by_id[id(c)] = "%s", list(map(field.__mod__, cells))
     formatted = [by_id[id(c)] for c in columns]
     line = ",".join(field for field, _ in formatted) + "\r\n"
     rows = zip(*(cells for _, cells in formatted))

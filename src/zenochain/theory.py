@@ -31,6 +31,11 @@ Gamma * t stays small.  Given the interval distribution, the series follows
 the damped, renormalized evolution, which the simulated staircase tracks
 at long runs (lambda = 9, m = 2000: ln P within 3% instead of 29% off).
 
+Both series are mode sums sum_k W_k exp(-i w_k j dt) on the grid t_j = j dt.
+With j = a C + b and C = ceil(sqrt(T)) for T points, the phase factors into
+two tables of about sqrt(T) exponentials per mode, joined by one batched
+product.  Against one exponential per point, values move by at most 5e-14.
+
 The module also carries the three-level strong-coupling model: chain site 1
 driven at rate omega, sites 2-3 locked by coupling g, with the exact
 survival P(t) = (1 - (2 omega^2/(omega^2+g^2)) sin^2(sqrt(omega^2+g^2) t/2))^2.
@@ -46,7 +51,7 @@ import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, hamiltonian, projector, zeno_hamiltonian
-from .protocols import _check_initial_state, run_exact_subspace
+from .protocols import _check_initial_state
 from .stochastics import IntervalDistribution, Moments, moments
 
 STRONG_REGIME_BOUND = 0.1
@@ -185,16 +190,27 @@ def edge_damping_rate(d: IntervalDistribution, beta: float) -> float:
     return beta**2 * mom.mean * (1.0 + mom.kappa) / 2.0
 
 
-def _damped_edge_values(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    t_grid: np.ndarray,
-    d: IntervalDistribution,
+def _grid_sums(weights: np.ndarray, rates: np.ndarray, dt: float, points: int) -> np.ndarray:
+    """sum_k weights[s, k] exp(-i rates_k j dt) for j < points; see the module docstring."""
+    c = int(np.ceil(np.sqrt(points)))
+    coarse = np.exp(-1j * np.outer(np.arange(0, points, c) * dt, rates))  # j = a C
+    fine = np.exp(-1j * np.outer(rates, np.arange(c) * dt))  # j = b < C
+    return ((weights[:, None, :] * coarse) @ fine).reshape(len(weights), -1)[:, :points]
+
+
+def _edge_values(
+    spec: ChainSpec, psi0: np.ndarray, dt: float, points: int, d: Optional[IntervalDistribution]
 ) -> np.ndarray:
-    # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|
+    """|c_lambda(j dt)|^2 for j < points: ideal without d, damped with it."""
     lam = spec.subspace_size
     psi_sub = _check_initial_state(psi0, lam)[:lam]
     gen = zeno_hamiltonian(spec)
+    if d is None:
+        dec = linalg.hermitian_eig(gen)
+        coeff = dec.eigenvectors.conj().T @ psi_sub
+        edge = _grid_sums(dec.eigenvectors[-1:] * coeff, dec.eigenvalues, dt, points)
+        return np.abs(edge[0]) ** 2
+    # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|
     gen[lam - 1, lam - 1] -= 1j * edge_damping_rate(d, spec.beta)
     w, v = np.linalg.eig(gen)
     cond = float(np.linalg.cond(v))
@@ -206,8 +222,7 @@ def _damped_edge_values(
     coeff = np.linalg.solve(v, psi_sub)
     # divide out the slowest decay so the ratio below cannot underflow
     rates = w - 1j * np.max(w.imag)
-    amps = v @ (np.exp(-1j * np.outer(rates, t_grid)) * coeff[:, None])
-    pops = np.abs(amps) ** 2
+    pops = np.abs(_grid_sums(v * coeff, rates, dt, points)) ** 2
     return pops[-1] / np.sum(pops, axis=0)
 
 
@@ -234,13 +249,12 @@ def edge_population(
     ExceptionalPointError when that generator cannot be diagonalized
     reliably.
     """
-    if not (dt > 0 and t_max > 0):
-        raise ValueError("t_max and dt must be positive")
+    if not (0 < t_max < np.inf and 0 < dt < np.inf):
+        raise ValueError(f"t_max = {t_max} and dt = {dt} must be finite and positive")
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
-    if distribution is None:
-        values = np.abs(run_exact_subspace(spec, psi0, t_grid).states[:, -1]) ** 2
-    else:
-        values = _damped_edge_values(spec, psi0, t_grid, distribution)
+    if len(t_grid) < 2:
+        raise ValueError(f"t_max = {t_max} and dt = {dt} give a grid of fewer than two points")
+    values = _edge_values(spec, psi0, dt, len(t_grid), distribution)
     avg = float(_cumulative_trapezoid(values, t_grid)[-1] / t_grid[-1])
     return EdgePopulationSeries(t_grid=t_grid, values=values, time_average=avg)
 
@@ -264,6 +278,8 @@ def pstar_time_averaged_curve(
     must cover that horizon for the largest m requested.
     """
     m_values = np.asarray(m_values)
+    if np.any(m_values < 1):
+        raise ValueError("every m must be >= 1")
     mom = moments(d)
     t_ends = m_values * mom.mean
     if t_ends.max() > series.t_grid[-1] + 1e-9:

@@ -7,6 +7,8 @@ independent.  Keep n <= 6.
 The scalar_* functions are the one-realization, one-draw-at-a-time protocol
 loops the lockstep ensemble kernel replaced, kept verbatim as its reference,
 and the cell-by-cell CSV writer the column-wise ``write_csv`` replaced.
+``scalar_damped_edge_values`` is the damped edge series with one exponential
+per rate and grid point, the reference for the factored grid evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from zenochain import linalg
-from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian
+from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, zeno_hamiltonian
 from zenochain.protocols import (
     DEAD_BRANCH,
     ProtocolConfig,
@@ -30,6 +32,7 @@ from zenochain.protocols import (
     _check_initial_state,
 )
 from zenochain.stochastics import IntervalDistribution, SeededSampler
+from zenochain.theory import EIGVEC_COND_LIMIT, ExceptionalPointError, edge_damping_rate
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -253,3 +256,29 @@ def scalar_write_csv(
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def scalar_damped_edge_values(
+    spec: ChainSpec,
+    psi0: np.ndarray,
+    t_grid: np.ndarray,
+    d: IntervalDistribution,
+) -> np.ndarray:
+    # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|
+    lam = spec.subspace_size
+    psi_sub = _check_initial_state(psi0, lam)[:lam]
+    gen = zeno_hamiltonian(spec)
+    gen[lam - 1, lam - 1] -= 1j * edge_damping_rate(d, spec.beta)
+    w, v = np.linalg.eig(gen)
+    cond = float(np.linalg.cond(v))
+    if not cond <= EIGVEC_COND_LIMIT:
+        raise ExceptionalPointError(
+            f"eigenvector condition number {cond:.3e} exceeds {EIGVEC_COND_LIMIT:.0e}: "
+            "damped edge generator is near an exceptional point"
+        )
+    coeff = np.linalg.solve(v, psi_sub)
+    # divide out the slowest decay so the ratio below cannot underflow
+    rates = w - 1j * np.max(w.imag)
+    amps = v @ (np.exp(-1j * np.outer(rates, t_grid)) * coeff[:, None])
+    pops = np.abs(amps) ** 2
+    return pops[-1] / np.sum(pops, axis=0)

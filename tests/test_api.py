@@ -33,3 +33,15 @@ def test_every_name_the_demos_import_resolves():
         "zenochain.experiments.scaling_sweep",
         "zenochain.experiments.kappa_family",
     } <= checked
+
+
+def test_the_package_has_no_assert_statements():
+    # python -O strips assert statements; a runtime check must raise instead
+    package = Path(zenochain.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

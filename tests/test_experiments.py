@@ -249,11 +249,20 @@ class TestWriteCsv:
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
 
     def test_a_column_passed_twice_is_formatted_once(self, tmp_path, monkeypatch):
-        formatted = []
+        formatted, converted = [], []
+
+        class Cell:  # formats as its float, counting each conversion to text
+            def __init__(self, value):
+                self.value = value
+
+            def __float__(self):
+                converted.append(self.value)
+                return self.value
 
         def counting(column, lone):
             formatted.append(column)
-            return real(column, lone)
+            field, cells = real(column, lone)
+            return field, [Cell(v) for v in cells] if column is pops else cells
 
         real = experiments._cells
         monkeypatch.setattr(experiments, "_cells", counting)
@@ -262,6 +271,7 @@ class TestWriteCsv:
         header = ("step", "P_cum", "pop_subspace")
         write_csv(tmp_path / "t.csv", header, (steps, pops, pops), reproducible=True)
         assert sum(c is pops for c in formatted) == 1
+        assert converted == pops.tolist()
         scalar_write_csv(tmp_path / "s.csv", header, zip(steps, pops, pops), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zenochain.chain import ChainSpec, basis_state, leftmost_excited, w_state
-from zenochain.linalg import propagator
+from zenochain.chain import ChainSpec, basis_state, leftmost_excited, w_state, zeno_hamiltonian
+from zenochain.linalg import evolve, propagator
 from zenochain.protocols import ProtocolConfig, ProtocolKind, run_lockstep, run_projective
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments, weak_zeno_margin
 from zenochain import theory
@@ -25,6 +27,8 @@ from zenochain.theory import (
     VarianceCrossCheckError,
     variance_h_pi,
 )
+
+from helpers import scalar_damped_edge_values
 
 BIMODAL = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
 
@@ -238,6 +242,64 @@ class TestDampedEdgePopulation:
             edge_population(spec, leftmost_excited(6), t_max=100.0, dt=1.0, distribution=d)
 
 
+# 1, 2, primes, perfect squares and squares +- 1: the A x C split of the grid
+# into coarse and fine steps has its edge cases here
+EDGE_POINT_COUNTS = (1, 2, 3, 7, 61, 4093, 4, 9, 49, 4096, 8, 10, 48, 50, 4095, 4097)
+
+
+@st.composite
+def edge_cases(draw):
+    lam = draw(st.integers(1, 9))
+    n = max(2, lam + draw(st.integers(0, 3)))
+    kind = draw(st.sampled_from(["leftmost", "w", "random"]))
+    if kind == "leftmost":
+        psi = leftmost_excited(n)
+    elif kind == "w":
+        psi = w_state(n, lam)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        psi = np.zeros(n, dtype=complex)
+        psi[:lam] = rng.normal(size=lam) + 1j * rng.normal(size=lam)
+        psi /= np.linalg.norm(psi)
+    d = draw(st.one_of(
+        st.sampled_from([BIMODAL, IntervalDistribution.bimodal(3.0, 5.0, 0.5)]),
+        st.floats(0.05, 10.0).map(IntervalDistribution.deterministic),
+    ))
+    dt, points = draw(st.floats(0.01, 2.0)), draw(st.sampled_from(EDGE_POINT_COUNTS))
+    return ChainSpec(n_sites=n, subspace_size=lam), psi, d, dt, points
+
+
+class TestFactoredGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(case=edge_cases())
+    def test_both_series_match_the_direct_formula(self, case):
+        spec, psi, d, dt, points = case
+        lam = spec.subspace_size
+        t_grid = np.arange(points) * dt
+        direct = np.abs(evolve(zeno_hamiltonian(spec), psi[:lam], t_grid)[:, -1]) ** 2
+        ideal = theory._edge_values(spec, psi, dt, points, None)
+        assert np.max(np.abs(ideal - direct)) <= 1e-12
+        damped = theory._edge_values(spec, psi, dt, points, d)
+        oracle = scalar_damped_edge_values(spec, psi, t_grid, d)
+        assert np.max(np.abs(damped - oracle)) <= 1e-12
+        if points >= 2:  # the grid edge_population evaluates on is exactly j * dt
+            for dist, values in ((None, ideal), (d, damped)):
+                t_max = (points - 1) * dt
+                series = edge_population(spec, psi, t_max=t_max, dt=dt, distribution=dist)
+                assert np.array_equal(series.t_grid, t_grid)
+                assert np.array_equal(series.values, values)
+
+    @pytest.mark.parametrize(
+        "t_max, dt",
+        [(0.1, 1.0), (1.0, np.inf), (1.0, np.nan), (np.inf, 1.0), (0.0, 1.0), (1.0, -1.0)],
+    )
+    def test_grid_without_two_finite_points_raises(self, t_max, dt):
+        spec = ChainSpec(n_sites=6, subspace_size=3)
+        for d in (None, BIMODAL):
+            with pytest.raises(ValueError, match="t_max"):
+                edge_population(spec, leftmost_excited(6), t_max=t_max, dt=dt, distribution=d)
+
+
 class TestTimeAveraged:
     def test_constant_edge_reduces_to_weak_form_exactly(self):
         spec = ChainSpec(n_sites=12, subspace_size=2)
@@ -269,6 +331,13 @@ class TestTimeAveraged:
         series = edge_population(spec, leftmost_excited(12), t_max=30.0, dt=0.15)
         with pytest.raises(ValueError):
             pstar_time_averaged_curve(np.array([1000]), BIMODAL, series, spec.beta)
+
+    @pytest.mark.parametrize("m_values", [[0], [1, 0, 2], [-3]])
+    def test_curve_rejects_m_below_one(self, m_values):
+        spec = ChainSpec(n_sites=12, subspace_size=2)
+        series = edge_population(spec, w_state(12, 2), t_max=30.0, dt=0.15)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            pstar_time_averaged_curve(np.array(m_values), BIMODAL, series, spec.beta)
 
     def test_in_regime_agreement_with_simulation(self):
         # lambda=9 staircase: the mean ln P of 20 runs stays within 10% of the
