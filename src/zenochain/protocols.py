@@ -37,6 +37,8 @@ from .stochastics import (
 
 NORM_TOL = 1e-10
 DEAD_BRANCH = 1e-300
+NORM_FLOOR = 1e-250  # a block whose products end below this is redone step by step
+BLOCK = 64  # steps per renormalization of the projective state
 
 
 class InitialStateOutsideSubspaceError(ValueError):
@@ -64,8 +66,15 @@ class ProtocolConfig:
     bernoulli: bool = False  # projective only: sample outcomes instead of post-selecting
 
     def __post_init__(self) -> None:
-        if self.num_intervals < 1:
+        m = self.num_intervals
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"num_intervals must be an integer, got {m!r}")
+        if m < 1:
             raise ValueError("num_intervals must be >= 1")
+        if self.bernoulli and self.kind is not ProtocolKind.PROJECTIVE:
+            raise ValueError(
+                f"bernoulli outcomes apply to the projective protocol only, not {self.kind.value}"
+            )
         if self.kind is ProtocolKind.PULSED and not (0 < self.pulse_area < np.inf):
             raise ValueError(f"pulse_area must be positive and finite, got {self.pulse_area}")
         if (
@@ -134,6 +143,45 @@ def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:
     return psi0.copy()
 
 
+def _products(mats: np.ndarray, block: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = mats[block[i]] @ out[i - 1] column by column, from out[-1] = psi."""
+    for atoms, step in zip(block, out):
+        psi = np.matmul(mats[atoms], psi, out=step)
+
+
+def _projective_block(
+    mats: np.ndarray, block: np.ndarray, psi: np.ndarray, out: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """Advance normalized subspace states through one block of steps.
+
+    psi is width x lambda x 1, block is steps x width atom indices.  The
+    block P U(mu) P is linear, so the unnormalized products carry every
+    step: their squared norms n_i give q_i = n_i / n_(i-1), with n_(-1) = 1,
+    and one division leaves the renormalized state after each step in out.
+    Norms never grow, so a live column whose last norm falls below
+    NORM_FLOOR (where a product may have underflowed) is redone one step at
+    a time, and its q are the per-step ones.  Other columns under the floor
+    (aborted ones) get finite placeholders.  Returns q, steps x width.
+    """
+    _products(mats, block, psi, out)
+    norms = (np.abs(out[..., 0]) ** 2).sum(-1)
+    redo = (norms[-1] < NORM_FLOOR) & (len(block) > 1)
+    norms[:, redo] = 1.0  # placeholders; live columns are redone below
+    q = norms.copy()
+    q[1:] /= norms[:-1]
+    # the max only acts at a dead step (q < DEAD_BRANCH): finite values after
+    # it are never read
+    out /= np.sqrt(np.maximum(norms, DEAD_BRANCH))[..., None, None]
+    for r in np.flatnonzero(redo & live):
+        state = psi[r : r + 1]
+        for i in range(len(block)):
+            q[i, r] = _projective_block(
+                mats, block[i : i + 1, r : r + 1], state, out[i : i + 1, r : r + 1], live[r : r + 1]
+            )[0, 0]
+            state = out[i, r : r + 1]
+    return q
+
+
 def _lockstep(
     kind: ProtocolKind,
     spec: ChainSpec,
@@ -149,13 +197,16 @@ def _lockstep(
     gather of per-atom matrices plus one batched product, column by column,
     so no column's numbers depend on the width of the ensemble:
 
-    - pulsed: the fused kick @ U(mu) on the n-site state;
+    - pulsed: the fused kick @ U(mu) on the n-site state, unitary, so never
+      renormalized;
     - projective: the lambda x lambda block P U(mu) P on a state that lives
-      on the subspace; the complement is built only for a column whose
+      on the subspace, renormalized once per block of BLOCK steps
+      (_projective_block); the complement is built only for a column whose
       Bernoulli outcome fails, and states are zero-padded back to n sites.
 
-    Survival, times and populations are whole (width x steps) arrays, and
-    each Trajectory holds row slices of them.
+    Factors, populations and states are written a block at a time into
+    whole (width x steps) arrays, and each Trajectory holds row slices of
+    them.
     """
     n, lam, m, width = spec.n_sites, spec.subspace_size, config.num_intervals, len(samplers)
     psi0 = _check_initial_state(psi0, lam)
@@ -172,33 +223,45 @@ def _lockstep(
     atoms = atom_indices(d, draws[:, :m])  # width x m
     intervals = d.values[atoms]
     psi = np.repeat(psi0[None, :dim, None], width, axis=0)
+    buf = np.empty((min(BLOCK, m), width, dim, 1), dtype=complex)
 
     pops = np.empty((width, m))
     factors = np.empty((width, m)) if projective else None
     states = np.zeros((width, m, n), dtype=complex) if config.record_states else None
     aborted_at = np.zeros(width, dtype=int)  # 0 = never
     collapsed: dict[int, np.ndarray] = {}
-    for j in range(m):
-        prev, psi = psi, mats[atoms[:, j]] @ psi
-        q = (np.abs(psi[:, :lam, 0]) ** 2).sum(1)
+    for j in range(0, m, BLOCK):
+        block = atoms[:, j : j + BLOCK].T
+        b, out = len(block), buf[: len(block)]
         if projective:
-            if q.min() < DEAD_BRANCH and np.any(q[aborted_at == 0] < DEAD_BRANCH):
-                raise ZeroSurvivalError(f"survival factor underflow at step {j + 1}")
-            factors[:, j] = q
+            live = aborted_at == 0
+            q = _projective_block(mats, block, psi, out, live)
+            dead = (q < DEAD_BRANCH) & live
             if bernoulli:
-                for r in np.flatnonzero((aborted_at == 0) & (draws[:, m + j] >= q)):
-                    # failed outcome: collapse onto the complement and freeze
-                    out = steps[atoms[r, j], :, :lam] @ prev[r, :, 0]
-                    out[:lam] = 0.0
-                    collapsed[r] = out / np.linalg.norm(out)
-                    aborted_at[r] = j + 1
-                    samplers[r].rewind(m - j - 1)  # outcome draws never made
-                q = np.where(aborted_at == 0, q, 1.0)
-            psi /= np.sqrt(q)[:, None, None]
-            q = (np.abs(psi[:, :, 0]) ** 2).sum(1)
-        pops[:, j] = q
+                fail = (draws[:, m + j : m + j + b].T >= q) & live
+                first = np.where(fail.any(0), fail.argmax(0), b)  # b = no failure
+                dead &= np.arange(b)[:, None] <= first  # later steps are never reached
+            if dead.any():
+                raise ZeroSurvivalError(
+                    f"survival factor underflow at step {j + dead.any(1).argmax() + 1}"
+                )
+            factors[:, j : j + b] = q.T
+            if bernoulli:
+                for r in np.flatnonzero(first < b):
+                    # failed outcome: collapse the state before it onto the complement
+                    k = int(first[r])
+                    prev = out[k - 1, r, :, 0] if k else psi[r, :, 0]
+                    collapse = steps[atoms[r, j + k], :, :lam] @ prev
+                    collapse[:lam] = 0.0
+                    collapsed[r] = collapse / np.linalg.norm(collapse)
+                    aborted_at[r] = j + k + 1
+                    samplers[r].rewind(m - j - k - 1)  # outcome draws never made
+        else:
+            _products(mats, block, psi, out)
+        pops[:, j : j + b] = (np.abs(out[:, :, :lam, 0]) ** 2).sum(-1).T
         if states is not None:
-            states[:, j, :dim] = psi[:, :, 0]
+            states[:, j : j + b, :dim] = out[..., 0].transpose(1, 0, 2)
+        psi = out[-1].copy()  # the next block overwrites buf
         if bernoulli and np.all(aborted_at):
             break
 
@@ -211,12 +274,12 @@ def _lockstep(
     elif projective:
         log_cum = np.cumsum(np.log(factors), axis=1)
         cum = np.exp(log_cum)
-    for r, out in collapsed.items():
+    for r, collapse in collapsed.items():
         k = aborted_at[r] - 1
         cum[r, k] = pops[r, k] = 0.0
-        final[r] = out
+        final[r] = collapse
         if states is not None:
-            states[r, k] = out
+            states[r, k] = collapse
     trajs = []
     for r in range(width):
         k = aborted_at[r] or m

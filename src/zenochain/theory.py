@@ -278,8 +278,10 @@ def pstar_time_averaged_curve(
     must cover that horizon for the largest m requested.
     """
     m_values = np.asarray(m_values)
-    if np.any(m_values < 1):
-        raise ValueError("every m must be >= 1")
+    if m_values.size == 0:
+        raise ValueError("m_values is empty")
+    if not np.all(m_values >= 1):  # nan compares False
+        raise ValueError("every entry of m_values must be a number >= 1")
     mom = moments(d)
     t_ends = m_values * mom.mean
     if t_ends.max() > series.t_grid[-1] + 1e-9:

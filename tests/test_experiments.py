@@ -525,6 +525,16 @@ class TestCLI:
         assert rc == 0
         assert (tmp_path / "sim" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["pulsed", "continuous"])
+    def test_bernoulli_for_a_coherent_protocol_is_a_config_error(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace("kind = projective", f"kind = {kind}\nbernoulli = true"))
+        rc = cli_main(["simulate", str(cfg), "--out-dir", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "bernoulli" in err
+        assert not (tmp_path / "sim").exists()
+
     def test_theory_writes_the_theory_csv_of_simulate(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG.replace(

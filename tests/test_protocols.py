@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenochain import linalg
+from zenochain import linalg, protocols
 from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, leftmost_excited, projector, w_state
 from zenochain.linalg import propagator
 from zenochain.protocols import (
+    BLOCK,
     InitialStateOutsideSubspaceError,
     ProtocolConfig,
     ProtocolKind,
@@ -266,11 +267,20 @@ class TestDispatcher:
             (ProtocolKind.CONTINUOUS, {"coupling": -1.0}),
             (ProtocolKind.CONTINUOUS, {"coupling": np.inf}),
             (ProtocolKind.CONTINUOUS, {"coupling": np.nan}),
+            (ProtocolKind.PROJECTIVE, {"num_intervals": 10.5}),
+            (ProtocolKind.PROJECTIVE, {"num_intervals": 10.0}),
+            (ProtocolKind.PROJECTIVE, {"num_intervals": True}),
+            (ProtocolKind.PULSED, {"bernoulli": True}),
+            (ProtocolKind.CONTINUOUS, {"bernoulli": True}),
         ],
     )
     def test_config_rejects_bad_values(self, kind, fields):
-        with pytest.raises(ValueError):
+        (name,) = fields
+        with pytest.raises(ValueError, match=name):
             ProtocolConfig(kind, **{"num_intervals": 10, "distribution": BIMODAL, **fields})
+
+    def test_config_takes_numpy_integers(self):
+        assert ProtocolConfig(ProtocolKind.PROJECTIVE, np.int64(3), BIMODAL).num_intervals == 3
 
     def test_projective_dispatch(self):
         spec = ChainSpec(n_sites=9, subspace_size=3)
@@ -284,6 +294,27 @@ def assert_close(a, b, tol=1e-12):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape
     assert np.max(np.abs(a - b), initial=0.0) <= tol
+
+
+def assert_matches_oracle(a, b, config):
+    """A kernel trajectory against the scalar oracle's run of the same stream."""
+    assert a.aborted_at == b.aborted_at
+    assert np.array_equal(a.intervals, b.intervals)
+    if config.kind is ProtocolKind.PROJECTIVE and not config.bernoulli:
+        assert abs(a.log_survival - b.metadata["log_survival_product"]) <= 1e-12
+    if b.survival_factors is not None:
+        assert_close(a.survival_factors, b.survival_factors)
+    assert_close(a.cumulative_survival, b.cumulative_survival)
+    assert_close(a.subspace_population, b.subspace_population)
+    assert_close(a.final_state, b.final_state)
+    assert_close(np.array(a.states), np.array(b.states))
+
+
+def assert_same_run(a, b):
+    for name in ("intervals", "cumulative_survival", "subspace_population", "final_state",
+                 "survival_factors", "log_cumulative_survival", "states"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
 
 
 @st.composite
@@ -311,13 +342,7 @@ class TestLockstepKernel:
         config = pm_config(m, record_states=True)
         a = run_projective(spec, psi0, config, SeededSampler(seed))
         b = scalar_run_projective(spec, psi0, config, SeededSampler(seed))
-        assert np.array_equal(a.intervals, b.intervals)
-        assert abs(a.log_survival - b.metadata["log_survival_product"]) <= 1e-12
-        assert_close(a.survival_factors, b.survival_factors)
-        assert_close(a.cumulative_survival, b.cumulative_survival)
-        assert_close(a.subspace_population, b.subspace_population)
-        assert_close(a.final_state, b.final_state)
-        assert_close(np.array(a.states), np.array(b.states))
+        assert_matches_oracle(a, b, config)
 
     @pytest.mark.parametrize("n, lam, m, seed", [(12, 4, 800, 2), (6, 3, 300, 5)])
     def test_pulsed_matches_scalar_oracle(self, n, lam, m, seed):
@@ -325,11 +350,7 @@ class TestLockstepKernel:
         config = ProtocolConfig(ProtocolKind.PULSED, m, BIMODAL, record_states=True)
         a = run_pulsed(spec, psi0, config, SeededSampler(seed))
         b = scalar_run_pulsed(spec, psi0, config, SeededSampler(seed))
-        assert np.array_equal(a.intervals, b.intervals)
-        assert_close(a.subspace_population, b.subspace_population)
-        assert_close(a.cumulative_survival, b.cumulative_survival)
-        assert_close(a.final_state, b.final_state)
-        assert_close(np.array(a.states), np.array(b.states))
+        assert_matches_oracle(a, b, config)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bernoulli_ensemble_matches_scalar_oracle(self, seed):
@@ -364,16 +385,8 @@ class TestLockstepKernel:
         samplers = [base.spawn(i) for i in range(4)]
         for i, a in enumerate(run_lockstep(spec, psi0, config, samplers)):
             own = base.spawn(i)
-            b = scalar_run_projective(spec, psi0, config, own)
-            assert a.aborted_at is None and b.aborted_at is None
-            assert np.array_equal(a.intervals, b.intervals)
-            if not bernoulli:
-                assert abs(a.log_survival - b.metadata["log_survival_product"]) <= 1e-12
-            assert_close(a.survival_factors, b.survival_factors)
-            assert_close(a.cumulative_survival, b.cumulative_survival)
-            assert_close(a.subspace_population, b.subspace_population)
-            assert_close(a.final_state, b.final_state)
-            assert_close(np.array(a.states), np.array(b.states))
+            assert a.aborted_at is None
+            assert_matches_oracle(a, scalar_run_projective(spec, psi0, config, own), config)
             assert samplers[i].next_uint64() == own.next_uint64()
 
     def test_log_survival_finite_where_product_underflows(self):
@@ -434,3 +447,70 @@ class TestLockstepKernel:
         assert np.all(traj.survival_factors <= 1.0 + slack)
         assert np.all(np.diff(p) <= slack * p[:-1])
         assert np.all(np.diff(traj.log_cumulative_survival) <= slack)
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning, e.g. 0/0 on a zero-norm column
+class TestBlockRenormalization:
+    """The projective state is renormalized once per block of BLOCK steps."""
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_block_edges_match_scalar_oracle(self, m):
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=9), leftmost_excited(12)
+        config = pm_config(m, record_states=True)
+        a = run_projective(spec, psi0, config, SeededSampler(m))
+        b = scalar_run_projective(spec, psi0, config, SeededSampler(m))
+        assert_matches_oracle(a, b, config)
+        spec = ChainSpec(n_sites=12, subspace_size=4)
+        config = ProtocolConfig(ProtocolKind.PULSED, m, BIMODAL, record_states=True)
+        a = run_pulsed(spec, psi0, config, SeededSampler(m))
+        b = scalar_run_pulsed(spec, psi0, config, SeededSampler(m))
+        assert_matches_oracle(a, b, config)
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    def test_dead_branch_names_its_step(self, monkeypatch, bernoulli):
+        # identity steps, then one swap of site 1 out of the subspace at step
+        # BLOCK + 5, inside the second block
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(linalg, "propagators", lambda h, times: np.array([np.eye(2), swap]))
+        pattern = np.arange(2 * BLOCK + 3) == BLOCK + 4
+        monkeypatch.setattr(
+            protocols, "atom_indices", lambda d, u: np.broadcast_to(pattern, u.shape) * 1
+        )
+        spec = ChainSpec(n_sites=2, subspace_size=1)
+        config = pm_config(2 * BLOCK + 3, bernoulli=bernoulli)
+        with pytest.raises(ZeroSurvivalError, match=f"at step {BLOCK + 5}$"):
+            run_lockstep(spec, leftmost_excited(2), config, [SeededSampler(0), SeededSampler(1)])
+
+    # spawn index of SeededSampler(0) -> the step its first Bernoulli outcome
+    # fails (picked for BLOCK = 64)
+    FIRST_FAILURES = {3: 1, 100: BLOCK, 61: BLOCK + 1, 35: 2 * BLOCK, 868: 2 * BLOCK + 1, 7: None}
+
+    def test_bernoulli_failures_at_block_edges(self):
+        spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
+        config = pm_config(2 * BLOCK + 3, IntervalDistribution.bimodal(4.0, 9.0, 0.5),
+                           bernoulli=True, record_states=True)
+        base = SeededSampler(0)
+        samplers = [base.spawn(i) for i in self.FIRST_FAILURES]
+        trajs = run_lockstep(spec, psi0, config, samplers)
+        for (i, step), a, sampler in zip(self.FIRST_FAILURES.items(), trajs, samplers):
+            own = base.spawn(i)
+            b = scalar_run_projective(spec, psi0, config, own)
+            assert a.aborted_at == step
+            assert_matches_oracle(a, b, config)
+            assert sampler.next_uint64() == own.next_uint64()
+
+    def test_column_underflowing_mid_block_is_redone_alone(self):
+        # lambda = 1: mu = 50 swaps site 1 out up to q = 2.6e-32, so the
+        # unnormalized product of stream 7 reaches 0 inside its second block
+        # (12 such steps there); stream 1 has at most 6 per block and stays
+        # above the floor
+        spec, psi0 = ChainSpec(n_sites=2, subspace_size=1), leftmost_excited(2)
+        d = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
+        config = pm_config(2 * BLOCK + 3, d, record_states=True)
+        pair = run_lockstep(spec, psi0, config, [SeededSampler(7), SeededSampler(1)])
+        for seed, a in zip((7, 1), pair):
+            leaks = [np.sum(a.intervals[j : j + BLOCK] == 50.0) for j in (0, BLOCK, 2 * BLOCK)]
+            assert max(leaks) == (12 if seed == 7 else 6)
+            b = scalar_run_projective(spec, psi0, config, SeededSampler(seed))
+            assert_matches_oracle(a, b, config)
+            assert_same_run(a, run_projective(spec, psi0, config, SeededSampler(seed)))

@@ -332,11 +332,11 @@ class TestTimeAveraged:
         with pytest.raises(ValueError):
             pstar_time_averaged_curve(np.array([1000]), BIMODAL, series, spec.beta)
 
-    @pytest.mark.parametrize("m_values", [[0], [1, 0, 2], [-3]])
+    @pytest.mark.parametrize("m_values", [[0], [1, 0, 2], [-3], [np.nan, 2.0], [], [[]]])
     def test_curve_rejects_m_below_one(self, m_values):
         spec = ChainSpec(n_sites=12, subspace_size=2)
         series = edge_population(spec, w_state(12, 2), t_max=30.0, dt=0.15)
-        with pytest.raises(ValueError, match="m must be >= 1"):
+        with pytest.raises(ValueError, match="m_values"):
             pstar_time_averaged_curve(np.array(m_values), BIMODAL, series, spec.beta)
 
     def test_in_regime_agreement_with_simulation(self):
