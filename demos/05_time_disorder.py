@@ -16,15 +16,13 @@ from zenochain import (
     IntervalDistribution,
     ProtocolConfig,
     ProtocolKind,
-    SeededSampler,
     aggregate,
     edge_population,
     moments,
     pstar_time_averaged,
-    run_projective,
     w_state,
 )
-from zenochain.experiments import kappa_family, write_csv
+from zenochain.experiments import kappa_family, run_ensemble, write_csv
 
 spec = ChainSpec(n_sites=12, subspace_size=2)
 psi0 = w_state(12, 2)
@@ -38,11 +36,8 @@ for p1, mu1, mu2 in kappa_family():
     mom = moments(d)
     series = edge_population(spec, psi0, t_max=m * mom.mean, dt=mom.mean / 20)
     pred = pstar_time_averaged(m, d, series, spec.beta)
-    base = SeededSampler(77)
-    trajs = [
-        run_projective(spec, psi0, ProtocolConfig(ProtocolKind.PROJECTIVE, m, d), base.spawn(i))
-        for i in range(realizations)
-    ]
+    protocol = ProtocolConfig(ProtocolKind.PROJECTIVE, m, d)
+    trajs, _ = run_ensemble(spec, psi0, protocol, realizations, seed=77)
     summary = aggregate(trajs)
     print(
         f"{1 + mom.kappa:7.3f}   {mu1:4.2f}, {mu2:5.2f}      "

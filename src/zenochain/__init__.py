@@ -6,13 +6,14 @@ XY chain restricted to the single-excitation sector, and evaluates the
 closed-form typical-survival predictions they are compared against.
 """
 
+import types as _types
+
 from .analysis import (
     EnsembleSummary,
     VelocityFit,
     aggregate,
     ensemble_fidelities,
     fit_velocity,
-    protocol_fidelity,
     uhlmann_fidelity,
 )
 from .chain import (
@@ -64,54 +65,9 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_RATE",
-    "ChainSpec",
-    "EdgePopulationSeries",
-    "EigenDecomposition",
-    "EnsembleSummary",
-    "IntervalDistribution",
-    "Moments",
-    "ProtocolConfig",
-    "ProtocolKind",
-    "SeededSampler",
-    "SubspaceEvolution",
-    "TheoryPrediction",
-    "Trajectory",
-    "VelocityFit",
-    "aggregate",
-    "ensemble_fidelities",
-    "coupling_hamiltonian",
-    "derive_seed",
-    "edge_population",
-    "evolve",
-    "fit_velocity",
-    "hamiltonian",
-    "hermitian_eig",
-    "leftmost_excited",
-    "moments",
-    "projector",
-    "propagator",
-    "protocol_fidelity",
-    "pstar_exact_product",
-    "pstar_strong",
-    "pstar_time_averaged",
-    "pstar_time_averaged_curve",
-    "pstar_weak",
-    "remainder_constant",
-    "run_continuous",
-    "run_exact_subspace",
-    "run_lockstep",
-    "run_projective",
-    "run_pulsed",
-    "sample_intervals",
-    "sqrt_psd",
-    "three_level_hamiltonian",
-    "three_level_survival",
-    "three_level_transform",
-    "uhlmann_fidelity",
-    "variance_h_pi",
-    "w_state",
-    "weak_zeno_margin",
-    "zeno_hamiltonian",
-]
+# every name imported above, less the submodules those imports bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -10,17 +10,13 @@ import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, hopping_matrix, leftmost_excited
-from .protocols import SubspaceEvolution, Trajectory, run_exact_subspace
+from .protocols import Trajectory, run_exact_subspace
 
 DM_TOL = 1e-10
 
 
 class InvalidDensityMatrixError(ValueError):
     """Input is not a Hermitian PSD trace-one matrix."""
-
-
-class TimeMismatchError(ValueError):
-    """Protocol trajectory and reference evolution ended at different times."""
 
 
 class NoPeakFoundError(RuntimeError):
@@ -73,25 +69,15 @@ def _overlaps(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return np.clip(np.abs((ideal.conj() * states[:, : ideal.shape[1]]).sum(1)), 0.0, 1.0)
 
 
-def protocol_fidelity(traj: Trajectory, reference: SubspaceEvolution) -> float:
-    """Fidelity of the final protocol state against the ideal one.
-
-    The reference comes from run_exact_subspace and lives in the subspace;
-    its last time must be the trajectory's total time.  Both states are
-    pure, so the fidelity is their overlap.
-    """
-    t_a, t_b = traj.total_time, float(reference.times[-1])
-    if abs(t_a - t_b) > 1e-9 * max(1.0, abs(t_a), abs(t_b)):
-        raise TimeMismatchError(f"trajectory at t={t_a}, reference at t={t_b}")
-    return float(_overlaps(traj.final_state[None], reference.states[-1:])[0])
-
-
 def ensemble_fidelities(
     spec: ChainSpec, psi0: np.ndarray, realizations: Sequence[Trajectory]
 ) -> np.ndarray:
-    """``protocol_fidelity`` of every realization at its own end time.
+    """Fidelity of each realization's final state against the ideal confined
+    evolution (``run_exact_subspace``) at the realization's own end time.
 
-    The ideal states at all end times come from one eigendecomposition.
+    Both states are pure, so the fidelity is their overlap.  The ideal states
+    at all end times come from one eigendecomposition; score a single run as
+    ``ensemble_fidelities(spec, psi0, [traj])[0]``.
     """
     ref = run_exact_subspace(spec, psi0, np.array([t.total_time for t in realizations]))
     return _overlaps(np.array([t.final_state for t in realizations]), ref.states)

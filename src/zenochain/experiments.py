@@ -218,7 +218,8 @@ def run_experiment(
     """Run the configured experiment; emit trajectory, summary and theory CSVs.
 
     Sweeps (lambda_sweep, kappa_sweep) add one summary/theory row per point;
-    per-step trajectory files are written for the base configuration only.
+    per-step trajectory files are written for the base configuration only,
+    and its realizations and predicted P* are returned.
     """
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -249,7 +250,7 @@ def run_experiment(
     write_csv(out / "theory.csv", THEORY_HEADER, zip(*theory_rows), reproducible)
     return {
         "out_dir": out,
-        "mean_log_survival": float(np.mean([t.log_survival for t in base_trajs])),
+        "trajectories": base_trajs,
         "pstar_time_avg": base_pred.pstar,
         "files": sorted(p.name for p in out.glob("*.csv")),
     }

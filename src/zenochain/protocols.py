@@ -19,7 +19,7 @@ modified chains (for instance a severed boundary bond).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -115,7 +115,6 @@ class Trajectory:
     log_cumulative_survival: Optional[np.ndarray] = None
     states: Optional[np.ndarray] = None  # steps x dim, when recorded
     aborted_at: Optional[int] = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:

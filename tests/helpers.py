@@ -195,7 +195,8 @@ def scalar_run_projective(
         states=states if config.record_states else None,
         final_state=psi,
         aborted_at=aborted_at,
-        metadata={"log_survival_product": log_p},
+        # the running ln-product, as post-selected kernel runs report it
+        log_cumulative_survival=None if config.bernoulli else np.cumsum(np.log(qs)),
     )
 
 

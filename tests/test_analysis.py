@@ -4,17 +4,15 @@ import pytest
 from zenochain.analysis import (
     InvalidDensityMatrixError,
     NoPeakFoundError,
-    TimeMismatchError,
     aggregate,
     density_matrix,
     ensemble_fidelities,
     first_peak_time,
     fit_velocity,
     local_maxima,
-    protocol_fidelity,
     uhlmann_fidelity,
 )
-from zenochain.chain import ChainSpec, hamiltonian, w_state
+from zenochain.chain import ChainSpec, hamiltonian, w_state, zeno_hamiltonian
 from zenochain.protocols import (
     ProtocolConfig,
     ProtocolKind,
@@ -85,7 +83,7 @@ class TestUhlmannFidelity:
             uhlmann_fidelity(bad, np.eye(2) / 2)
 
 
-class TestProtocolFidelity:
+class TestEnsembleFidelities:
     def test_perfect_confinement_by_severed_boundary(self):
         # zero the hopping across the subspace boundary: dynamics never
         # leaks, so the protocol and the reference coincide
@@ -96,33 +94,22 @@ class TestProtocolFidelity:
         traj = run_projective(
             spec, w_state(8, 3), config, SeededSampler(5), hamiltonian_override=h
         )
-        ref = run_exact_subspace(spec, w_state(8, 3), np.array([0.0, traj.total_time]))
-        assert abs(protocol_fidelity(traj, ref) - 1.0) <= 1e-9
+        assert abs(ensemble_fidelities(spec, w_state(8, 3), [traj])[0] - 1.0) <= 1e-9
         assert abs(traj.final_survival - 1.0) <= 1e-12
 
     def test_trivial_projector(self):
         spec = ChainSpec(n_sites=4, subspace_size=4)
         config = ProtocolConfig(ProtocolKind.PROJECTIVE, 25, BIMODAL)
         traj = run_projective(spec, w_state(4, 4), config, SeededSampler(2))
-        ref = run_exact_subspace(spec, w_state(4, 4), np.array([0.0, traj.total_time]))
-        assert abs(protocol_fidelity(traj, ref) - 1.0) <= 1e-9
-
-    def test_time_mismatch_rejected(self):
-        spec = ChainSpec(n_sites=6, subspace_size=2)
-        config = ProtocolConfig(ProtocolKind.PROJECTIVE, 10, BIMODAL)
-        traj = run_projective(spec, w_state(6, 2), config, SeededSampler(1))
-        ref = run_exact_subspace(spec, w_state(6, 2), np.array([0.0, traj.total_time + 5.0]))
-        with pytest.raises(TimeMismatchError):
-            protocol_fidelity(traj, ref)
+        assert abs(ensemble_fidelities(spec, w_state(4, 4), [traj])[0] - 1.0) <= 1e-9
 
     def test_rejects_unnormalized_state(self):
         spec = ChainSpec(n_sites=6, subspace_size=2)
         config = ProtocolConfig(ProtocolKind.PROJECTIVE, 10, BIMODAL)
         traj = run_projective(spec, w_state(6, 2), config, SeededSampler(1))
-        ref = run_exact_subspace(spec, w_state(6, 2), np.array([0.0, traj.total_time]))
         traj.final_state = 1.01 * traj.final_state
         with pytest.raises(InvalidDensityMatrixError):
-            protocol_fidelity(traj, ref)
+            ensemble_fidelities(spec, w_state(6, 2), [traj])
 
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_ensemble_fidelities_match_single_scoring(self, kind):
@@ -132,10 +119,30 @@ class TestProtocolFidelity:
         trajs = run_lockstep(spec, psi0, config, [SeededSampler(8).spawn(i) for i in range(6)])
         fids = ensemble_fidelities(spec, psi0, trajs)
         for traj, f in zip(trajs, fids):
+            assert abs(f - ensemble_fidelities(spec, psi0, [traj])[0]) <= 1e-12
             ref = run_exact_subspace(spec, psi0, np.array([0.0, traj.total_time]))
-            assert abs(f - protocol_fidelity(traj, ref)) <= 1e-12
             rho_ref = density_matrix(np.pad(ref.states[-1], (0, 10 - len(ref.states[-1]))))
             assert abs(f - uhlmann_fidelity(density_matrix(traj.final_state), rho_ref)) <= 1e-9
+
+    def test_bernoulli_columns_scored_at_their_own_end_times(self):
+        # seed 3 aborts columns 4, 5 and 7 at steps 7, 37 and 6; the rest run
+        # all 40 steps.  An aborted column ends on the complement, so it
+        # scores 0; a live one scores |<exp(-i H_Z T_r) psi0|psi_r>|.
+        spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
+        config = ProtocolConfig(ProtocolKind.PROJECTIVE, 40, BIMODAL, bernoulli=True)
+        trajs = run_lockstep(spec, psi0, config, [SeededSampler(3).spawn(i) for i in range(10)])
+        assert [t.aborted_at for t in trajs] == [None] * 4 + [7, 37, None, 6, None, None]
+        w, v = np.linalg.eigh(zeno_hamiltonian(spec))
+        for traj, f in zip(trajs, ensemble_fidelities(spec, psi0, trajs)):
+            steps = traj.aborted_at or 40
+            assert len(traj.times) == steps
+            assert abs(traj.total_time - np.sum(traj.intervals)) <= 1e-9
+            if traj.aborted_at:
+                assert f == 0.0
+                continue
+            ideal = v @ (np.exp(-1j * w * traj.total_time) * (v.conj().T @ psi0[:2]))
+            assert abs(f - abs(np.vdot(ideal, traj.final_state[:2]))) <= 1e-12
+            assert f > 0.99
 
 
 class TestAggregate:

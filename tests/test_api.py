@@ -1,5 +1,6 @@
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import zenochain
@@ -11,6 +12,8 @@ def test_every_exported_name_resolves():
     missing = [name for name in zenochain.__all__ if not hasattr(zenochain, name)]
     assert missing == []
     assert len(set(zenochain.__all__)) == len(zenochain.__all__)
+    modules = [n for n in zenochain.__all__ if isinstance(getattr(zenochain, n), types.ModuleType)]
+    assert modules == []
 
 
 def test_every_name_the_demos_import_resolves():

@@ -535,6 +535,36 @@ class TestCLI:
         assert "config error" in err and "bernoulli" in err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--realizations", "3"]],
+                             ids=["seed", "realizations"])
+    @pytest.mark.parametrize("command", ["theory", "three-level"])
+    def test_flag_without_effect_is_rejected(self, tmp_path, command, flag):
+        # neither subcommand draws intervals, so neither takes these flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG)
+        args = [command] + ([str(cfg)] if command == "theory" else [])
+        with pytest.raises(SystemExit) as exc:
+            cli_main(args + flag + ["--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bernoulli_simulate_is_warning_free(self, tmp_path):
+        # every column of this ensemble aborts, so each ln P is -inf; only
+        # compare reads ln P, and it refuses Bernoulli configs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            CONFIG.replace("lambda = 2", "lambda = 1")
+            .replace("m = 60", "m = 400\nbernoulli = true")
+            .replace(WSTATE, "initial_state = leftmost")
+            .replace("realizations = 3", "realizations = 6")
+        )
+        rc = cli_main(["simulate", str(cfg), "--out-dir", str(tmp_path / "sim"),
+                       "--reproducible"])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "sim" / "summary.csv")
+        assert [r[3] for r in rows] == ["0"]
+
     def test_theory_writes_the_theory_csv_of_simulate(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG.replace(
