@@ -3,14 +3,15 @@ excitation-front velocity extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .chain import ChainSpec, hopping_matrix, leftmost_excited
+from .chain import ChainSpec, leftmost_excited
 from .protocols import Trajectory, run_exact_subspace
+from .theory import edge_population
 
 DM_TOL = 1e-10
 
@@ -151,17 +152,18 @@ def fit_velocity(
 ) -> VelocityFit:
     """Excitation-front velocity from first edge-population peaks.
 
-    For each subspace size the leftmost-excited state evolves under the
-    corresponding chain Hamiltonian until |c_edge(t)|^2 first peaks; a line
-    through (peak time, distance = size - 1) gives the velocity.  The
-    comparison bound is e * beta (operator-norm bound on the front speed).
+    For each subspace size the leftmost-excited state evolves on a chain of
+    that many sites (``theory.edge_population``) until |c_edge(t)|^2 first
+    peaks; a line through (peak time, distance = size - 1) gives the
+    velocity.  The comparison bound is e * beta (operator-norm bound on the
+    front speed).
     """
     peaks = []
     for lam in subspace_sizes:
-        h = hopping_matrix(lam, spec.alpha, spec.beta, spec.include_field_phase)
-        t_grid = np.arange(0.0, np.pi * (lam + 2) / (2.0 * spec.beta), dt)
-        edge = linalg.evolve(h, leftmost_excited(lam), t_grid)[:, -1]
-        peaks.append(first_peak_time(t_grid, np.abs(edge) ** 2, threshold))
+        sub = replace(spec, n_sites=lam, subspace_size=lam)
+        t_max = np.pi * (lam + 2) / (2.0 * spec.beta)
+        edge = edge_population(sub, leftmost_excited(lam), t_max, dt)
+        peaks.append(first_peak_time(edge.t_grid, edge.values, threshold))
     peaks = np.array(peaks)
     distances = np.array([lam - 1 for lam in subspace_sizes], dtype=float)
     if len(peaks) == 1:

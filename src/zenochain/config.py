@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .chain import DEFAULT_RATE, ChainSpec, leftmost_excited, w_state
-from .protocols import NORM_TOL, ProtocolConfig, ProtocolKind
+from .protocols import ProtocolConfig, ProtocolKind, _check_initial_state
 from .stochastics import IntervalDistribution
 
 
@@ -66,11 +66,7 @@ class InitialStateSpec:
         if not (0 < norm < np.inf):
             raise ValidationError(f"custom state needs a finite nonzero norm, got {norm}")
         amps /= norm  # normalized on load
-        if np.linalg.norm(amps[spec.subspace_size :]) > NORM_TOL:
-            raise ValidationError(
-                f"custom state has weight beyond the first {spec.subspace_size} sites"
-            )
-        return amps
+        return _check_initial_state(amps, spec.subspace_size)
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,7 @@ SCHEMA = {
     "chain": {
         "n": (int, REQUIRED),
         "lambda": (int, REQUIRED),
-        "alpha": (float, DEFAULT_RATE),
         "beta": (float, DEFAULT_RATE),
-        "include_field_phase": (_bool, False),
     },
     "protocol": {
         "kind": (lambda raw: ProtocolKind(raw.lower()), REQUIRED),
@@ -205,9 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
             chain=ChainSpec(
                 n_sites=c["n"],
                 subspace_size=c["lambda"],
-                alpha=c["alpha"],
                 beta=c["beta"],
-                include_field_phase=c["include_field_phase"],
             ),
             protocol=ProtocolConfig(
                 kind=p["kind"],

@@ -105,7 +105,6 @@ class Trajectory:
     the first failed Bernoulli outcome, None otherwise.
     """
 
-    kind: ProtocolKind
     intervals: np.ndarray
     times: np.ndarray
     cumulative_survival: np.ndarray
@@ -118,7 +117,7 @@ class Trajectory:
 
     @property
     def total_time(self) -> float:
-        return float(self.times[-1]) if len(self.times) else 0.0
+        return float(self.times[-1])
 
     @property
     def final_survival(self) -> float:
@@ -182,7 +181,6 @@ def _projective_block(
 
 
 def _lockstep(
-    kind: ProtocolKind,
     spec: ChainSpec,
     psi0: np.ndarray,
     config: ProtocolConfig,
@@ -211,7 +209,7 @@ def _lockstep(
     psi0 = _check_initial_state(psi0, lam)
     h = hamiltonian(spec) if h is None else h
     d = config.distribution
-    projective = kind is ProtocolKind.PROJECTIVE
+    projective = config.kind is ProtocolKind.PROJECTIVE
     bernoulli = projective and config.bernoulli
     steps = linalg.propagators(h, d.values)  # one free evolution per atom
     if projective:
@@ -285,7 +283,6 @@ def _lockstep(
         pop = pops[r, :k]
         trajs.append(
             Trajectory(
-                kind=kind,
                 intervals=intervals[r, :k],
                 times=times[r, :k],
                 cumulative_survival=cum[r, :k] if projective else pop,
@@ -309,9 +306,9 @@ def run_projective(
     hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval projective protocol (post-selected by default)."""
-    return _lockstep(
-        ProtocolKind.PROJECTIVE, spec, psi0, config, [sampler], hamiltonian_override
-    )[0]
+    if config.kind is not ProtocolKind.PROJECTIVE:
+        raise ValueError(f"run_projective needs a projective config, not {config.kind.value}")
+    return _lockstep(spec, psi0, config, [sampler], hamiltonian_override)[0]
 
 
 def run_pulsed(
@@ -323,9 +320,9 @@ def run_pulsed(
     hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval kick protocol: psi <- exp(-i H_c s) U(mu_j) psi."""
-    return _lockstep(
-        ProtocolKind.PULSED, spec, psi0, config, [sampler], hamiltonian_override
-    )[0]
+    if config.kind is not ProtocolKind.PULSED:
+        raise ValueError(f"run_pulsed needs a pulsed config, not {config.kind.value}")
+    return _lockstep(spec, psi0, config, [sampler], hamiltonian_override)[0]
 
 
 def run_continuous(
@@ -338,7 +335,10 @@ def run_continuous(
     hamiltonian_override: Optional[np.ndarray] = None,
     record_states: bool = False,
 ) -> Trajectory:
-    """Constant strong-coupling protocol, exact via one eigendecomposition."""
+    """Constant strong-coupling protocol, exact via one eigendecomposition.
+
+    The final state is the state at the last sample time, total_time by default.
+    """
     if not (total_time > 0):
         raise ValueError("total_time must be positive")
     lam = spec.subspace_size
@@ -348,22 +348,20 @@ def run_continuous(
     if sample_times is None:
         sample_times = np.linspace(0.0, total_time, 2001)
     sample_times = np.asarray(sample_times, dtype=float)
-    if len(sample_times) and (
-        sample_times.min() < -1e-12 or sample_times.max() > total_time + 1e-9
-    ):
+    if not len(sample_times):
+        raise ValueError("sample_times is empty")
+    if sample_times.min() < -1e-12 or sample_times.max() > total_time + 1e-9:
         raise ValueError("sample_times must lie inside [0, total_time]")
 
-    # the final state rides along as one more time of the same evolution
-    states = linalg.evolve(h_tot, psi, np.append(sample_times, total_time))
-    pops = np.sum(np.abs(states[:-1, :lam]) ** 2, axis=1)
+    states = linalg.evolve(h_tot, psi, sample_times)
+    pops = np.sum(np.abs(states[:, :lam]) ** 2, axis=1)
 
     return Trajectory(
-        kind=ProtocolKind.CONTINUOUS,
         intervals=np.diff(sample_times, prepend=0.0),
         times=sample_times,
         cumulative_survival=pops,
         subspace_population=pops,
-        states=states[:-1] if record_states else None,
+        states=states if record_states else None,
         final_state=states[-1].copy(),  # not a view pinning the whole grid
     )
 
@@ -410,7 +408,7 @@ def run_lockstep(
     if not samplers:
         raise ValueError("need at least one realization")
     if config.kind is not ProtocolKind.CONTINUOUS:
-        return _lockstep(config.kind, spec, psi0, config, samplers, None)
+        return _lockstep(spec, psi0, config, samplers, None)
     mean = moments(config.distribution).mean
     traj = run_continuous(
         spec,

@@ -44,7 +44,7 @@ survival P(t) = (1 - (2 omega^2/(omega^2+g^2)) sin^2(sqrt(omega^2+g^2) t/2))^2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -79,10 +79,7 @@ class VarianceCrossCheckError(RuntimeError):
 @dataclass(frozen=True)
 class TheoryPrediction:
     pstar: float
-    regime: str  # "weak" | "strong" | "time_averaged" | "exact_product"
-    num_intervals: int
-    interval_moments: Optional[Moments]
-    variance_term: float
+    interval_moments: Moments
     out_of_regime: bool = False
 
     @property
@@ -134,10 +131,7 @@ def pstar_weak(m: int, d: IntervalDistribution, variance: float) -> TheoryPredic
     mom = moments(d)
     return TheoryPrediction(
         pstar=float(np.exp(-_exponent(m, mom, variance))),
-        regime="weak",
-        num_intervals=m,
         interval_moments=mom,
-        variance_term=variance,
     )
 
 
@@ -156,10 +150,7 @@ def pstar_strong(m: int, d: IntervalDistribution, variance: float) -> TheoryPred
         )
     return TheoryPrediction(
         pstar=1.0 - x,
-        regime="strong",
-        num_intervals=m,
         interval_moments=mom,
-        variance_term=variance,
         out_of_regime=out,
     )
 
@@ -177,10 +168,7 @@ def pstar_exact_product(
     mom = moments(d)
     return TheoryPrediction(
         pstar=float(np.exp(m * log_term)),
-        regime="exact_product",
-        num_intervals=m,
         interval_moments=mom,
-        variance_term=float("nan"),
     )
 
 
@@ -263,7 +251,7 @@ def pstar_time_averaged(
     m: int, d: IntervalDistribution, series: EdgePopulationSeries, beta: float
 ) -> TheoryPrediction:
     """Time-averaged prediction using <|c_lambda|^2> over the whole series."""
-    return replace(pstar_weak(m, d, beta**2 * series.time_average), regime="time_averaged")
+    return pstar_weak(m, d, beta**2 * series.time_average)
 
 
 def pstar_time_averaged_curve(

@@ -26,7 +26,6 @@ from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, zeno_h
 from zenochain.protocols import (
     DEAD_BRANCH,
     ProtocolConfig,
-    ProtocolKind,
     Trajectory,
     ZeroSurvivalError,
     _check_initial_state,
@@ -186,7 +185,6 @@ def scalar_run_projective(
     n = len(qs)
     intervals = intervals[:n]
     return Trajectory(
-        kind=ProtocolKind.PROJECTIVE,
         intervals=intervals,
         times=np.cumsum(intervals),
         cumulative_survival=np.array(cum),
@@ -225,7 +223,6 @@ def scalar_run_pulsed(
             states.append(psi.copy())
 
     return Trajectory(
-        kind=ProtocolKind.PULSED,
         intervals=intervals,
         times=np.cumsum(intervals),
         cumulative_survival=pops.copy(),

@@ -12,7 +12,7 @@ from zenochain.analysis import (
     local_maxima,
     uhlmann_fidelity,
 )
-from zenochain.chain import ChainSpec, hamiltonian, w_state, zeno_hamiltonian
+from zenochain.chain import ChainSpec, InvalidSpecError, hamiltonian, w_state, zeno_hamiltonian
 from zenochain.protocols import (
     ProtocolConfig,
     ProtocolKind,
@@ -211,7 +211,6 @@ def ln_p_realization(log_p):
     """A one-step projective trajectory whose ln P is exactly log_p."""
     one = np.ones(1)
     return Trajectory(
-        kind=ProtocolKind.PROJECTIVE,
         intervals=one,
         times=one,
         cumulative_survival=np.exp([log_p]),
@@ -264,6 +263,12 @@ class TestVelocity:
         spec = ChainSpec(n_sites=12, subspace_size=2)
         fit = fit_velocity(spec)
         assert 0.5 * fit.bound <= fit.velocity <= 1.0 * fit.bound
+
+    @pytest.mark.parametrize("sizes", [(1,), (0,), (2, 1)])
+    def test_size_below_two_is_a_named_error(self, sizes):
+        spec = ChainSpec(n_sites=12, subspace_size=2)
+        with pytest.raises(InvalidSpecError, match="n_sites must be >= 2"):
+            fit_velocity(spec, subspace_sizes=sizes)
 
     def test_no_peak_raises(self):
         with pytest.raises(NoPeakFoundError):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -36,6 +37,15 @@ def test_every_name_the_demos_import_resolves():
         "zenochain.experiments.scaling_sweep",
         "zenochain.experiments.kappa_family",
     } <= checked
+
+
+def test_run_continuous_keeps_the_parameters_the_bench_binds():
+    # bench/layers.py's continuous hook reads these arguments by name; without
+    # one of them a traced run fails with KeyError
+    params = inspect.signature(zenochain.protocols.run_continuous).parameters
+    bound = {"spec", "psi0", "total_time", "coupling", "sample_times",
+             "hamiltonian_override", "record_states"}
+    assert bound <= set(params)
 
 
 def test_the_package_has_no_assert_statements():

@@ -59,6 +59,12 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown key"):
             parse_config(MINIMAL + "\n[chain]\nfrobnicate = 1\n")
 
+    @pytest.mark.parametrize("line", ["alpha = 0.7", "include_field_phase = true"])
+    def test_field_phase_keys_are_unknown(self, line):
+        # in the single-excitation sector the field term is a global phase
+        with pytest.raises(ParseError, match="unknown key"):
+            parse_config(MINIMAL.replace("lambda = 5", "lambda = 5\n" + line))
+
     def test_unknown_section(self):
         with pytest.raises(ParseError, match="unknown section"):
             parse_config("[nope]\nx = 1\n" + MINIMAL)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenochain import linalg, protocols
+from zenochain.analysis import ensemble_fidelities
 from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, leftmost_excited, projector, w_state
 from zenochain.linalg import propagator
 from zenochain.protocols import (
@@ -216,6 +219,24 @@ class TestContinuous:
         assert traj.states.shape == (2001, 9)
         assert np.max(np.abs(traj.final_state - traj.states[-1])) <= 1e-15
 
+    def test_grid_short_of_total_time_ends_at_its_last_sample(self):
+        # the final state and the time it is scored at are both the last sample's
+        spec, psi0 = ChainSpec(n_sites=9, subspace_size=4), w_state(9, 4)
+        grid = np.arange(0.0, 80.0, 0.7)
+        traj = run_continuous(spec, psi0, total_time=80.0, coupling=0.3, sample_times=grid,
+                              record_states=True)
+        assert np.array_equal(traj.final_state, traj.states[-1])
+        assert traj.total_time == grid[-1] < 80.0
+        ideal = run_exact_subspace(spec, psi0, grid[-1:]).states[0]
+        want = abs(np.vdot(ideal, traj.final_state[:4]))
+        assert abs(ensemble_fidelities(spec, psi0, [traj])[0] - want) <= 1e-12
+
+    def test_empty_sample_times_rejected(self):
+        spec = ChainSpec(n_sites=12, subspace_size=3)
+        with pytest.raises(ValueError, match="sample_times is empty"):
+            run_continuous(spec, w_state(12, 3), total_time=10.0, coupling=1.0,
+                           sample_times=np.array([]))
+
 
 class TestExactSubspace:
     def test_single_site_population_constant(self):
@@ -286,8 +307,23 @@ class TestDispatcher:
         spec = ChainSpec(n_sites=9, subspace_size=3)
         config = ProtocolConfig(ProtocolKind.PROJECTIVE, 15, BIMODAL)
         traj = run_lockstep(spec, w_state(9, 3), config, [SeededSampler(1)])[0]
-        assert traj.kind is ProtocolKind.PROJECTIVE
+        assert traj.survival_factors is not None  # projective has factors
         assert len(traj.survival_factors) == 15
+
+    @pytest.mark.parametrize(
+        "run_one, config",
+        [
+            (run_pulsed, ProtocolConfig(ProtocolKind.PROJECTIVE, 15, BIMODAL, bernoulli=True)),
+            (run_projective, ProtocolConfig(ProtocolKind.CONTINUOUS, 15, BIMODAL)),
+        ],
+        ids=["pulsed-given-bernoulli", "projective-given-continuous"],
+    )
+    def test_runner_rejects_a_config_of_another_kind(self, run_one, config):
+        spec = ChainSpec(n_sites=9, subspace_size=3)
+        with pytest.raises(ValueError) as err:
+            run_one(spec, w_state(9, 3), config, SeededSampler(1))
+        runner_kind = run_one.__name__.removeprefix("run_")
+        assert runner_kind in str(err.value) and config.kind.value in str(err.value)
 
 
 def assert_close(a, b, tol=1e-12):
@@ -439,6 +475,7 @@ class TestLockstepKernel:
     @given(run=small_runs())
     def test_projective_survival_non_increasing(self, run):
         spec, psi0, config, seed = run
+        config = replace(config, kind=ProtocolKind.PROJECTIVE)
         traj = run_projective(spec, psi0, config, SeededSampler(seed))
         p = traj.cumulative_survival
         # q_j <= 1 up to the rounding of one unitary step on n sites (with
