@@ -24,6 +24,10 @@ class NoPeakFoundError(RuntimeError):
     """Edge population never formed a peak above the detection threshold."""
 
 
+class NonFiniteLogSurvivalError(ValueError):
+    """Some realization's ln P is not finite (an aborted Bernoulli run has P = 0)."""
+
+
 def density_matrix(psi: np.ndarray) -> np.ndarray:
     """Rank-1 density matrix |psi><psi|."""
     psi = np.asarray(psi, dtype=complex)
@@ -98,12 +102,20 @@ def aggregate(realizations: Sequence[Trajectory]) -> EnsembleSummary:
     ln P is each realization's ``log_survival``.  The most-probable-value
     estimate is the center of the tallest histogram bin of ln P, with bin
     width std/5 (the sample mean when the ensemble is degenerate: the bins
-    would not span more than a few representable floats).
+    would not span more than a few representable floats).  Raises
+    NonFiniteLogSurvivalError when any ln P is not finite, as for a Bernoulli
+    ensemble with an aborted run.
     """
     if not realizations:
         raise ValueError("need at least one realization")
     # sorted, so no statistic depends on the order of the realizations
     logs = np.sort([t.log_survival for t in realizations])
+    bad = int(np.count_nonzero(~np.isfinite(logs)))
+    if bad:
+        raise NonFiniteLogSurvivalError(
+            f"ln P is not finite for {bad} of {len(logs)} realizations; "
+            "log-survival statistics need every realization to survive"
+        )
     mean = float(np.mean(logs))
     std = float(np.std(logs, ddof=1)) if len(logs) > 1 else 0.0
     width = std / 5.0

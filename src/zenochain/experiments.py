@@ -441,7 +441,9 @@ def kappa_family(p1: float = 0.8, mean: float = 3.0, points: int = 7) -> list[tu
     """(p1, mu1, mu2) triples with fixed mean; kappa rises as mu1 drops.
 
     With mean pinned, mu2 = (mean - p1*mu1)/(1 - p1); at p1 = 0.8, mean = 3
-    this spans kappa in [0, 16/9] as mu1 goes from 3 down to 1.
+    this spans kappa in [0, 16/9] as mu1 goes from 3 down to 1.  The pin is
+    exact up to rounding: at the defaults the last triple's mean is
+    3.0000000000000004, so preset_fig5 sees two distinct means.
     """
     triples = []
     for mu1 in np.linspace(mean, 1.0, points):
@@ -462,24 +464,33 @@ def preset_fig5(
     initial: str = "wstate",
     reproducible: bool = False,
 ) -> Path:
-    """Protocol performance versus interval disorder (1 + kappa) at fixed mean."""
+    """Protocol performance versus interval disorder (1 + kappa) at fixed mean.
+
+    The ideal edge series and the continuous protocol depend on the mean
+    interval alone, so each runs once per distinct mean, not once per point.
+    """
     spec = ChainSpec(n_sites=N_SITES, subspace_size=lam)
     psi0 = w_state(N_SITES, lam) if initial == "wstate" else leftmost_excited(N_SITES)
+
+    def ensemble(kind: ProtocolKind, d: IntervalDistribution):
+        trajs, fids = run_ensemble(spec, psi0, ProtocolConfig(kind, m, d), realizations, seed)
+        return trajs, float(np.mean(fids))
+
+    per_mean = {}  # exact mean -> (ideal edge series, F_cc)
     rows = []
     for p1, mu1, mu2 in kappa_family():
         d = IntervalDistribution.bimodal(mu1, mu2, p1)
         mom = moments(d)
-        series = _edge_series(spec, psi0, d, m)
+        if mom.mean not in per_mean:
+            _, f_cc = ensemble(ProtocolKind.CONTINUOUS, d)
+            per_mean[mom.mean] = _edge_series(spec, psi0, d, m), f_cc
+        series, f_cc = per_mean[mom.mean]
+        trajs, f_pm = ensemble(ProtocolKind.PROJECTIVE, d)
+        _, f_pc = ensemble(ProtocolKind.PULSED, d)
         pred = pstar_time_averaged(m, d, series, spec.beta)
-        mean_fids = []  # F_pm, F_pc, F_cc
-        for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
-            proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
-            trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed)
-            mean_fids.append(float(np.mean(fids)))
-            if kind is ProtocolKind.PROJECTIVE:
-                surv = aggregate(trajs)
         rows.append(
-            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, surv.log_mean, pred.log_pstar, *mean_fids)
+            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, aggregate(trajs).log_mean, pred.log_pstar,
+             f_pm, f_pc, f_cc)
         )
     path = Path(out_dir) / ("fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv")
     write_csv(

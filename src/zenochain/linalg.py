@@ -6,12 +6,14 @@ Conventions: times in microseconds, Hamiltonians in rad/us (hbar = 1), so
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_RTOL = 1e-12
 PSD_CLAMP = 1e-10
+EIG_CACHE_SIZE = 16  # decompositions kept, least recently used dropped first
 
 
 class NotHermitianError(ValueError):
@@ -46,24 +48,42 @@ def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
     return hermiticity_defect(a) <= rtol * scale
 
 
+_eig_cache: OrderedDict[tuple, EigenDecomposition] = OrderedDict()
+
+
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitianError if the symmetry defect exceeds
     ``HERMITICITY_RTOL * max|A|``, NoConvergenceError if the solver fails.
+    The last EIG_CACHE_SIZE decompositions are kept by the exact input (its
+    shape and complex bytes), so a repeated matrix is diagonalized once; the
+    returned arrays are read-only because every caller of that input shares
+    them.  Only inputs that pass the checks are kept, so a bad one raises on
+    every call.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not is_hermitian(a):
-        raise NotHermitianError(
-            f"hermiticity defect {hermiticity_defect(a):.3e} exceeds tolerance"
-        )
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    key = (a.shape, a.tobytes())
+    dec = _eig_cache.get(key)
+    if dec is None:
+        if not is_hermitian(a):
+            raise NotHermitianError(
+                f"hermiticity defect {hermiticity_defect(a):.3e} exceeds tolerance"
+            )
+        try:
+            w, v = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NoConvergenceError(str(exc)) from exc
+        w.flags.writeable = v.flags.writeable = False
+        dec = EigenDecomposition(eigenvalues=w, eigenvectors=v)
+        _eig_cache[key] = dec
+        if len(_eig_cache) > EIG_CACHE_SIZE:
+            _eig_cache.popitem(last=False)
+    else:
+        _eig_cache.move_to_end(key)
+    return dec
 
 
 def propagators(h: np.ndarray, times) -> np.ndarray:

@@ -102,7 +102,8 @@ class Trajectory:
     survival_factors is None for the coherent protocols.  Post-selected
     projective runs keep log_cumulative_survival, the running sum of ln q_j,
     finite where the product underflows.  aborted_at is the 1-based step of
-    the first failed Bernoulli outcome, None otherwise.
+    the first failed Bernoulli outcome, None otherwise; log_survival is -inf
+    for such a run.
     """
 
     intervals: np.ndarray
@@ -127,7 +128,8 @@ class Trajectory:
     def log_survival(self) -> float:
         if self.log_cumulative_survival is not None:
             return float(self.log_cumulative_survival[-1])
-        return float(np.log(self.cumulative_survival[-1]))
+        p = self.final_survival
+        return -np.inf if p == 0 else float(np.log(p))  # P = 0: an aborted Bernoulli run
 
 
 def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from zenochain.analysis import (
     InvalidDensityMatrixError,
+    NonFiniteLogSurvivalError,
     NoPeakFoundError,
     aggregate,
     density_matrix,
@@ -12,7 +13,14 @@ from zenochain.analysis import (
     local_maxima,
     uhlmann_fidelity,
 )
-from zenochain.chain import ChainSpec, InvalidSpecError, hamiltonian, w_state, zeno_hamiltonian
+from zenochain.chain import (
+    ChainSpec,
+    InvalidSpecError,
+    hamiltonian,
+    leftmost_excited,
+    w_state,
+    zeno_hamiltonian,
+)
 from zenochain.protocols import (
     ProtocolConfig,
     ProtocolKind,
@@ -205,6 +213,24 @@ class TestAggregate:
         assert abs(summary.log_mean + 817.40) <= 0.01
         assert summary.log_std == 0.0
         assert summary.log_mode == summary.log_mean
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_bernoulli_ensemble_is_a_named_error(self):
+        spec = ChainSpec(n_sites=12, subspace_size=1)
+        config = ProtocolConfig(ProtocolKind.PROJECTIVE, 400, BIMODAL, bernoulli=True)
+        base = SeededSampler(7)
+        trajs = [run_projective(spec, leftmost_excited(12), config, base.spawn(i))
+                 for i in range(6)]
+        assert all(t.aborted_at for t in trajs)
+        with pytest.raises(NonFiniteLogSurvivalError, match="6 of 6 realizations"):
+            aggregate(trajs)
+
+    @pytest.mark.parametrize("log_p", [-np.inf, np.nan])
+    def test_one_non_finite_ln_p_is_counted(self, log_p):
+        trajs = [ln_p_realization(-1.0)] * 3 + [ln_p_realization(log_p)]
+        with pytest.raises(NonFiniteLogSurvivalError, match="1 of 4 realizations"):
+            aggregate(trajs)
 
 
 def ln_p_realization(log_p):

@@ -48,6 +48,11 @@ def test_run_continuous_keeps_the_parameters_the_bench_binds():
     assert bound <= set(params)
 
 
+def test_hermitian_eig_keeps_the_parameter_the_bench_binds():
+    # bench/layers.py's eigendecomposition hook reads args["a"]
+    assert "a" in inspect.signature(zenochain.linalg.hermitian_eig).parameters
+
+
 def test_the_package_has_no_assert_statements():
     # python -O strips assert statements; a runtime check must raise instead
     package = Path(zenochain.__file__).resolve().parent

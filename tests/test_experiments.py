@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenochain import experiments
-from zenochain.chain import ChainSpec, w_state
+from zenochain import experiments, protocols
+from zenochain.analysis import aggregate
+from zenochain.chain import ChainSpec, leftmost_excited, w_state
 from zenochain.cli import main as cli_main
 from zenochain.config import parse_config
 from zenochain.experiments import (
     kappa_family,
+    preset_fig5,
     run_ensemble,
     run_experiment,
     run_three_level,
@@ -20,7 +22,8 @@ from zenochain.experiments import (
     write_theory_csv,
 )
 from zenochain.protocols import ProtocolConfig, ProtocolKind, run_projective, run_pulsed
-from zenochain.stochastics import IntervalDistribution, SeededSampler
+from zenochain.stochastics import IntervalDistribution, SeededSampler, moments
+from zenochain.theory import pstar_time_averaged
 
 from helpers import scalar_write_csv
 
@@ -333,6 +336,34 @@ class TestThreeLevelRunner:
         assert worst[8.0] < worst[2.0]
 
 
+def loop_fig5(out_dir, seed=5001, m=500, realizations=50, lam=2, initial="wstate"):
+    """preset_fig5 as one edge series and three ensembles per kappa point:
+    the reference for the preset, which runs once per distinct mean what
+    depends on the mean alone."""
+    spec = ChainSpec(n_sites=12, subspace_size=lam)
+    psi0 = w_state(12, lam) if initial == "wstate" else leftmost_excited(12)
+    rows = []
+    for p1, mu1, mu2 in kappa_family():
+        d = IntervalDistribution.bimodal(mu1, mu2, p1)
+        mom = moments(d)
+        series = experiments._edge_series(spec, psi0, d, m)
+        pred = pstar_time_averaged(m, d, series, spec.beta)
+        mean_fids = []  # F_pm, F_pc, F_cc
+        for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
+            proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
+            trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed)
+            mean_fids.append(float(np.mean(fids)))
+            if kind is ProtocolKind.PROJECTIVE:
+                surv = aggregate(trajs)
+        rows.append(
+            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, surv.log_mean, pred.log_pstar, *mean_fids)
+        )
+    name = "fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv"
+    header = ("kappa", "one_plus_kappa", "mu1_us", "mu2_us", "ln_P_sim_mean",
+              "ln_pstar_theory", "F_pm", "F_pc", "F_cc")
+    write_csv(out_dir / name, header, zip(*rows), reproducible=True)
+
+
 class TestSweeps:
     def test_kappa_family_endpoints(self):
         fam = kappa_family()
@@ -343,6 +374,32 @@ class TestSweeps:
         # mean pinned at 3 for every member
         for p1, mu1, mu2 in fam:
             assert abs(p1 * mu1 + (1 - p1) * mu2 - 3.0) <= 1e-12
+
+    def test_kappa_family_has_two_distinct_means(self):
+        means = [moments(IntervalDistribution.bimodal(mu1, mu2, p1)).mean
+                 for p1, mu1, mu2 in kappa_family()]
+        assert means[:-1] == [3.0] * 6
+        assert means[-1] == 3.0000000000000004
+
+    @pytest.mark.parametrize("initial", ["wstate", "leftmost"])
+    def test_fig5_matches_the_per_point_loop(self, tmp_path, initial):
+        preset_fig5(tmp_path / "preset", m=20, realizations=5, initial=initial,
+                    reproducible=True)
+        loop_fig5(tmp_path / "loop", m=20, realizations=5, initial=initial)
+        name = "fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv"
+        assert (tmp_path / "preset" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
+
+    def test_fig5_runs_the_continuous_protocol_once_per_mean(self, tmp_path, monkeypatch):
+        means = []
+        run = protocols.run_continuous
+
+        def counted(*args, **kwargs):
+            means.append(kwargs["sample_times"][0])  # the grid is mean * (1..m)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "run_continuous", counted)
+        preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)
+        assert means == [3.0, 3.0000000000000004]
 
     def test_scaling_sweep_small(self):
         rows = scaling_sweep(lam=5, total_time=300.0, mu_min=1.0, mu_max=3.0, points=3)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenochain import linalg
 from zenochain.linalg import (
+    EIG_CACHE_SIZE,
     EigenDecomposition,
     NotHermitianError,
     NotPSDError,
@@ -69,6 +71,41 @@ class TestHermitianEig:
 
     def test_returns_type(self):
         assert isinstance(hermitian_eig(np.eye(2)), EigenDecomposition)
+
+
+class TestHermitianEigMemo:
+    def test_an_equal_copy_gets_the_same_decomposition(self):
+        a = random_hermitian(6, seed=11)
+        assert hermitian_eig(a.copy()) is hermitian_eig(np.asfortranarray(a))
+        real = a.real + a.real.T  # keyed after the cast to complex
+        assert hermitian_eig(real) is hermitian_eig(real.astype(complex))
+
+    def test_returned_arrays_are_read_only(self):
+        dec = hermitian_eig(random_hermitian(5, seed=13))
+        for arr in (dec.eigenvalues, dec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_non_hermitian_input_raises_every_time(self):
+        a = np.array([[0.0, 1.0], [0.5, 0.0]])
+        for _ in range(3):
+            with pytest.raises(NotHermitianError):
+                hermitian_eig(a)
+
+    def test_input_mutated_in_place_gets_its_own_decomposition(self):
+        a = random_hermitian(4, seed=14)
+        first = hermitian_eig(a)
+        a[0, 0] += 1.0
+        second = hermitian_eig(a)
+        assert second is not first
+        recon = (second.eigenvectors * second.eigenvalues) @ second.eigenvectors.conj().T
+        assert np.max(np.abs(recon - a)) <= 1e-12
+
+    def test_cache_stays_within_its_size(self):
+        for k in range(10 * EIG_CACHE_SIZE):
+            hermitian_eig(np.diag([float(k), -1.0]))
+            assert len(linalg._eig_cache) <= EIG_CACHE_SIZE
+        assert len(linalg._eig_cache) == EIG_CACHE_SIZE
 
 
 class TestPropagator:
