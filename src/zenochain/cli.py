@@ -111,12 +111,14 @@ def main(argv=None) -> int:
                     "compare covers post-selected projective configs only; no prediction applies"
                 )
             result = run_experiment(config, reproducible=args.reproducible)
-            pstar = result["pstar_time_avg"]
+            ln_pstar = result["prediction"].log_pstar  # finite where P* underflows
             mean_ln = float(np.mean([t.log_survival for t in result["trajectories"]]))
             print(f"mean ln P (simulation): {mean_ln:.6f}")
-            print(f"ln P* (time-averaged theory): {np.log(pstar):.6f}")
-            rel = abs(mean_ln - np.log(pstar)) / abs(np.log(pstar))
-            print(f"relative deviation: {rel:.4f}")
+            print(f"ln P* (time-averaged theory): {ln_pstar:.6f}")
+            if ln_pstar:
+                print(f"relative deviation: {abs(mean_ln - ln_pstar) / abs(ln_pstar):.4f}")
+            else:  # P* = 1 to double precision: nothing to be relative to
+                print("relative deviation: undefined (ln P* = 0)")
         elif args.command == "figure":
             for flag, value in (("--m", args.m), ("--realizations", args.realizations)):
                 if value is not None and value < 1:

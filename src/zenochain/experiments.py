@@ -104,9 +104,12 @@ def write_csv(
 def write_trajectory_csv(
     traj: Trajectory, path: Path, reproducible: bool = False
 ) -> None:
-    """Per-step export: step, t_us, mu_us, q_j, P_cum, pop_subspace."""
+    """Per-step export: step, t_us, mu_us, q_j, P_cum, pop_subspace.
+
+    q_j is blank for a coherent run, pop_subspace for a projective one.
+    """
     steps = len(traj.times)
-    q = traj.survival_factors if traj.survival_factors is not None else [""] * steps
+    blank = [""] * steps
     write_csv(
         path,
         ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace"),
@@ -114,9 +117,9 @@ def write_trajectory_csv(
             np.arange(1, steps + 1),
             traj.times,
             traj.intervals,
-            q,
+            blank if traj.survival_factors is None else traj.survival_factors,
             traj.cumulative_survival,
-            traj.subspace_population,
+            traj.cumulative_survival if traj.survival_factors is None else blank,
         ),
         reproducible,
     )
@@ -200,10 +203,10 @@ def run_ensemble(
 ):
     """All realizations for one chain geometry; returns (trajectories, fidelities).
 
-    Each realization i draws its intervals from the child stream
-    derive_seed(seed, i); all of them advance together in one lockstep
-    kernel and are scored against the ideal confined evolution at their own
-    realized total times.
+    Realization i draws its intervals from the child stream
+    derive_seed(seed, i); all advance together in one lockstep kernel and
+    are scored against the ideal confined evolution at their own realized
+    total times.  The continuous protocol is one run, not ``realizations``.
     """
     children = derive_seed(seed, np.arange(realizations, dtype=np.uint64))
     trajs = run_lockstep(spec, psi0, protocol, [SeededSampler(s) for s in children.tolist()])
@@ -218,8 +221,8 @@ def run_experiment(
     """Run the configured experiment; emit trajectory, summary and theory CSVs.
 
     Sweeps (lambda_sweep, kappa_sweep) add one summary/theory row per point;
-    per-step trajectory files are written for the base configuration only,
-    and its realizations and predicted P* are returned.
+    per-step trajectory files, one per run, are written for the base
+    configuration only, and its runs and predicted P* are returned.
     """
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,7 +254,7 @@ def run_experiment(
     return {
         "out_dir": out,
         "trajectories": base_trajs,
-        "pstar_time_avg": base_pred.pstar,
+        "prediction": base_pred,
         "files": sorted(p.name for p in out.glob("*.csv")),
     }
 
@@ -385,7 +388,7 @@ def preset_fig4(
             proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
             trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed + lam)
             survival = float(np.mean([t.final_survival for t in trajs]))
-            rows.append((lam, kind.value, float(np.mean(fids)), survival, realizations))
+            rows.append((lam, kind.value, float(np.mean(fids)), survival, len(fids)))
     path = out / "fig4_fidelity.csv"
     header = ("lambda", "protocol", "F_mean", "P_final_mean", "R")
     write_csv(path, header, zip(*rows), reproducible)
@@ -430,8 +433,8 @@ def scaling_sweep(
                 mu,
                 m,
                 1.0 - pm.final_survival,
-                float(np.max(1.0 - pc.subspace_population)),
-                float(np.max(1.0 - cc.subspace_population)),
+                float(np.max(1.0 - pc.cumulative_survival)),
+                float(np.max(1.0 - cc.cumulative_survival)),
             )
         )
     return rows
@@ -460,17 +463,16 @@ def preset_fig5(
     seed: int = 5001,
     m: int = 500,
     realizations: int = 50,
-    lam: int = 2,
     initial: str = "wstate",
     reproducible: bool = False,
 ) -> Path:
-    """Protocol performance versus interval disorder (1 + kappa) at fixed mean.
+    """Protocol performance versus interval disorder (1 + kappa) at fixed mean, lambda = 2.
 
     The ideal edge series and the continuous protocol depend on the mean
     interval alone, so each runs once per distinct mean, not once per point.
     """
-    spec = ChainSpec(n_sites=N_SITES, subspace_size=lam)
-    psi0 = w_state(N_SITES, lam) if initial == "wstate" else leftmost_excited(N_SITES)
+    spec = ChainSpec(n_sites=N_SITES, subspace_size=2)
+    psi0 = w_state(N_SITES, 2) if initial == "wstate" else leftmost_excited(N_SITES)
 
     def ensemble(kind: ProtocolKind, d: IntervalDistribution):
         trajs, fids = run_ensemble(spec, psi0, ProtocolConfig(kind, m, d), realizations, seed)

@@ -11,10 +11,11 @@ pulsed       -- the check is replaced by an instantaneous unitary kick
                 exp(-i H_c s) on the two sites outside the boundary.
 continuous   -- a constant strong term g * H_c is added to the chain
                 Hamiltonian; the evolution is evaluated exactly from one
-                eigendecomposition of H + g*H_c.
+                eigendecomposition of H + g*H_c.  It is deterministic, so
+                run_lockstep runs it once, however many samplers it gets.
 
-All runners accept an optional explicit sector Hamiltonian to support
-modified chains (for instance a severed boundary bond).
+run_continuous alone accepts an explicit sector Hamiltonian, for modified
+chains (for instance a severed boundary bond).
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ class Trajectory:
     """One protocol realization.
 
     cumulative_survival for the projective protocol is the running product
-    of the q_j; for the coherent protocols it is the same array as
-    subspace_population, the instantaneous subspace population (those
-    protocols are unitary, nothing is post-selected).
+    of the q_j (for a Bernoulli run the survival indicator); for the
+    coherent protocols, which are unitary and post-select nothing, it is the
+    instantaneous subspace population.
     survival_factors is None for the coherent protocols.  Post-selected
     projective runs keep log_cumulative_survival, the running sum of ln q_j,
     finite where the product underflows.  aborted_at is the 1-based step of
@@ -109,7 +110,6 @@ class Trajectory:
     intervals: np.ndarray
     times: np.ndarray
     cumulative_survival: np.ndarray
-    subspace_population: np.ndarray
     final_state: np.ndarray
     survival_factors: Optional[np.ndarray] = None
     log_cumulative_survival: Optional[np.ndarray] = None
@@ -187,7 +187,6 @@ def _lockstep(
     psi0: np.ndarray,
     config: ProtocolConfig,
     samplers: list[SeededSampler],
-    h: Optional[np.ndarray],
 ) -> list[Trajectory]:
     """Advance every realization of a projective or pulsed ensemble together.
 
@@ -203,17 +202,16 @@ def _lockstep(
       (_projective_block); the complement is built only for a column whose
       Bernoulli outcome fails, and states are zero-padded back to n sites.
 
-    Factors, populations and states are written a block at a time into
-    whole (width x steps) arrays, and each Trajectory holds row slices of
-    them.
+    Factors (projective), populations (pulsed) and states are written a
+    block at a time into whole (width x steps) arrays, and each Trajectory
+    holds row slices of them.
     """
     n, lam, m, width = spec.n_sites, spec.subspace_size, config.num_intervals, len(samplers)
     psi0 = _check_initial_state(psi0, lam)
-    h = hamiltonian(spec) if h is None else h
     d = config.distribution
     projective = config.kind is ProtocolKind.PROJECTIVE
     bernoulli = projective and config.bernoulli
-    steps = linalg.propagators(h, d.values)  # one free evolution per atom
+    steps = linalg.propagators(hamiltonian(spec), d.values)  # one free evolution per atom
     if projective:
         dim, mats = lam, steps[:, :lam, :lam].copy()  # contiguous: cheaper to gather
     else:
@@ -224,8 +222,8 @@ def _lockstep(
     psi = np.repeat(psi0[None, :dim, None], width, axis=0)
     buf = np.empty((min(BLOCK, m), width, dim, 1), dtype=complex)
 
-    pops = np.empty((width, m))
     factors = np.empty((width, m)) if projective else None
+    cum = None if projective else np.empty((width, m))  # pulsed: the subspace population
     states = np.zeros((width, m, n), dtype=complex) if config.record_states else None
     aborted_at = np.zeros(width, dtype=int)  # 0 = never
     collapsed: dict[int, np.ndarray] = {}
@@ -257,7 +255,7 @@ def _lockstep(
                     samplers[r].rewind(m - j - k - 1)  # outcome draws never made
         else:
             _products(mats, block, psi, out)
-        pops[:, j : j + b] = (np.abs(out[:, :, :lam, 0]) ** 2).sum(-1).T
+            cum[:, j : j + b] = (np.abs(out[:, :, :lam, 0]) ** 2).sum(-1).T
         if states is not None:
             states[:, j : j + b, :dim] = out[..., 0].transpose(1, 0, 2)
         psi = out[-1].copy()  # the next block overwrites buf
@@ -275,20 +273,18 @@ def _lockstep(
         cum = np.exp(log_cum)
     for r, collapse in collapsed.items():
         k = aborted_at[r] - 1
-        cum[r, k] = pops[r, k] = 0.0
+        cum[r, k] = 0.0
         final[r] = collapse
         if states is not None:
             states[r, k] = collapse
     trajs = []
     for r in range(width):
         k = aborted_at[r] or m
-        pop = pops[r, :k]
         trajs.append(
             Trajectory(
                 intervals=intervals[r, :k],
                 times=times[r, :k],
-                cumulative_survival=cum[r, :k] if projective else pop,
-                subspace_population=pop,
+                cumulative_survival=cum[r, :k],
                 final_state=final[r],
                 survival_factors=factors[r, :k] if projective else None,
                 log_cumulative_survival=None if log_cum is None else log_cum[r],
@@ -304,13 +300,11 @@ def run_projective(
     psi0: np.ndarray,
     config: ProtocolConfig,
     sampler: SeededSampler,
-    *,
-    hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval projective protocol (post-selected by default)."""
     if config.kind is not ProtocolKind.PROJECTIVE:
         raise ValueError(f"run_projective needs a projective config, not {config.kind.value}")
-    return _lockstep(spec, psi0, config, [sampler], hamiltonian_override)[0]
+    return _lockstep(spec, psi0, config, [sampler])[0]
 
 
 def run_pulsed(
@@ -318,13 +312,11 @@ def run_pulsed(
     psi0: np.ndarray,
     config: ProtocolConfig,
     sampler: SeededSampler,
-    *,
-    hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval kick protocol: psi <- exp(-i H_c s) U(mu_j) psi."""
     if config.kind is not ProtocolKind.PULSED:
         raise ValueError(f"run_pulsed needs a pulsed config, not {config.kind.value}")
-    return _lockstep(spec, psi0, config, [sampler], hamiltonian_override)[0]
+    return _lockstep(spec, psi0, config, [sampler])[0]
 
 
 def run_continuous(
@@ -356,13 +348,11 @@ def run_continuous(
         raise ValueError("sample_times must lie inside [0, total_time]")
 
     states = linalg.evolve(h_tot, psi, sample_times)
-    pops = np.sum(np.abs(states[:, :lam]) ** 2, axis=1)
 
     return Trajectory(
         intervals=np.diff(sample_times, prepend=0.0),
         times=sample_times,
-        cumulative_survival=pops,
-        subspace_population=pops,
+        cumulative_survival=np.sum(np.abs(states[:, :lam]) ** 2, axis=1),
         states=states if record_states else None,
         final_state=states[-1].copy(),  # not a view pinning the whole grid
     )
@@ -402,15 +392,15 @@ def run_lockstep(
     """One realization of the configured protocol per sampler, run together.
 
     Realization r is bit-identical to a lone run with samplers[r].  The
-    continuous protocol is deterministic: it runs once, for the expected
-    total time num_intervals * mean(mu), reports the population on the same
-    per-interval grid the stochastic protocols use, and that one trajectory
-    stands for every realization.
+    continuous protocol is deterministic and draws nothing: the list holds
+    its one run, for the expected total time num_intervals * mean(mu), with
+    the population on the same per-interval grid the stochastic protocols
+    use.
     """
     if not samplers:
         raise ValueError("need at least one realization")
     if config.kind is not ProtocolKind.CONTINUOUS:
-        return _lockstep(spec, psi0, config, samplers, None)
+        return _lockstep(spec, psi0, config, samplers)
     mean = moments(config.distribution).mean
     traj = run_continuous(
         spec,
@@ -420,4 +410,4 @@ def run_lockstep(
         sample_times=mean * np.arange(1, config.num_intervals + 1),
         record_states=config.record_states,
     )
-    return [traj] * len(samplers)
+    return [traj]

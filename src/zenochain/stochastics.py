@@ -117,6 +117,8 @@ class IntervalDistribution:
         for mu, p in self.atoms:
             if not (0 < mu < np.inf):
                 raise ValueError(f"interval must be positive and finite, got {mu}")
+            if float(mu) * mu == 0 or not float(mu) * mu * mu < np.inf:  # moments() needs both
+                raise ValueError(f"interval {mu}: mu^2 underflows to 0 or mu^3 overflows")
             if not (0 < p <= 1):
                 raise ValueError(f"probability must lie in (0, 1], got {p}")
             if mu in seen:

@@ -79,12 +79,9 @@ class VarianceCrossCheckError(RuntimeError):
 @dataclass(frozen=True)
 class TheoryPrediction:
     pstar: float
+    log_pstar: float  # as computed: finite where pstar underflows, -inf where pstar <= 0
     interval_moments: Moments
     out_of_regime: bool = False
-
-    @property
-    def log_pstar(self) -> float:
-        return float(np.log(self.pstar))
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,10 @@ def pstar_weak(m: int, d: IntervalDistribution, variance: float) -> TheoryPredic
     if variance < 0:
         raise ValueError("variance must be >= 0")
     mom = moments(d)
+    x = _exponent(m, mom, variance)
     return TheoryPrediction(
-        pstar=float(np.exp(-_exponent(m, mom, variance))),
+        pstar=float(np.exp(-x)),
+        log_pstar=-float(x),
         interval_moments=mom,
     )
 
@@ -150,6 +149,7 @@ def pstar_strong(m: int, d: IntervalDistribution, variance: float) -> TheoryPred
         )
     return TheoryPrediction(
         pstar=1.0 - x,
+        log_pstar=float(np.log1p(-x)) if x < 1 else -np.inf,
         interval_moments=mom,
         out_of_regime=out,
     )
@@ -165,10 +165,10 @@ def pstar_exact_product(
         if not (0 < q <= 1):
             raise NonPositiveQError(f"q({mu}) = {q} outside (0, 1]")
         log_term += p * np.log(q)
-    mom = moments(d)
     return TheoryPrediction(
         pstar=float(np.exp(m * log_term)),
-        interval_moments=mom,
+        log_pstar=float(m * log_term),
+        interval_moments=moments(d),
     )
 
 

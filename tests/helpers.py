@@ -141,19 +141,15 @@ def scalar_run_projective(
     psi0: np.ndarray,
     config: ProtocolConfig,
     sampler: SeededSampler,
-    *,
-    hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval projective protocol (post-selected by default)."""
     lam = spec.subspace_size
     psi = _check_initial_state(psi0, lam)
-    h = hamiltonian(spec) if hamiltonian_override is None else hamiltonian_override
-    props = _cached_propagators(h, config.distribution)
+    props = _cached_propagators(hamiltonian(spec), config.distribution)
     intervals = scalar_sample_intervals(config.distribution, sampler, config.num_intervals)
 
     qs: list[float] = []
     cum: list[float] = []
-    pops: list[float] = []
     states: list[np.ndarray] = []
     log_p = 0.0
     aborted_at: Optional[int] = None
@@ -169,7 +165,6 @@ def scalar_run_projective(
             psi[:lam] = 0.0
             psi /= np.linalg.norm(psi)
             cum.append(0.0)
-            pops.append(0.0)
             if config.record_states:
                 states.append(psi.copy())
             aborted_at = j
@@ -178,7 +173,6 @@ def scalar_run_projective(
         psi[lam:] = 0.0
         psi /= np.sqrt(q)
         cum.append(1.0 if config.bernoulli else float(np.exp(log_p)))
-        pops.append(float(np.sum(np.abs(psi[:lam]) ** 2)))
         if config.record_states:
             states.append(psi.copy())
 
@@ -188,7 +182,6 @@ def scalar_run_projective(
         intervals=intervals,
         times=np.cumsum(intervals),
         cumulative_survival=np.array(cum),
-        subspace_population=np.array(pops),
         survival_factors=np.array(qs),
         states=states if config.record_states else None,
         final_state=psi,
@@ -203,15 +196,12 @@ def scalar_run_pulsed(
     psi0: np.ndarray,
     config: ProtocolConfig,
     sampler: SeededSampler,
-    *,
-    hamiltonian_override: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Random-interval kick protocol: psi <- exp(-i H_c s) U(mu_j) psi."""
     lam = spec.subspace_size
     psi = _check_initial_state(psi0, lam)
-    h = hamiltonian(spec) if hamiltonian_override is None else hamiltonian_override
     kick = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area)
-    props = _cached_propagators(h, config.distribution)
+    props = _cached_propagators(hamiltonian(spec), config.distribution)
     intervals = scalar_sample_intervals(config.distribution, sampler, config.num_intervals)
 
     pops = np.empty(len(intervals))
@@ -225,8 +215,7 @@ def scalar_run_pulsed(
     return Trajectory(
         intervals=intervals,
         times=np.cumsum(intervals),
-        cumulative_survival=pops.copy(),
-        subspace_population=pops,
+        cumulative_survival=pops,
         states=states if config.record_states else None,
         final_state=psi,
     )

@@ -25,6 +25,7 @@ from zenochain.protocols import (
     ProtocolConfig,
     ProtocolKind,
     Trajectory,
+    run_continuous,
     run_exact_subspace,
     run_lockstep,
     run_projective,
@@ -98,9 +99,8 @@ class TestEnsembleFidelities:
         spec = ChainSpec(n_sites=8, subspace_size=3)
         h = hamiltonian(spec)
         h[2, 3] = h[3, 2] = 0.0
-        config = ProtocolConfig(ProtocolKind.PROJECTIVE, 40, BIMODAL)
-        traj = run_projective(
-            spec, w_state(8, 3), config, SeededSampler(5), hamiltonian_override=h
+        traj = run_continuous(
+            spec, w_state(8, 3), total_time=120.0, coupling=np.pi / 6, hamiltonian_override=h
         )
         assert abs(ensemble_fidelities(spec, w_state(8, 3), [traj])[0] - 1.0) <= 1e-9
         assert abs(traj.final_survival - 1.0) <= 1e-12
@@ -240,7 +240,6 @@ def ln_p_realization(log_p):
         intervals=one,
         times=one,
         cumulative_survival=np.exp([log_p]),
-        subspace_population=one,
         final_state=np.array([1.0 + 0j]),
         log_cumulative_survival=np.array([log_p]),
     )

@@ -4,7 +4,20 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
+
 import zenochain
+from zenochain.chain import ChainSpec, w_state
+from zenochain.experiments import preset_fig5
+from zenochain.protocols import (
+    ProtocolConfig,
+    ProtocolKind,
+    run_exact_subspace,
+    run_projective,
+    run_pulsed,
+)
+from zenochain.stochastics import IntervalDistribution, SeededSampler, sample_intervals
+from zenochain.theory import edge_population
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -46,6 +59,26 @@ def test_run_continuous_keeps_the_parameters_the_bench_binds():
     bound = {"spec", "psi0", "total_time", "coupling", "sample_times",
              "hamiltonian_override", "record_states"}
     assert bound <= set(params)
+
+
+def test_results_carry_the_attributes_the_bench_hooks_read():
+    # bench/layers.py's hooks read these only in traced runs, so a renamed
+    # field would pass every other test and fail a traced run
+    spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
+    d = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
+    runners = {ProtocolKind.PROJECTIVE: run_projective, ProtocolKind.PULSED: run_pulsed}
+    for kind, run in runners.items():
+        traj = run(spec, psi0, ProtocolConfig(kind, 5, d), SeededSampler(0))
+        assert len(traj.intervals) == 5 and len(traj.final_state) == 6
+    assert len(run_exact_subspace(spec, psi0, np.linspace(0.0, 1.0, 3)).times) == 3
+    assert len(edge_population(spec, psi0, t_max=1.0, dt=0.5).t_grid) == 3
+    assert len(sample_intervals(d, SeededSampler(0), 4)) == 4
+
+
+def test_no_parameter_that_no_caller_sets():
+    for run in (run_projective, run_pulsed):
+        assert "hamiltonian_override" not in inspect.signature(run).parameters
+    assert "lam" not in inspect.signature(preset_fig5).parameters
 
 
 def test_hermitian_eig_keeps_the_parameter_the_bench_binds():

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,47 @@ class TestRunExperiment:
         assert abs(kappas[2] - 16.0 / 9.0) <= 1e-12
 
     @pytest.mark.parametrize(
+        "text",
+        [CONFIG, CONFIG.replace("lambda = 2", "lambda = 1")
+         .replace("m = 60", "m = 400\nbernoulli = true")
+         .replace(WSTATE, "initial_state = leftmost")],
+        ids=["post-selected", "bernoulli"],
+    )
+    def test_projective_trajectory_leaves_pop_subspace_blank(self, tmp_path, text):
+        # the state is renormalized into the subspace, so there is no
+        # population series; the other five columns are the run's own
+        result = run_experiment(parse_config(text), out_dir=tmp_path, reproducible=True)
+        for i, traj in enumerate(result["trajectories"]):
+            _, rows = read_csv(tmp_path / f"trajectory_r{i}.csv")
+            steps = len(traj.times)
+            assert [r[5] for r in rows] == [""] * steps
+            want = (traj.times, traj.intervals, traj.survival_factors, traj.cumulative_survival)
+            assert [r[0] for r in rows] == [str(k) for k in range(1, steps + 1)]
+            for k, column in enumerate(want, start=1):
+                assert [r[k] for r in rows] == ["%.15g" % v for v in column]
+        if "bernoulli" in text:  # every run of this config aborts
+            assert all(t.aborted_at and t.final_survival == 0.0 for t in result["trajectories"])
+
+    def test_continuous_config_is_one_run(self, tmp_path):
+        # the protocol is deterministic: the realization count changes nothing
+        text = CONFIG.replace("kind = projective", "kind = continuous")
+        names = ["summary.csv", "theory.csv", "trajectory_r0.csv"]
+        for r in (3, 1):
+            config = replace(parse_config(text), realizations=r)
+            result = run_experiment(config, out_dir=tmp_path / f"r{r}", reproducible=True)
+            assert result["files"] == names
+            assert len(result["trajectories"]) == 1
+        for name in names:
+            assert (tmp_path / "r3" / name).read_bytes() == (tmp_path / "r1" / name).read_bytes()
+
+    def test_continuous_ensemble_is_scored_once(self):
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=3), w_state(12, 3)
+        d = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
+        config = ProtocolConfig(ProtocolKind.CONTINUOUS, 40, d)
+        trajs, fids = run_ensemble(spec, psi0, config, 20, seed=4242)
+        assert len(trajs) == len(fids) == 1
+
+    @pytest.mark.parametrize(
         "kind, run_one", [(ProtocolKind.PROJECTIVE, run_projective), (ProtocolKind.PULSED, run_pulsed)]
     )
     def test_realization_independent_of_ensemble_width(self, kind, run_one):
@@ -147,7 +189,6 @@ class TestRunExperiment:
             inside = trajs[i]
             assert np.array_equal(alone.intervals, inside.intervals)
             assert np.array_equal(alone.cumulative_survival, inside.cumulative_survival)
-            assert np.array_equal(alone.subspace_population, inside.subspace_population)
             assert np.array_equal(alone.final_state, inside.final_state)
             if kind is ProtocolKind.PROJECTIVE:
                 assert np.array_equal(alone.survival_factors, inside.survival_factors)
@@ -336,12 +377,12 @@ class TestThreeLevelRunner:
         assert worst[8.0] < worst[2.0]
 
 
-def loop_fig5(out_dir, seed=5001, m=500, realizations=50, lam=2, initial="wstate"):
+def loop_fig5(out_dir, seed=5001, m=500, realizations=50, initial="wstate"):
     """preset_fig5 as one edge series and three ensembles per kappa point:
     the reference for the preset, which runs once per distinct mean what
     depends on the mean alone."""
-    spec = ChainSpec(n_sites=12, subspace_size=lam)
-    psi0 = w_state(12, lam) if initial == "wstate" else leftmost_excited(12)
+    spec = ChainSpec(n_sites=12, subspace_size=2)
+    psi0 = w_state(12, 2) if initial == "wstate" else leftmost_excited(12)
     rows = []
     for p1, mu1, mu2 in kappa_family():
         d = IntervalDistribution.bimodal(mu1, mu2, p1)
@@ -425,6 +466,50 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "mean ln P" in out and "relative deviation" in out
 
+    def test_simulate_continuous_writes_one_trajectory(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace("kind = projective", "kind = continuous"))
+        rc = cli_main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out"),
+                       "--realizations", "20", "--reproducible"])
+        assert rc == 0
+        assert "wrote 3 files" in capsys.readouterr().out
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["summary.csv", "theory.csv", "trajectory_r0.csv"]
+
+    def test_compare_where_pstar_underflows(self, tmp_path, capsys):
+        # P* = exp(-7896) is 0 in double precision; ln P* is carried as
+        # computed, so the deviation is finite (a RuntimeWarning fails the run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            CONFIG.replace("lambda = 2", "lambda = 1")
+            .replace("m = 60", "m = 20000")
+            .replace(DIST, "dist = [(20.0, 1.0)]")
+            .replace(WSTATE, "initial_state = leftmost")
+            .replace("realizations = 3", "realizations = 2")
+        )
+        rc = cli_main(["compare", str(cfg), "--out-dir", str(tmp_path / "cmp"), "--reproducible"])
+        assert rc == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        mean_ln = float(printed["mean ln P (simulation)"])
+        ln_pstar = float(printed["ln P* (time-averaged theory)"])
+        rel = float(printed["relative deviation"])
+        assert mean_ln == -8174.008749
+        header, rows = read_csv(tmp_path / "cmp" / "theory.csv")
+        row = dict(zip(header, rows[0]))
+        assert row["pstar_time_avg"] == "0"
+        exponent = (float(row["m"]) * float(row["beta"]) ** 2 * float(row["c2_time_avg"])
+                    * (1 + float(row["kappa"])) * float(row["mu_mean"]) ** 2)
+        assert abs(ln_pstar + exponent) <= 1e-6  # printed to 6 decimals
+        assert abs(rel - abs(mean_ln - ln_pstar) / abs(ln_pstar)) <= 1e-4
+
+    def test_compare_where_ln_pstar_is_zero(self, tmp_path, capsys):
+        # mu^2 = 1e-322 leaves an exponent that rounds to 0: no relative deviation
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace(DIST, "dist = [(1e-161, 1.0)]").replace("m = 60", "m = 5"))
+        rc = cli_main(["compare", str(cfg), "--out-dir", str(tmp_path / "cmp")])
+        assert rc == 0
+        assert "relative deviation: undefined (ln P* = 0)" in capsys.readouterr().out
+
     def test_theory_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG)
@@ -464,6 +549,10 @@ class TestCLI:
         assert header == ["lambda", "protocol", "F_mean", "P_final_mean", "R"]
         protocols = {r[1] for r in rows}
         assert protocols == {"projective", "pulsed", "continuous"}
+        # R counts the runs a row averages: the continuous protocol is one run
+        assert {(r[1], r[4]) for r in rows} == {
+            ("projective", "2"), ("pulsed", "2"), ("continuous", "1")
+        }
         assert (tmp_path / "fig4_inset_scaling.csv").exists()
 
     def test_fig5_preset_small(self, tmp_path):
@@ -495,6 +584,9 @@ class TestCLI:
             ([(DIST, "dist = [5]")], []),
             ([(DIST, "dist = [(1.0, 0.5), (5.0, 0.5), 3]")], []),
             ([(DIST, "dist = [(1e400, 1.0)]")], []),
+            ([(DIST, "dist = [(1e-300, 1.0)]")], []),
+            ([(DIST, "dist = [(1e300, 1.0)]")], []),
+            ([(DIST, "dist = [(1e120, 0.5), (5e120, 0.5)]")], []),
             ([("seed = 4242", "seed = 4242\nkappa_sweep = (0.8, 1.0)")], []),
             ([("seed = 4242", "seed = 4242\nkappa_sweep = 5")], []),
             ([(WSTATE, CUSTOM + "5")], []),
@@ -511,6 +603,8 @@ class TestCLI:
         ],
         ids=["realizations-file", "realizations-flag", "m-zero", "coupling-text",
              "coupling-negative", "dist-not-pairs", "dist-trailing-number", "dist-infinite",
+             "dist-mu-squared-underflows", "dist-mu-cubed-overflows",
+             "dist-third-moment-overflows",
              "kappa-pair", "kappa-number", "amplitudes-number", "pulse-area-inf",
              "coupling-inf", "beta-inf", "alpha-inf-with-phase", "pulsed-lambda-sweep",
              "amplitudes-beyond-lambda", "amplitudes-longer-than-chain", "amplitudes-zero",

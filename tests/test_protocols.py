@@ -136,12 +136,12 @@ class TestPulsed:
         traj = run_pulsed(spec, w_state(12, 5), config, SeededSampler(6))
         assert abs(np.linalg.norm(traj.final_state) - 1.0) <= 1e-10
 
-    def test_population_equals_cumulative_survival(self):
+    def test_cumulative_survival_is_the_subspace_population(self):
         spec = ChainSpec(n_sites=10, subspace_size=3)
-        config = ProtocolConfig(ProtocolKind.PULSED, 50, BIMODAL)
+        config = ProtocolConfig(ProtocolKind.PULSED, 150, BIMODAL, record_states=True)
         traj = run_pulsed(spec, w_state(10, 3), config, SeededSampler(9))
-        # one array: the trajectory CSV formats its two columns once
-        assert traj.cumulative_survival is traj.subspace_population
+        pops = np.sum(np.abs(traj.states[:, :3]) ** 2, axis=1)
+        assert np.array_equal(traj.cumulative_survival, pops)
         assert traj.survival_factors is None
 
     def test_swap_area_exchanges_outer_pair(self):
@@ -188,7 +188,7 @@ class TestContinuous:
         leaks = []
         for g in (4.0, 8.0):
             traj = run_continuous(spec, psi0, total_time=300.0, coupling=g, sample_times=grid)
-            leaks.append(1.0 - traj.subspace_population.min())
+            leaks.append(1.0 - traj.cumulative_survival.min())
         ratio = leaks[0] / leaks[1]
         assert 3.5 <= ratio <= 4.5
 
@@ -200,17 +200,20 @@ class TestContinuous:
         grid = np.linspace(0.0, 120.0, 1201)
         traj = run_continuous(spec, leftmost_excited(3), total_time=120.0, coupling=g, sample_times=grid)
         predicted = three_level_survival(spec.beta, spec.beta + 2 * g, grid)
-        assert np.max(np.abs(traj.subspace_population - predicted)) <= 1e-8
+        assert np.max(np.abs(traj.cumulative_survival - predicted)) <= 1e-8
 
     def test_rejects_sample_times_outside_window(self):
         spec = ChainSpec(n_sites=5, subspace_size=2)
         with pytest.raises(ValueError):
             run_continuous(spec, w_state(5, 2), 10.0, 1.0, sample_times=np.array([0.0, 11.0]))
 
-    def test_population_is_cumulative_survival(self):
+    def test_cumulative_survival_is_the_subspace_population(self):
         spec = ChainSpec(n_sites=6, subspace_size=2)
-        traj = run_continuous(spec, w_state(6, 2), total_time=30.0, coupling=0.3)
-        assert traj.cumulative_survival is traj.subspace_population
+        traj = run_continuous(spec, w_state(6, 2), total_time=30.0, coupling=0.3,
+                              record_states=True)
+        pops = np.sum(np.abs(traj.states[:, :2]) ** 2, axis=1)
+        assert np.array_equal(traj.cumulative_survival, pops)
+        assert traj.survival_factors is None
 
     def test_final_state_is_last_recorded_state(self):
         spec = ChainSpec(n_sites=9, subspace_size=4)
@@ -341,14 +344,13 @@ def assert_matches_oracle(a, b, config):
     if b.survival_factors is not None:
         assert_close(a.survival_factors, b.survival_factors)
     assert_close(a.cumulative_survival, b.cumulative_survival)
-    assert_close(a.subspace_population, b.subspace_population)
     assert_close(a.final_state, b.final_state)
     assert_close(np.array(a.states), np.array(b.states))
 
 
 def assert_same_run(a, b):
-    for name in ("intervals", "cumulative_survival", "subspace_population", "final_state",
-                 "survival_factors", "log_cumulative_survival", "states"):
+    for name in ("intervals", "cumulative_survival", "final_state", "survival_factors",
+                 "log_cumulative_survival", "states"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
 
@@ -405,7 +407,6 @@ class TestLockstepKernel:
             assert np.array_equal(a.intervals, b.intervals)
             assert np.array_equal(a.cumulative_survival, b.cumulative_survival)
             assert_close(a.survival_factors, b.survival_factors)
-            assert_close(a.subspace_population, b.subspace_population)
             assert_close(a.final_state, b.final_state)
             assert_close(np.array(a.states), np.array(b.states))
             # the stream continues where the scalar run left it
@@ -435,12 +436,15 @@ class TestLockstepKernel:
         assert abs(traj.log_survival + 817.40) <= 0.01
 
     def test_continuous_runs_once_for_the_ensemble(self):
+        # deterministic: five samplers still give the one run, and none is drawn from
         spec = ChainSpec(n_sites=9, subspace_size=3)
         config = ProtocolConfig(ProtocolKind.CONTINUOUS, 40, BIMODAL)
-        trajs = run_lockstep(spec, w_state(9, 3), config, [SeededSampler(i) for i in range(5)])
-        assert len(trajs) == 5
-        assert all(t is trajs[0] for t in trajs)
+        samplers = [SeededSampler(i) for i in range(5)]
+        trajs = run_lockstep(spec, w_state(9, 3), config, samplers)
+        assert len(trajs) == 1
         assert abs(trajs[0].total_time - 40 * 3.0) <= 1e-9
+        untouched = [SeededSampler(i).next_uint64() for i in range(5)]
+        assert [s.next_uint64() for s in samplers] == untouched
 
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_empty_ensemble_rejected(self, kind):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,19 @@ class TestDistribution:
             IntervalDistribution(((0.0, 1.0),))
         with pytest.raises(ValueError, match="finite"):
             IntervalDistribution(((np.inf, 1.0),))
+
+    @pytest.mark.parametrize(
+        "atoms", [((1e-300, 1.0),), ((1e300, 1.0),), ((1e120, 0.5), (5e120, 0.5))]
+    )
+    def test_atom_whose_moments_cannot_be_formed_is_rejected(self, atoms):
+        # mu^2 = 0 would divide kappa by zero, mu^3 = inf would overflow <mu^3>
+        with pytest.raises(ValueError, match=re.escape(f"interval {atoms[0][0]}:")):
+            IntervalDistribution(atoms)
+
+    @pytest.mark.parametrize("mu", [1e-150, 1e100])
+    def test_atoms_at_the_moment_limits_are_kept(self, mu):
+        mom = moments(IntervalDistribution.deterministic(mu))
+        assert mom.mean == mu and mom.kappa == 0.0 and 0 <= mom.third_raw < np.inf
 
     def test_atoms_must_be_distinct(self):
         with pytest.raises(ValueError):

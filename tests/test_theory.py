@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,39 @@ class TestWeakStrong:
         v = 1e-4
         pred = pstar_weak(100, d, v)
         assert abs(pred.pstar - np.exp(-100 * v * 4.0)) <= 1e-15
+
+
+class TestLogPstar:
+    """ln P* is carried as computed, so it stays finite where P* underflows."""
+
+    def test_weak_log_is_minus_the_exponent(self):
+        mom = moments(BIMODAL)
+        for m, v in ((500, 1e-4), (20000, 1.0)):
+            pred = pstar_weak(m, BIMODAL, v)
+            assert pred.log_pstar == -(m * v * (1.0 + mom.kappa) * mom.mean**2)
+        assert pred.pstar == 0.0 and abs(pred.log_pstar + 260000.0) <= 1e-9
+
+    def test_weak_log_matches_log_of_pstar_where_both_are_finite(self):
+        pred = pstar_weak(300, BIMODAL, 1.2e-4)
+        assert abs(pred.log_pstar - np.log(pred.pstar)) <= 1e-15
+
+    def test_exact_product_log_where_pstar_underflows(self):
+        d = IntervalDistribution.deterministic(2.0)
+        pred = pstar_exact_product(20000, d, {2.0: 0.5})
+        assert pred.pstar == 0.0
+        assert pred.log_pstar == 20000 * np.log(0.5)
+
+    @pytest.mark.parametrize("v", [0.0, 1e-4, 0.05, 1.0 / 13.0, 0.5, 1e300, 1e308])
+    def test_strong_log_never_warns(self, v):
+        # x = 13 v for BIMODAL at m = 1; P* = 1 - x <= 0 gives ln P* = -inf
+        # (a RuntimeWarning fails the test)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the out-of-regime flag
+            pred = pstar_strong(1, BIMODAL, v)
+        mom = moments(BIMODAL)
+        x = 1 * v * (1.0 + mom.kappa) * mom.mean**2
+        assert pred.pstar == 1.0 - x
+        assert pred.log_pstar == (np.log1p(-x) if x < 1 else -np.inf)
 
 
 class TestExactProduct:
