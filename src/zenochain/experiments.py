@@ -150,12 +150,18 @@ def _predicted_staircase(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribut
     return series, pstar_time_averaged_curve(np.arange(1, m + 1), d, series, spec.beta)
 
 
-def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
+def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig, memo: dict):
+    """A sweep point's theory.csv row and prediction; memo keeps a run's
+    eigenstate weights and edge time averages, one per distinct input."""
     d, m = protocol.distribution, protocol.num_intervals
     mom = moments(d)
-    c2_eigen = _eigenstate_edge_weight(spec, psi0)
-    series = _edge_series(spec, psi0, d, m)
-    pred_avg = pstar_time_averaged(m, d, series, spec.beta)
+    key = (spec, psi0.tobytes())
+    if key not in memo:
+        memo[key] = _eigenstate_edge_weight(spec, psi0)
+    if (key, mom.mean, m) not in memo:
+        memo[key, mom.mean, m] = _edge_series(spec, psi0, d, m).time_average
+    c2_eigen, c2_avg = memo[key], memo[key, mom.mean, m]
+    pred_avg = pstar_weak(m, d, spec.beta**2 * c2_avg)  # pstar_time_averaged, from the average
     pstar_const = pstar_weak(m, d, spec.beta**2 * c2_eigen).pstar
     return (
         spec.subspace_size,
@@ -164,7 +170,7 @@ def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
         mom.kappa,
         spec.beta,
         c2_eigen,
-        series.time_average,
+        c2_avg,
         pstar_const,
         pred_avg.pstar,
     ), pred_avg
@@ -227,10 +233,10 @@ def run_experiment(
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows, theory_rows = [], []
+    summary_rows, theory_rows, memo = [], [], {}
     for k, (spec, psi0, protocol) in enumerate(config.sweep_points()):
         trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
-        trow, pred = _theory_row(spec, psi0, protocol)
+        trow, pred = _theory_row(spec, psi0, protocol, memo)
         if k == 0:
             base_trajs, base_pred = trajs, pred
             for i, traj in enumerate(trajs):
@@ -264,7 +270,8 @@ def write_theory_csv(
 ) -> Path:
     """Theory-only run: the theory.csv rows of ``run_experiment``, same sweep."""
     path = Path(out_dir if out_dir is not None else config.output_path) / "theory.csv"
-    rows = [_theory_row(*point)[0] for point in config.sweep_points()]
+    memo = {}
+    rows = [_theory_row(*point, memo)[0] for point in config.sweep_points()]
     write_csv(path, THEORY_HEADER, zip(*rows), reproducible)
     return path
 

@@ -40,6 +40,7 @@ NORM_TOL = 1e-10
 DEAD_BRANCH = 1e-300
 NORM_FLOOR = 1e-250  # a block whose products end below this is redone step by step
 BLOCK = 64  # steps per renormalization of the projective state
+TABLE_BYTES = 1 << 18  # cap on a word table, and on one gather of its words
 
 
 class InitialStateOutsideSubspaceError(ValueError):
@@ -143,42 +144,90 @@ def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:
     return psi0.copy()
 
 
-def _products(mats: np.ndarray, block: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = mats[block[i]] @ out[i - 1] column by column, from out[-1] = psi."""
-    for atoms, step in zip(block, out):
-        psi = np.matmul(mats[atoms], psi, out=step)
+def _word_length(atoms: int, dim: int, m: int) -> int:
+    """Steps per word, L: the largest power of two <= BLOCK whose word table
+    fits in TABLE_BYTES and takes no more matrix-vector products to build
+    (dim per matrix product) than one column's m steps.  L is never a
+    function of the ensemble width, so no column's arithmetic is either."""
+    def fits(length: int) -> bool:
+        words = sum(atoms**i for i in range(1, length + 1))  # all but the atoms are built
+        return words * 16 * dim * dim <= TABLE_BYTES and (words - atoms) * dim <= m
+
+    return max((2**p for p in range(1, BLOCK.bit_length()) if fits(2**p)), default=1)
+
+
+def _word_table(mats: np.ndarray, length: int) -> np.ndarray:
+    """Every product mats[a_(l-1)] @ ... @ mats[a_0], l = 1..length, one
+    batched product per level; word a sits at sum_(i<l) k^i - 1 + sum_p a_p k^p."""
+    levels = [mats]
+    for _ in range(1, length):  # contiguous stacks: a broadcast matmul holds more memory
+        prev = levels[-1]
+        levels.append(np.repeat(mats, len(prev), axis=0) @ np.tile(prev, (len(mats), 1, 1)))
+    return np.concatenate(levels)
+
+
+def _word_codes(block: np.ndarray, atoms: int, length: int) -> np.ndarray:
+    """Table index of the word from each step's sub-block start up to it, for
+    width x steps atom indices; with length 1 the codes are the atoms."""
+    pos = np.arange(block.shape[1]) % length
+    codes = np.cumsum(block * atoms**pos, axis=1)
+    ends = np.repeat(codes[:, length - 1 :: length], length, axis=1)  # code at a sub-block end
+    codes[:, length:] -= ends[:, : block.shape[1] - length]
+    return codes + np.cumsum(atoms ** np.arange(length))[pos] - 1
+
+
+def _products(
+    table: np.ndarray, codes: np.ndarray, length: int, psi: np.ndarray, out: np.ndarray
+) -> None:
+    """out[:, i] = table[codes[:, i]] @ out[:, s - 1] column by column, from
+    out[:, -1] = psi, s the start of step i's sub-block of length steps: one
+    gather of words into a reused buffer and one batched product per
+    sub-block.  Chunks of columns, which change no column's numbers, keep a
+    gather within TABLE_BYTES at any width."""
+    width, steps, dim = out.shape[:3]
+    chunk = min(width, max(1, TABLE_BYTES // (length * table[0].nbytes)))
+    gathered = np.empty((chunk, length, dim, dim), dtype=complex)  # fresh gathers page-fault
+    for c in range(0, width, chunk):
+        cols, state = codes[c : c + chunk], psi[c : c + chunk]
+        flat = out[c : c + chunk].reshape(len(cols), -1, 1)  # a view of out
+        for s in range(0, steps, length):
+            w = table.take(cols[:, s : s + length], 0, gathered[: len(cols), : steps - s], "clip")
+            rows = flat[:, s * dim : (s + w.shape[1]) * dim]
+            state = np.matmul(w.reshape(len(cols), -1, dim), state, out=rows)[:, -dim:]
 
 
 def _projective_block(
-    mats: np.ndarray, block: np.ndarray, psi: np.ndarray, out: np.ndarray, live: np.ndarray
+    table: np.ndarray, block: np.ndarray, codes: np.ndarray, length: int,
+    psi: np.ndarray, out: np.ndarray, live: np.ndarray,
 ) -> np.ndarray:
     """Advance normalized subspace states through one block of steps.
 
-    psi is width x lambda x 1, block is steps x width atom indices.  The
-    block P U(mu) P is linear, so the unnormalized products carry every
-    step: their squared norms n_i give q_i = n_i / n_(i-1), with n_(-1) = 1,
-    and one division leaves the renormalized state after each step in out.
-    Norms never grow, so a live column whose last norm falls below
-    NORM_FLOOR (where a product may have underflowed) is redone one step at
-    a time, and its q are the per-step ones.  Other columns under the floor
-    (aborted ones) get finite placeholders.  Returns q, steps x width.
+    psi is width x lambda x 1, block is width x steps atom indices, codes
+    their words.  The block P U(mu) P is linear, so the unnormalized products
+    carry every step: their squared norms n_i give q_i = n_i / n_(i-1), with
+    n_(-1) = 1, and one division leaves the renormalized state after each
+    step in out.  Norms never grow, so a live column whose last norm falls
+    below NORM_FLOOR (where a product may have underflowed) is redone one
+    step at a time, and its q are the per-step ones.  Other columns under the
+    floor (aborted ones) get finite placeholders.  Returns q, width x steps.
     """
-    _products(mats, block, psi, out)
+    _products(table, codes, length, psi, out)
     norms = (np.abs(out[..., 0]) ** 2).sum(-1)
-    redo = (norms[-1] < NORM_FLOOR) & (len(block) > 1)
-    norms[:, redo] = 1.0  # placeholders; live columns are redone below
+    redo = (norms[:, -1] < NORM_FLOOR) & (block.shape[1] > 1)
+    norms[redo] = 1.0  # placeholders; live columns are redone below
     q = norms.copy()
-    q[1:] /= norms[:-1]
+    q[:, 1:] /= norms[:, :-1]
     # the max only acts at a dead step (q < DEAD_BRANCH): finite values after
     # it are never read
     out /= np.sqrt(np.maximum(norms, DEAD_BRANCH))[..., None, None]
     for r in np.flatnonzero(redo & live):
         state = psi[r : r + 1]
-        for i in range(len(block)):
-            q[i, r] = _projective_block(
-                mats, block[i : i + 1, r : r + 1], state, out[i : i + 1, r : r + 1], live[r : r + 1]
+        for i in range(block.shape[1]):
+            atom = block[r : r + 1, i : i + 1]  # a one-step word is its atom
+            q[r, i] = _projective_block(
+                table, atom, atom, 1, state, out[r : r + 1, i : i + 1], live[r : r + 1]
             )[0, 0]
-            state = out[i, r : r + 1]
+            state = out[r : r + 1, i]
     return q
 
 
@@ -191,9 +240,10 @@ def _lockstep(
     """Advance every realization of a projective or pulsed ensemble together.
 
     One multi-stream draw gives every column its intervals (and Bernoulli
-    outcomes) from samplers[r], exactly as a lone run would.  A step is one
-    gather of per-atom matrices plus one batched product, column by column,
-    so no column's numbers depend on the width of the ensemble:
+    outcomes) from samplers[r], exactly as a lone run would.  A column
+    advances L steps per gather of tabled words and batched product, and L
+    depends on the law, the state dimension and m only, so no column's
+    numbers depend on the width of the ensemble:
 
     - pulsed: the fused kick @ U(mu) on the n-site state, unitary, so never
       renormalized;
@@ -213,14 +263,16 @@ def _lockstep(
     bernoulli = projective and config.bernoulli
     steps = linalg.propagators(hamiltonian(spec), d.values)  # one free evolution per atom
     if projective:
-        dim, mats = lam, steps[:, :lam, :lam].copy()  # contiguous: cheaper to gather
+        dim, mats = lam, steps[:, :lam, :lam]
     else:
         dim, mats = n, linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
+    length = _word_length(len(mats), dim, m)
+    table = _word_table(mats, length)
     draws = draw_uniforms(samplers, 2 * m if bernoulli else m)  # intervals, then outcomes
     atoms = atom_indices(d, draws[:, :m])  # width x m
     intervals = d.values[atoms]
     psi = np.repeat(psi0[None, :dim, None], width, axis=0)
-    buf = np.empty((min(BLOCK, m), width, dim, 1), dtype=complex)
+    buf = np.empty((width, min(BLOCK, m), dim, 1), dtype=complex)
 
     factors = np.empty((width, m)) if projective else None
     cum = None if projective else np.empty((width, m))  # pulsed: the subspace population
@@ -228,37 +280,38 @@ def _lockstep(
     aborted_at = np.zeros(width, dtype=int)  # 0 = never
     collapsed: dict[int, np.ndarray] = {}
     for j in range(0, m, BLOCK):
-        block = atoms[:, j : j + BLOCK].T
-        b, out = len(block), buf[: len(block)]
+        block = atoms[:, j : j + BLOCK]
+        b, out = block.shape[1], buf[:, : block.shape[1]]
+        codes = _word_codes(block, len(mats), length)
         if projective:
             live = aborted_at == 0
-            q = _projective_block(mats, block, psi, out, live)
-            dead = (q < DEAD_BRANCH) & live
+            q = _projective_block(table, block, codes, length, psi, out, live)
+            dead = (q < DEAD_BRANCH) & live[:, None]
             if bernoulli:
-                fail = (draws[:, m + j : m + j + b].T >= q) & live
-                first = np.where(fail.any(0), fail.argmax(0), b)  # b = no failure
-                dead &= np.arange(b)[:, None] <= first  # later steps are never reached
+                fail = (draws[:, m + j : m + j + b] >= q) & live[:, None]
+                first = np.where(fail.any(1), fail.argmax(1), b)  # b = no failure
+                dead &= np.arange(b) <= first[:, None]  # later steps are never reached
             if dead.any():
                 raise ZeroSurvivalError(
-                    f"survival factor underflow at step {j + dead.any(1).argmax() + 1}"
+                    f"survival factor underflow at step {j + dead.any(0).argmax() + 1}"
                 )
-            factors[:, j : j + b] = q.T
+            factors[:, j : j + b] = q
             if bernoulli:
                 for r in np.flatnonzero(first < b):
                     # failed outcome: collapse the state before it onto the complement
                     k = int(first[r])
-                    prev = out[k - 1, r, :, 0] if k else psi[r, :, 0]
+                    prev = out[r, k - 1, :, 0] if k else psi[r, :, 0]
                     collapse = steps[atoms[r, j + k], :, :lam] @ prev
                     collapse[:lam] = 0.0
                     collapsed[r] = collapse / np.linalg.norm(collapse)
                     aborted_at[r] = j + k + 1
                     samplers[r].rewind(m - j - k - 1)  # outcome draws never made
         else:
-            _products(mats, block, psi, out)
-            cum[:, j : j + b] = (np.abs(out[:, :, :lam, 0]) ** 2).sum(-1).T
+            _products(table, codes, length, psi, out)
+            cum[:, j : j + b] = (np.abs(out[:, :, :lam, 0]) ** 2).sum(-1)
         if states is not None:
-            states[:, j : j + b, :dim] = out[..., 0].transpose(1, 0, 2)
-        psi = out[-1].copy()  # the next block overwrites buf
+            states[:, j : j + b, :dim] = out[..., 0]
+        psi = out[:, -1].copy()  # the next block overwrites buf
         if bernoulli and np.all(aborted_at):
             break
 

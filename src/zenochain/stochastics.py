@@ -156,8 +156,8 @@ class IntervalDistribution:
             raise ValueError("distribution literal must be a list of (mu, prob) pairs")
         try:
             return cls.from_atoms(value)
-        except TypeError as exc:
-            raise ValueError("distribution atoms must be (mu, prob) pairs") from exc
+        except (TypeError, OverflowError) as exc:  # overflow: an integer beyond any float
+            raise ValueError(f"distribution atoms must be (mu, prob) pairs: {exc}") from exc
 
     @property
     def values(self) -> np.ndarray:

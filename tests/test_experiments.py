@@ -134,6 +134,26 @@ class TestRunExperiment:
         assert abs(kappas[1] - 0.0) <= 1e-12
         assert abs(kappas[2] - 16.0 / 9.0) <= 1e-12
 
+    @pytest.mark.parametrize("write", [run_experiment, write_theory_csv])
+    def test_theory_inputs_computed_once_per_distinct_input(self, tmp_path, monkeypatch, write):
+        # three sweep points, one mean interval (3.0 exactly): one edge series
+        # and one eigenstate weight serve every theory row
+        text = CONFIG.replace(
+            "seed = 4242", "seed = 4242\nkappa_sweep = (0.5, 2.0, 4.0); (0.5, 0.5, 5.5)"
+        )
+        calls = []
+
+        def counted(name):
+            real = getattr(experiments, name)
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+        for name in ("edge_population", "_eigenstate_edge_weight"):
+            monkeypatch.setattr(experiments, name, counted(name))
+        write(parse_config(text), out_dir=tmp_path, reproducible=True)
+        _, rows = read_csv(tmp_path / "theory.csv")
+        assert len(rows) == 3 and len({r[3] for r in rows}) == 3  # three kappas
+        assert sorted(calls) == ["_eigenstate_edge_weight", "edge_population"]
+
     @pytest.mark.parametrize(
         "text",
         [CONFIG, CONFIG.replace("lambda = 2", "lambda = 1")
@@ -584,6 +604,7 @@ class TestCLI:
             ([(DIST, "dist = [5]")], []),
             ([(DIST, "dist = [(1.0, 0.5), (5.0, 0.5), 3]")], []),
             ([(DIST, "dist = [(1e400, 1.0)]")], []),
+            ([(DIST, "dist = [(1" + "0" * 400 + ", 1.0)]")], []),
             ([(DIST, "dist = [(1e-300, 1.0)]")], []),
             ([(DIST, "dist = [(1e300, 1.0)]")], []),
             ([(DIST, "dist = [(1e120, 0.5), (5e120, 0.5)]")], []),
@@ -603,6 +624,7 @@ class TestCLI:
         ],
         ids=["realizations-file", "realizations-flag", "m-zero", "coupling-text",
              "coupling-negative", "dist-not-pairs", "dist-trailing-number", "dist-infinite",
+             "dist-integer-beyond-float",
              "dist-mu-squared-underflows", "dist-mu-cubed-overflows",
              "dist-third-moment-overflows",
              "kappa-pair", "kappa-number", "amplitudes-number", "pulse-area-inf",

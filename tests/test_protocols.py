@@ -426,7 +426,7 @@ class TestLockstepKernel:
             assert_matches_oracle(a, scalar_run_projective(spec, psi0, config, own), config)
             assert samplers[i].next_uint64() == own.next_uint64()
 
-    def test_log_survival_finite_where_product_underflows(self):
+    def test_log_survival_finite_where_product_underflows(self, monkeypatch):
         spec = ChainSpec(n_sites=12, subspace_size=1)
         config = pm_config(2000, IntervalDistribution.deterministic(20.0))
         traj = run_projective(spec, leftmost_excited(12), config, SeededSampler(0))
@@ -434,6 +434,20 @@ class TestLockstepKernel:
         assert traj.final_survival == 0.0  # exp(-817) underflows
         assert abs(traj.log_survival - oracle.log_survival) <= 1e-12 * 817
         assert abs(traj.log_survival + 817.40) <= 0.01
+        # two atoms on two sites: mu = 50 leaves q = 2.6e-32, so a block with
+        # eight such steps ends below NORM_FLOOR and its column is redone one
+        # step at a time, though the block was advanced in words of L = 8 steps
+        lengths = []
+        block = protocols._projective_block
+        monkeypatch.setattr(protocols, "_projective_block",
+                            lambda *a: lengths.append(a[3]) or block(*a))
+        spec = ChainSpec(n_sites=2, subspace_size=1)
+        config = pm_config(2000, IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)]))
+        traj = run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
+        oracle = scalar_run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
+        assert lengths[0] == 8 and 1 in lengths  # words, and a redo
+        assert abs(traj.log_survival - oracle.log_survival) <= 1e-12 * abs(oracle.log_survival)
+        assert traj.log_survival < -5000
 
     def test_continuous_runs_once_for_the_ensemble(self):
         # deterministic: five samplers still give the one run, and none is drawn from
@@ -488,6 +502,86 @@ class TestLockstepKernel:
         assert np.all(traj.survival_factors <= 1.0 + slack)
         assert np.all(np.diff(p) <= slack * p[:-1])
         assert np.all(np.diff(traj.log_cumulative_survival) <= slack)
+
+
+class TestWordKernel:
+    """Each column advances L steps per gather of tabled words; L never depends on the width."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=small_runs(), bernoulli=st.booleans(), slot=st.integers(0, 6),
+           others=st.integers(0, 2**32))
+    def test_realization_bit_identical_at_any_width(self, run, bernoulli, slot, others):
+        # one to three atoms, m from 1 to 80 (mostly not a multiple of L),
+        # pulsed, post-selected and Bernoulli runs
+        spec, psi0, config, seed = run
+        if config.kind is ProtocolKind.PROJECTIVE:
+            config = replace(config, bernoulli=bernoulli)
+        lone = run_lockstep(spec, psi0, config, [SeededSampler(seed)])[0]
+        for width in (7, 50):
+            samplers = [SeededSampler(others).spawn(i) for i in range(width)]
+            samplers[slot] = SeededSampler(seed)
+            traj = run_lockstep(spec, psi0, config, samplers)[slot]
+            assert traj.aborted_at == lone.aborted_at
+            assert_same_run(traj, lone)
+
+    # (atoms, dim, m) -> L: the theory_fig3 staircase, simulate_long, fig5's
+    # pulsed and projective runs, one-atom laws, three atoms
+    LENGTHS = {(2, 9, 2000): 4, (2, 12, 10000): 4, (2, 12, 100): 2, (2, 2, 100): 4,
+               (1, 12, 100): 8, (1, 2, 100): 32, (1, 1, 2000): 64, (3, 12, 1000): 2}
+
+    def test_word_length_rule(self):
+        for (atoms, dim, m), length in self.LENGTHS.items():
+            assert protocols._word_length(atoms, dim, m) == length
+
+    @pytest.mark.parametrize("kind, lam, d", [
+        (ProtocolKind.PULSED, 4, BIMODAL),
+        (ProtocolKind.PROJECTIVE, 9, BIMODAL),
+        (ProtocolKind.PROJECTIVE, 2, IntervalDistribution.from_atoms([(1, .2), (2, .3), (4, .5)])),
+        (ProtocolKind.PULSED, 2, IntervalDistribution.deterministic(3.0)),
+    ])
+    def test_word_length_same_at_every_width(self, monkeypatch, kind, lam, d):
+        lengths = []
+        table = protocols._word_table
+        monkeypatch.setattr(protocols, "_word_table",
+                            lambda mats, length: lengths.append(length) or table(mats, length))
+        spec = ChainSpec(n_sites=12, subspace_size=lam)
+        for width in (1, 7, 50, 300):
+            run_lockstep(spec, leftmost_excited(12), ProtocolConfig(kind, 150, d),
+                         [SeededSampler(i) for i in range(width)])
+        assert len(lengths) == 4 and len(set(lengths)) == 1 and lengths[0] > 1
+
+    def test_long_deterministic_pulsed_run_tracks_the_spectral_power(self):
+        # population after each of m = 2590 kicks at fixed mu against
+        # |P M^j psi0|^2 from the eigendecomposition of the one-step map M
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=4), w_state(12, 4)
+        mu, m = 0.579209318664975, 2590
+        config = ProtocolConfig(ProtocolKind.PULSED, m, IntervalDistribution.deterministic(mu))
+        traj = run_pulsed(spec, psi0, config, SeededSampler(0))
+        step = propagator(coupling_hamiltonian(spec), np.pi / 2) @ propagator(hamiltonian(spec), mu)
+        w, v = np.linalg.eig(step)
+        j = np.arange(1, m + 1)[:, None]
+        powers = np.abs(w) ** j * np.exp(1j * np.angle(w) * j)
+        exact = (powers * np.linalg.solve(v, psi0.astype(complex))) @ v[:4].T
+        population = np.sum(np.abs(exact) ** 2, axis=1)
+        assert np.max(np.abs(traj.cumulative_survival - population)) <= 1e-11
+
+    def test_gather_stays_within_the_table_cap_at_any_width(self, monkeypatch):
+        # R = 1000 columns of 12 x 12 words would gather 4.6 MB in one piece;
+        # chunks of columns keep every gather within TABLE_BYTES
+        gathers = []
+
+        class Table(np.ndarray):  # the word table, recording each gather from it
+            def take(self, indices, *args):
+                gathers.append(np.size(indices) * self[0].nbytes)
+                return np.ndarray.take(self, indices, *args)
+
+        table = protocols._word_table
+        monkeypatch.setattr(protocols, "_word_table", lambda *a: table(*a).view(Table))
+        spec = ChainSpec(n_sites=12, subspace_size=4)
+        config = ProtocolConfig(ProtocolKind.PULSED, 100, BIMODAL)
+        run_lockstep(spec, leftmost_excited(12), config, [SeededSampler(i) for i in range(1000)])
+        assert max(gathers) <= protocols.TABLE_BYTES
+        assert sum(gathers) == 1000 * 100 * 12 * 12 * 16  # every step of every column, once
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning, e.g. 0/0 on a zero-norm column
