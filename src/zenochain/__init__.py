@@ -51,6 +51,7 @@ from .theory import (
     EdgePopulationSeries,
     TheoryPrediction,
     edge_population,
+    edge_time_average,
     pstar_exact_product,
     pstar_strong,
     pstar_time_averaged,
@@ -59,7 +60,6 @@ from .theory import (
     remainder_constant,
     three_level_hamiltonian,
     three_level_survival,
-    three_level_transform,
     variance_h_pi,
 )
 

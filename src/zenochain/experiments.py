@@ -11,6 +11,7 @@ realization's numbers are bit-identical however many run beside it.
 from __future__ import annotations
 
 import datetime
+import functools
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -32,7 +33,7 @@ from .stochastics import IntervalDistribution, SeededSampler, derive_seed, momen
 from .theory import (
     _exponent,
     edge_population,
-    pstar_time_averaged,
+    edge_time_average,
     pstar_time_averaged_curve,
     pstar_weak,
     three_level_hamiltonian,
@@ -40,27 +41,28 @@ from .theory import (
 )
 from . import linalg
 
+CHUNK_ROWS = 512  # rows made text and written together: memory bounded by this
 EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
+_FIELDS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.15g"}  # cell format by dtype kind
 
 
-def _cells(column, lone: bool) -> tuple[str, list]:
-    """Row-format field and cells of one column, chosen by its dtype.
-
-    Text cells are quoted as csv.writer quotes them: where they hold a comma,
-    a quote or a line break, or are their row's only field and empty.
+def _cells(column, lone: bool) -> list[str]:
+    """Text cells of one column, by its dtype; a list or tuple of ``str`` is used as
+    it is.  Text is quoted as csv.writer quotes it: where a cell holds a comma, a
+    quote or a line break, or is its row's only field and empty.
     """
-    values = np.asarray(column)
-    if values.dtype.kind in "biu":
-        return "%d", values.tolist()
-    if values.dtype.kind == "f":
-        return "%.15g", values.tolist()
-    if values.dtype.kind != "U":
-        raise TypeError(f"cannot write a column of dtype {values.dtype}")
-    cells = list(column)  # the caller's strings: numpy drops trailing NULs
-    if lone or any(ch in "".join(cells) for ch in ',"\r\n'):
-        quote = [(lone and not c) or any(ch in c for ch in ',"\r\n') for c in cells]
-        cells = ['"' + c.replace('"', '""') + '"' if q else c for c, q in zip(cells, quote)]
-    return "%s", cells
+    if not (type(column) in (list, tuple) and set(map(type, column)) <= {str}):
+        values = np.asarray(column)
+        if values.dtype.kind in _FIELDS:  # one % call for the column: cheaper than one per cell
+            field = "\n" + _FIELDS[values.dtype.kind]
+            return ((field * len(values)) % tuple(values.tolist())).split("\n")[1:]
+        if values.dtype.kind != "U":
+            raise TypeError(f"cannot write a column of dtype {values.dtype}")
+        column = list(column)  # the caller's strings: numpy drops trailing NULs
+    if lone or any(ch in "".join(column) for ch in ',"\r\n'):
+        quote = [(lone and not c) or any(ch in c for ch in ',"\r\n') for c in column]
+        column = ['"' + c.replace('"', '""') + '"' if q else c for c, q in zip(column, quote)]
+    return column
 
 
 def write_csv(
@@ -71,11 +73,11 @@ def write_csv(
 ) -> None:
     """Write a table given as one sequence of cells per header field.
 
-    Each column is formatted once, by its dtype: integers and bools in
-    decimal, floats as ``%.15g``, strings as they are, quoted the way
-    ``csv.writer`` quotes them.  A column that is the same object as an
-    earlier one is made text once for both fields.  Lines end in CRLF.
-    Unless ``reproducible``, a ``# generated <timestamp>`` comment comes first.
+    Each column object becomes text once, by its dtype: integers and bools
+    in decimal, floats as ``%.15g``, strings as they are, quoted the way
+    ``csv.writer`` quotes them.  A column passed for two fields is made text
+    once for both.  Lines end in CRLF.  Unless ``reproducible``, a
+    ``# generated <timestamp>`` comment comes first.
     """
     columns = list(columns)
     if len(columns) != len(header):
@@ -83,22 +85,22 @@ def write_csv(
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     lone = len(header) == 1
-    by_id: dict[int, tuple[str, list]] = {}
-    for c in columns:
-        if id(c) not in by_id:
-            by_id[id(c)] = _cells(c, lone)
-        elif by_id[id(c)][0] != "%s":  # a column passed twice is made text once
-            field, cells = by_id[id(c)]
-            by_id[id(c)] = "%s", list(map(field.__mod__, cells))
-    formatted = [by_id[id(c)] for c in columns]
-    line = ",".join(field for field, _ in formatted) + "\r\n"
-    rows = zip(*(cells for _, cells in formatted))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         if not reproducible:
             fh.write(f"# generated {datetime.datetime.now().isoformat()}\r\n")
-        fh.write(",".join(_cells(header, lone)[1]) + "\r\n")
-        fh.write("".join(map(line.__mod__, rows)))
+        fh.write(",".join(_cells(header, lone)) + "\r\n")
+        for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
+            text = {id(c): c[start : start + CHUNK_ROWS] for c in columns}
+            text = {key: _cells(c, lone) for key, c in text.items()}
+            rows = zip(*(text[id(c)] for c in columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+@functools.lru_cache(maxsize=1)
+def _step_text(steps: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Steps 1..steps and a blank column as text, shared by a run's files."""
+    return tuple(map(str, range(1, steps + 1))), ("",) * steps
 
 
 def write_trajectory_csv(
@@ -108,15 +110,15 @@ def write_trajectory_csv(
 
     q_j is blank for a coherent run, pop_subspace for a projective one.
     """
-    steps = len(traj.times)
-    blank = [""] * steps
+    steps, blank = _step_text(len(traj.times))
+    atoms, which = np.unique(traj.intervals, return_inverse=True)
     write_csv(
         path,
         ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace"),
         (
-            np.arange(1, steps + 1),
+            steps,
             traj.times,
-            traj.intervals,
+            list(map(_cells(atoms, False).__getitem__, which.tolist())),  # text once per atom
             blank if traj.survival_factors is None else traj.survival_factors,
             traj.cumulative_survival,
             traj.cumulative_survival if traj.survival_factors is None else blank,
@@ -138,15 +140,15 @@ def _eigenstate_edge_weight(spec: ChainSpec, psi0: np.ndarray) -> float:
     return float(np.abs(dec.eigenvectors[lam - 1, k]) ** 2)
 
 
-def _edge_series(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m: int):
-    """Ideal edge population over the m intervals' expected span."""
+def _edge_grid(d: IntervalDistribution, m: int) -> tuple[float, float]:
+    """(t_max, dt) of the ideal edge population: the m intervals' expected span."""
     mean = moments(d).mean
-    return edge_population(spec, psi0, t_max=m * mean, dt=mean / EDGE_SERIES_STEPS_PER_MEAN)
+    return m * mean, mean / EDGE_SERIES_STEPS_PER_MEAN
 
 
 def _predicted_staircase(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m: int):
     """The ideal edge series and the time-averaged P* after 1..m intervals."""
-    series = _edge_series(spec, psi0, d, m)
+    series = edge_population(spec, psi0, *_edge_grid(d, m))
     return series, pstar_time_averaged_curve(np.arange(1, m + 1), d, series, spec.beta)
 
 
@@ -159,7 +161,7 @@ def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig, mem
     if key not in memo:
         memo[key] = _eigenstate_edge_weight(spec, psi0)
     if (key, mom.mean, m) not in memo:
-        memo[key, mom.mean, m] = _edge_series(spec, psi0, d, m).time_average
+        memo[key, mom.mean, m] = edge_time_average(spec, psi0, *_edge_grid(d, m))
     c2_eigen, c2_avg = memo[key], memo[key, mom.mean, m]
     pred_avg = pstar_weak(m, d, spec.beta**2 * c2_avg)  # pstar_time_averaged, from the average
     pstar_const = pstar_weak(m, d, spec.beta**2 * c2_eigen).pstar
@@ -233,9 +235,16 @@ def run_experiment(
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows, theory_rows, memo = [], [], {}
+    summary_rows, theory_rows, memo, runs = [], [], {}, {}
     for k, (spec, psi0, protocol) in enumerate(config.sweep_points()):
-        trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
+        if protocol.kind is not ProtocolKind.CONTINUOUS:
+            trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
+        else:  # reads the interval law through its mean alone: one run per distinct mean
+            key = (spec, psi0.tobytes(), moments(protocol.distribution).mean,
+                   protocol.num_intervals, protocol.effective_coupling())
+            if key not in runs:
+                runs[key] = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
+            trajs, fids = runs[key]
         trow, pred = _theory_row(spec, psi0, protocol, memo)
         if k == 0:
             base_trajs, base_pred = trajs, pred
@@ -475,8 +484,8 @@ def preset_fig5(
 ) -> Path:
     """Protocol performance versus interval disorder (1 + kappa) at fixed mean, lambda = 2.
 
-    The ideal edge series and the continuous protocol depend on the mean
-    interval alone, so each runs once per distinct mean, not once per point.
+    The ideal edge average and the continuous protocol depend on the mean
+    interval alone, so each is computed once per distinct mean, not once per point.
     """
     spec = ChainSpec(n_sites=N_SITES, subspace_size=2)
     psi0 = w_state(N_SITES, 2) if initial == "wstate" else leftmost_excited(N_SITES)
@@ -485,37 +494,24 @@ def preset_fig5(
         trajs, fids = run_ensemble(spec, psi0, ProtocolConfig(kind, m, d), realizations, seed)
         return trajs, float(np.mean(fids))
 
-    per_mean = {}  # exact mean -> (ideal edge series, F_cc)
+    per_mean = {}  # exact mean -> (ideal edge time average, F_cc)
     rows = []
     for p1, mu1, mu2 in kappa_family():
         d = IntervalDistribution.bimodal(mu1, mu2, p1)
         mom = moments(d)
         if mom.mean not in per_mean:
             _, f_cc = ensemble(ProtocolKind.CONTINUOUS, d)
-            per_mean[mom.mean] = _edge_series(spec, psi0, d, m), f_cc
-        series, f_cc = per_mean[mom.mean]
+            per_mean[mom.mean] = edge_time_average(spec, psi0, *_edge_grid(d, m)), f_cc
+        c2_avg, f_cc = per_mean[mom.mean]
         trajs, f_pm = ensemble(ProtocolKind.PROJECTIVE, d)
         _, f_pc = ensemble(ProtocolKind.PULSED, d)
-        pred = pstar_time_averaged(m, d, series, spec.beta)
+        pred = pstar_weak(m, d, spec.beta**2 * c2_avg)
         rows.append(
             (mom.kappa, 1.0 + mom.kappa, mu1, mu2, aggregate(trajs).log_mean, pred.log_pstar,
              f_pm, f_pc, f_cc)
         )
     path = Path(out_dir) / ("fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv")
-    write_csv(
-        path,
-        (
-            "kappa",
-            "one_plus_kappa",
-            "mu1_us",
-            "mu2_us",
-            "ln_P_sim_mean",
-            "ln_pstar_theory",
-            "F_pm",
-            "F_pc",
-            "F_cc",
-        ),
-        zip(*rows),
-        reproducible,
-    )
+    header = ("kappa", "one_plus_kappa", "mu1_us", "mu2_us", "ln_P_sim_mean", "ln_pstar_theory",
+              "F_pm", "F_pc", "F_cc")
+    write_csv(path, header, zip(*rows), reproducible)
     return path

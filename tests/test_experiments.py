@@ -24,7 +24,7 @@ from zenochain.experiments import (
 )
 from zenochain.protocols import ProtocolConfig, ProtocolKind, run_projective, run_pulsed
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments
-from zenochain.theory import pstar_time_averaged
+from zenochain.theory import edge_time_average, pstar_weak
 
 from helpers import scalar_write_csv
 
@@ -136,8 +136,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("write", [run_experiment, write_theory_csv])
     def test_theory_inputs_computed_once_per_distinct_input(self, tmp_path, monkeypatch, write):
-        # three sweep points, one mean interval (3.0 exactly): one edge series
-        # and one eigenstate weight serve every theory row
+        # three sweep points, one mean interval (3.0 exactly): one edge time
+        # average and one eigenstate weight serve every theory row
         text = CONFIG.replace(
             "seed = 4242", "seed = 4242\nkappa_sweep = (0.5, 2.0, 4.0); (0.5, 0.5, 5.5)"
         )
@@ -147,12 +147,37 @@ class TestRunExperiment:
             real = getattr(experiments, name)
             return lambda *a, **k: calls.append(name) or real(*a, **k)
 
-        for name in ("edge_population", "_eigenstate_edge_weight"):
+        for name in ("edge_time_average", "_eigenstate_edge_weight"):
             monkeypatch.setattr(experiments, name, counted(name))
         write(parse_config(text), out_dir=tmp_path, reproducible=True)
         _, rows = read_csv(tmp_path / "theory.csv")
         assert len(rows) == 3 and len({r[3] for r in rows}) == 3  # three kappas
-        assert sorted(calls) == ["_eigenstate_edge_weight", "edge_population"]
+        assert sorted(calls) == ["_eigenstate_edge_weight", "edge_time_average"]
+
+    def test_continuous_protocol_runs_once_per_distinct_mean(self, tmp_path, monkeypatch):
+        # the base law and two kappa_sweep triples share the mean 3.0: one
+        # continuous run serves all three summary rows, as each would alone
+        text = CONFIG.replace("kind = projective", "kind = continuous").replace(
+            "seed = 4242", "seed = 4242\nkappa_sweep = (0.5, 2.0, 4.0); (0.5, 0.5, 5.5)"
+        )
+        config = parse_config(text)
+        alone = []
+        for spec, psi0, protocol in config.sweep_points():
+            trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
+            alone.append(["%.15g" % fids[0], "%.15g" % trajs[0].final_survival])
+        total_times = []
+        run = protocols.run_continuous
+
+        def counted(*args, **kwargs):
+            total_times.append(kwargs["total_time"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "run_continuous", counted)
+        run_experiment(config, out_dir=tmp_path, reproducible=True)
+        assert total_times == [180.0]
+        header, rows = read_csv(tmp_path / "summary.csv")
+        assert [r[header.index("F") : header.index("F") + 2] for r in rows] == alone
+        assert len({r[header.index("kappa")] for r in rows}) == 3
 
     @pytest.mark.parametrize(
         "text",
@@ -175,6 +200,24 @@ class TestRunExperiment:
                 assert [r[k] for r in rows] == ["%.15g" % v for v in column]
         if "bernoulli" in text:  # every run of this config aborts
             assert all(t.aborted_at and t.final_survival == 0.0 for t in result["trajectories"])
+
+    @pytest.mark.parametrize("kind", ["pulsed", "continuous"])
+    def test_coherent_trajectory_cells(self, tmp_path, kind):
+        # two runs of different length in one process: the step and blank
+        # text shared by one run's files never serves the other length; 600
+        # rows span two write chunks
+        for m in (600, 25):
+            text = CONFIG.replace("kind = projective", f"kind = {kind}").replace("m = 60", f"m = {m}")
+            result = run_experiment(parse_config(text), out_dir=tmp_path / f"m{m}", reproducible=True)
+            for i, traj in enumerate(result["trajectories"]):
+                _, rows = read_csv(tmp_path / f"m{m}" / f"trajectory_r{i}.csv")
+                assert [r[0] for r in rows] == [str(k) for k in range(1, m + 1)]
+                assert [r[3] for r in rows] == [""] * m
+                want = (traj.times, traj.intervals, None, traj.cumulative_survival,
+                        traj.cumulative_survival)
+                for k, column in enumerate(want, start=1):
+                    if column is not None:
+                        assert [r[k] for r in rows] == ["%.15g" % v for v in column]
 
     def test_continuous_config_is_one_run(self, tmp_path):
         # the protocol is deterministic: the realization count changes nothing
@@ -313,20 +356,14 @@ class TestWriteCsv:
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
 
     def test_a_column_passed_twice_is_formatted_once(self, tmp_path, monkeypatch):
-        formatted, converted = [], []
-
-        class Cell:  # formats as its float, counting each conversion to text
-            def __init__(self, value):
-                self.value = value
-
-            def __float__(self):
-                converted.append(self.value)
-                return self.value
+        formatted, converted = [], []  # dtype kind of each column made text; float values
 
         def counting(column, lone):
-            formatted.append(column)
-            field, cells = real(column, lone)
-            return field, [Cell(v) for v in cells] if column is pops else cells
+            values = np.asarray(column)
+            formatted.append(values.dtype.kind)
+            if values.dtype.kind == "f":
+                converted.extend(values.tolist())
+            return real(column, lone)
 
         real = experiments._cells
         monkeypatch.setattr(experiments, "_cells", counting)
@@ -334,9 +371,21 @@ class TestWriteCsv:
         steps = np.arange(1, 4)
         header = ("step", "P_cum", "pop_subspace")
         write_csv(tmp_path / "t.csv", header, (steps, pops, pops), reproducible=True)
-        assert sum(c is pops for c in formatted) == 1
+        assert formatted.count("f") == 1  # pops is the one float column
         assert converted == pops.tolist()
         scalar_write_csv(tmp_path / "s.csv", header, zip(steps, pops, pops), reproducible=True)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * experiments.CHUNK_ROWS + 3])
+    def test_tables_past_one_chunk(self, tmp_path, offset):
+        rows = experiments.CHUNK_ROWS + offset
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows)
+        text = [f"s{i}" + ("," if i % 7 == 0 else "") for i in range(rows)]
+        cols = (np.arange(rows), floats, text, floats, rng.integers(0, 2, rows).astype(bool))
+        header = ("i", "x", "s", "x_again", "b")
+        write_csv(tmp_path / "t.csv", header, cols, reproducible=True)
+        scalar_write_csv(tmp_path / "s.csv", header, zip(*cols), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
     def test_every_output_goes_through_write_csv(self, tmp_path, monkeypatch):
@@ -398,7 +447,7 @@ class TestThreeLevelRunner:
 
 
 def loop_fig5(out_dir, seed=5001, m=500, realizations=50, initial="wstate"):
-    """preset_fig5 as one edge series and three ensembles per kappa point:
+    """preset_fig5 as one edge time average and three ensembles per kappa point:
     the reference for the preset, which runs once per distinct mean what
     depends on the mean alone."""
     spec = ChainSpec(n_sites=12, subspace_size=2)
@@ -407,8 +456,8 @@ def loop_fig5(out_dir, seed=5001, m=500, realizations=50, initial="wstate"):
     for p1, mu1, mu2 in kappa_family():
         d = IntervalDistribution.bimodal(mu1, mu2, p1)
         mom = moments(d)
-        series = experiments._edge_series(spec, psi0, d, m)
-        pred = pstar_time_averaged(m, d, series, spec.beta)
+        c2_avg = edge_time_average(spec, psi0, t_max=m * mom.mean, dt=mom.mean / 20)
+        pred = pstar_weak(m, d, spec.beta**2 * c2_avg)
         mean_fids = []  # F_pm, F_pc, F_cc
         for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
             proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)

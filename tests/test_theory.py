@@ -16,6 +16,7 @@ from zenochain.theory import (
     NonPositiveQError,
     edge_damping_rate,
     edge_population,
+    edge_time_average,
     one_step_survival,
     pstar_exact_product,
     pstar_strong,
@@ -25,7 +26,6 @@ from zenochain.theory import (
     remainder_constant,
     three_level_hamiltonian,
     three_level_survival,
-    three_level_transform,
     VarianceCrossCheckError,
     variance_h_pi,
 )
@@ -333,6 +333,40 @@ class TestFactoredGrid:
         for d in (None, BIMODAL):
             with pytest.raises(ValueError, match="t_max"):
                 edge_population(spec, leftmost_excited(6), t_max=t_max, dt=dt, distribution=d)
+        with pytest.raises(ValueError, match="t_max"):
+            edge_time_average(spec, leftmost_excited(6), t_max=t_max, dt=dt)
+
+
+class TestEdgeTimeAverage:
+    # The closed form sums terms of order one that cancel, so its rounding
+    # error is ~1e-17 absolute: each grid spans a time by which the
+    # excitation has reached the edge site, where 1e-12 relative is a test.
+    @pytest.mark.parametrize("lam", range(1, 10))
+    @pytest.mark.parametrize("initial", ["wstate", "leftmost"])
+    @pytest.mark.parametrize(
+        "t_max, dt, points",
+        [(150.0, 150.0, 2), (300.0, 150.0, 3), (30000.0, 0.15, 200_001), (1000.0, 0.7, 1430)],
+    )
+    def test_equals_the_series_average(self, lam, initial, t_max, dt, points):
+        spec = ChainSpec(n_sites=12, subspace_size=lam)
+        psi0 = w_state(12, lam) if initial == "wstate" else leftmost_excited(12)
+        series = edge_population(spec, psi0, t_max=t_max, dt=dt)
+        assert len(series.t_grid) == points
+        average = edge_time_average(spec, psi0, t_max=t_max, dt=dt)
+        assert abs(average - series.time_average) <= 1e-12 * series.time_average
+
+    def test_rounding_noise_is_clipped_at_zero(self):
+        # leftmost start, lambda = 9, one short step: the true average is
+        # ~1e-47, far below what cancelling terms of order one resolve
+        spec = ChainSpec(n_sites=12, subspace_size=9)
+        for t_max in (0.15, 0.3, 0.45):
+            average = edge_time_average(spec, leftmost_excited(12), t_max=t_max, dt=0.15)
+            assert 0.0 <= average <= 1e-15
+
+    def test_constant_edge(self):
+        # W state on two sites: |c_2|^2 = 1/2 at every time
+        spec = ChainSpec(n_sites=12, subspace_size=2)
+        assert abs(edge_time_average(spec, w_state(12, 2), t_max=600.0, dt=0.15) - 0.5) <= 1e-15
 
 
 class TestTimeAveraged:
@@ -491,24 +525,3 @@ class TestThreeLevel:
     def test_degenerate_inputs(self):
         assert three_level_survival(0.0, 0.0, 5.0) == 1.0
 
-
-class TestThreeLevelTransform:
-    def test_unitary(self):
-        t = three_level_transform()
-        assert np.max(np.abs(t.conj().T @ t - np.eye(3))) <= 1e-15
-
-    def test_diagonalizes_coupling(self):
-        t = three_level_transform()
-        g = 2.7
-        hc = np.array([[0, 0, 0], [0, 0, g], [0, g, 0]], dtype=complex)
-        d = t.conj().T @ hc @ t / g
-        assert np.max(np.abs(d - np.diag([0.0, 1.0, -1.0]))) <= 1e-14
-
-    def test_transformed_hamiltonian_form(self):
-        omega, g = 0.9, 4.0
-        t = three_level_transform()
-        h = three_level_hamiltonian(omega, g)
-        got = t.conj().T @ h @ t
-        s = omega / np.sqrt(2)
-        want = np.array([[0, s, s], [s, g, 0], [s, 0, -g]], dtype=complex)
-        assert np.max(np.abs(got - want)) <= 1e-14
