@@ -24,6 +24,7 @@ from zenochain import (
     edge_population,
     leftmost_excited,
     pstar_time_averaged_curve,
+    run_exact_subspace,
     run_projective,
 )
 from zenochain.analysis import local_maxima
@@ -37,10 +38,11 @@ psi0 = leftmost_excited(12)
 traj = run_projective(
     spec, psi0, ProtocolConfig(ProtocolKind.PROJECTIVE, m, d), SeededSampler(7)
 )
-# cover both the realized total time (for step lookups) and the expected
-# horizon m * mean (for the prediction curve)
-series = edge_population(spec, psi0, t_max=max(traj.total_time, m * 3.0) + 1.0, dt=0.15)
+# the prediction averages the edge series over the expected horizon m * mean
+series = edge_population(spec, psi0, t_max=m * 3.0, dt=0.15)
 curve = pstar_time_averaged_curve(np.arange(1, m + 1), d, series, spec.beta)
+# the edge trace is the ideal |c_9|^2 at each step's own realized time
+edge_at_steps = np.abs(run_exact_subspace(spec, psi0, traj.times).states[:, -1]) ** 2
 
 print(f"after {m} measurements: P sim = {traj.final_survival:.4f}, "
       f"P* = {curve[-1]:.4f}")
@@ -52,7 +54,6 @@ sim_smooth = np.convolve(leak_rate, kernel, mode="same")
 sim_steps = local_maxima(sim_smooth, order=12)
 sim_steps = sim_steps[sim_smooth[sim_steps] > 0.25 * sim_smooth.max()]
 
-edge_at_steps = np.interp(traj.times, series.t_grid, series.values)
 th_smooth = np.convolve(edge_at_steps, kernel, mode="same")
 th_steps = local_maxima(th_smooth, order=12)
 

@@ -25,6 +25,7 @@ from .protocols import (
     ProtocolKind,
     Trajectory,
     run_continuous,
+    run_exact_subspace,
     run_lockstep,
     run_projective,
     run_pulsed,
@@ -32,9 +33,7 @@ from .protocols import (
 from .stochastics import IntervalDistribution, SeededSampler, derive_seed, moments
 from .theory import (
     _exponent,
-    edge_population,
     edge_time_average,
-    pstar_time_averaged_curve,
     pstar_weak,
     three_level_hamiltonian,
     three_level_survival,
@@ -140,16 +139,17 @@ def _eigenstate_edge_weight(spec: ChainSpec, psi0: np.ndarray) -> float:
     return float(np.abs(dec.eigenvectors[lam - 1, k]) ** 2)
 
 
-def _edge_grid(d: IntervalDistribution, m: int) -> tuple[float, float]:
-    """(t_max, dt) of the ideal edge population: the m intervals' expected span."""
+def _edge_grid(d: IntervalDistribution, m):
+    """(t_max, dt) of the ideal edge population: the expected span of m intervals,
+    one t_max per entry where m is an array."""
     mean = moments(d).mean
     return m * mean, mean / EDGE_SERIES_STEPS_PER_MEAN
 
 
-def _predicted_staircase(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m: int):
-    """The ideal edge series and the time-averaged P* after 1..m intervals."""
-    series = edge_population(spec, psi0, *_edge_grid(d, m))
-    return series, pstar_time_averaged_curve(np.arange(1, m + 1), d, series, spec.beta)
+def _predicted_staircase(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m_values):
+    """The time-averaged P* after each of m_values intervals, from the closed-form edge average."""
+    avg = edge_time_average(spec, psi0, *_edge_grid(d, m_values))
+    return np.exp(-_exponent(m_values, moments(d), spec.beta**2 * avg))
 
 
 def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig, memo: dict):
@@ -342,7 +342,7 @@ def preset_fig2(
             kind=ProtocolKind.PROJECTIVE, num_intervals=m, distribution=d
         )
         traj = run_projective(spec, psi0, proto, SeededSampler(seed + lam))
-        _, curve_avg = _predicted_staircase(spec, psi0, d, m)
+        curve_avg = _predicted_staircase(spec, psi0, d, m_axis)
         c2_eigen = _eigenstate_edge_weight(spec, psi0)
         curve_const = np.exp(-_exponent(m_axis, mom, spec.beta**2 * c2_eigen))
         per_lambda.append(
@@ -361,27 +361,25 @@ def preset_fig2(
 def preset_fig3(
     out_dir: str, seed: int = 3001, m: int = 2000, reproducible: bool = False
 ) -> Path:
-    """Leftmost-excited staircase at lambda = 9 with the edge-population trace."""
+    """Leftmost-excited staircase at lambda = 9 with the edge-population trace, the ideal
+    |c_lambda|^2 at each step's own time; the inset evaluates lambda = 1..8 at its m only."""
     d = BIMODAL_1_5
     out = Path(out_dir)
     psi0 = leftmost_excited(N_SITES)
-    specs = [ChainSpec(n_sites=N_SITES, subspace_size=lam) for lam in range(1, 10)]
-    predicted = [_predicted_staircase(spec, psi0, d, m) for spec in specs]
+    spec = ChainSpec(n_sites=N_SITES, subspace_size=9)
+    m_axis, inset_m = np.arange(1, m + 1), np.arange(1, m + 1, 10)
 
     proto = ProtocolConfig(kind=ProtocolKind.PROJECTIVE, num_intervals=m, distribution=d)
-    traj = run_projective(specs[-1], psi0, proto, SeededSampler(seed))
-    series, curve = predicted[-1]
-    edge_at_steps = np.interp(traj.times, series.t_grid, series.values)
-    columns = (np.arange(1, m + 1), traj.times, traj.cumulative_survival, curve, edge_at_steps)
+    traj = run_projective(spec, psi0, proto, SeededSampler(seed))
+    curve = _predicted_staircase(spec, psi0, d, m_axis)
+    edge_at_steps = np.abs(run_exact_subspace(spec, psi0, traj.times).states[:, -1]) ** 2
+    columns = (m_axis, traj.times, traj.cumulative_survival, curve, edge_at_steps)
     main = out / "fig3_main.csv"
     write_csv(main, ("m", "t_us", "P_sim", "pstar_time_avg", "edge_pop"), columns, reproducible)
 
-    inset_m = np.arange(1, m + 1, 10)
-    inset = (
-        np.repeat([spec.subspace_size for spec in specs], len(inset_m)),
-        np.tile(inset_m, len(specs)),
-        np.concatenate([curve_i[::10] for _, curve_i in predicted]),
-    )
+    curves = [_predicted_staircase(ChainSpec(N_SITES, k), psi0, d, inset_m) for k in range(1, 9)]
+    curves.append(curve[::10])
+    inset = (np.repeat(range(1, 10), len(inset_m)), np.tile(inset_m, 9), np.concatenate(curves))
     write_csv(out / "fig3_inset.csv", ("lambda", "m", "pstar_time_avg"), inset, reproducible)
     return main
 

@@ -214,11 +214,13 @@ def _edge_values(
     return pops[-1] / np.sum(pops, axis=0)
 
 
-def _grid_points(t_max: float, dt: float) -> int:
-    """Length of np.arange(0, t_max + dt/2, dt), by numpy's own rule; at least 2."""
-    if not (0 < t_max < np.inf and 0 < dt < np.inf):
-        raise ValueError(f"t_max = {t_max} and dt = {dt} must be finite and positive")
-    if (points := int(np.ceil((t_max + 0.5 * dt) / dt))) < 2:
+def _grid_points(t_max, dt: float) -> np.ndarray:
+    """Length of np.arange(0, t + dt/2, dt) for each t of t_max, by numpy's own rule;
+    each at least 2."""
+    t_max = np.asarray(t_max, dtype=float)
+    if not (t_max.size and np.all((0 < t_max) & (t_max < np.inf)) and 0 < dt < np.inf):
+        raise ValueError(f"t_max = {t_max} and dt = {dt} must be non-empty, finite and positive")
+    if np.any((points := np.ceil((t_max + 0.5 * dt) / dt).astype(int)) < 2):
         raise ValueError(f"t_max = {t_max} and dt = {dt} give a grid of fewer than two points")
     return points
 
@@ -246,28 +248,38 @@ def edge_population(
     ExceptionalPointError when that generator cannot be diagonalized
     reliably.
     """
-    points = _grid_points(t_max, dt)
+    points = int(_grid_points(t_max, dt))
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
     values = _edge_values(spec, psi0, dt, points, distribution)
     avg = float(_cumulative_trapezoid(values, t_grid)[-1] / t_grid[-1])
     return EdgePopulationSeries(t_grid=t_grid, values=values, time_average=avg)
 
 
-def edge_time_average(spec: ChainSpec, psi0: np.ndarray, t_max: float, dt: float) -> float:
-    """``edge_population(spec, psi0, t_max, dt).time_average`` without the series: in
-    the eigenbasis of H_Z, |c_lambda(j dt)|^2 = sum_kl A_kl z_kl^j, geometric in j.
-    Terms of order one cancel: an average below ~1e-16 is rounding noise, clipped at 0.
+def edge_time_average(spec: ChainSpec, psi0: np.ndarray, t_max, dt: float):
+    """``edge_population(spec, psi0, t, dt).time_average`` for each t of ``t_max``,
+    without the series: a float for a scalar t_max, else an array of its shape.
+
+    In the eigenbasis of H_Z, |c_lambda(j dt)|^2 = sum_kl a_k a_l* z_kl^j with
+    z_kl = exp(-i (w_k - w_l) dt).  The trapezoid sum over j < N of a pair with
+    z != 1 is (z^(N-1) - 1) G_kl with G = (z + 1) / (2 (z - 1)) = 1 / (z - 1) + 1/2,
+    and N - 1 for a pair with z = 1.  With u = a exp(-i w (N-1) dt) and D the sum
+    of a_k a_l* over the pairs with z = 1, the sum is u G u* - a G a* + (N - 1) D:
+    one (len(t_max) x lambda) @ (lambda x lambda) product.  Terms of order one
+    cancel: an average below ~1e-16 is rounding noise, clipped at 0.
     """
     lam = spec.subspace_size
     points, psi_sub = _grid_points(t_max, dt), _check_initial_state(psi0, lam)[:lam]
     dec = linalg.hermitian_eig(zeno_hamiltonian(spec))
     amps = dec.eigenvectors[-1] * (dec.eigenvectors.conj().T @ psi_sub)
     phase = -1j * dt * np.subtract.outer(dec.eigenvalues, dec.eigenvalues)
-    # sum_j z^j = (z^N - 1) / (z - 1), or N where z = 1; less half of each end point
-    sums = np.full_like(phase, points)
-    np.divide(np.expm1(points * phase), np.expm1(phase), out=sums, where=phase != 0)
-    sums -= (1 + np.exp((points - 1) * phase)) / 2
-    return max(0.0, float(np.real(amps @ sums @ amps.conj())) / (points - 1))
+    flat = phase == 0
+    g = np.divide(1, np.expm1(phase), out=np.zeros_like(phase), where=~flat) + 0.5 * ~flat
+    steady = np.real(amps @ flat @ amps.conj())  # D
+    steps = points.ravel() - 1  # N - 1 per entry
+    u = amps * np.exp(-1j * dt * np.multiply.outer(steps, dec.eigenvalues))
+    swing = np.sum((u @ g) * u.conj(), axis=1) - amps @ g @ amps.conj()
+    avg = np.maximum(0.0, steady + np.real(swing) / steps).reshape(points.shape)
+    return float(avg) if avg.ndim == 0 else avg
 
 
 def pstar_time_averaged(

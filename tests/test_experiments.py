@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenochain import experiments, protocols
+from zenochain import experiments, linalg, protocols
 from zenochain.analysis import aggregate
-from zenochain.chain import ChainSpec, leftmost_excited, w_state
+from zenochain.chain import ChainSpec, leftmost_excited, w_state, zeno_hamiltonian
 from zenochain.cli import main as cli_main
 from zenochain.config import parse_config
 from zenochain.experiments import (
@@ -812,6 +812,48 @@ class TestCLI:
         at_nine = [(m, p) for lam, m, p in inset if lam == "9"]
         assert [m for m, _ in at_nine] == [str(k) for k in range(1, 61, 10)]
         assert [p for _, p in at_nine] == [main[m] for m, _ in at_nine]
+
+    def test_fig3_edge_pop_is_exact_at_every_step(self, tmp_path):
+        # default fig3: 8 steps end past the expected span m * mean = 6000 us,
+        # where an edge trace read off a series ending there would stop moving
+        from zenochain.experiments import BIMODAL_1_5, preset_fig3
+
+        preset_fig3(tmp_path, reproducible=True)
+        header, rows = read_csv(tmp_path / "fig3_main.csv")
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=9), leftmost_excited(12)
+        proto = ProtocolConfig(ProtocolKind.PROJECTIVE, 2000, BIMODAL_1_5)
+        times = run_projective(spec, psi0, proto, SeededSampler(3001)).times
+        t_us, edge_pop = (np.array([float(r[header.index(k)]) for r in rows])
+                          for k in ("t_us", "edge_pop"))
+        np.testing.assert_allclose(t_us, times, rtol=1e-14)
+        assert np.sum(times > 2000 * moments(BIMODAL_1_5).mean) == 8
+        exact = np.abs(linalg.evolve(zeno_hamiltonian(spec), psi0[:9], times)[:, -1]) ** 2
+        assert np.max(np.abs(edge_pop - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("preset", ["preset_fig2", "preset_fig3"])
+    def test_staircases_build_no_edge_series(self, tmp_path, monkeypatch, preset):
+        # the predictions read the ideal edge average in closed form, at the
+        # m values each file writes: fig3's inset needs every tenth m only
+        from zenochain import theory
+
+        series, averages = [], []
+        real = experiments.edge_time_average
+
+        def average(spec, psi0, t_max, dt):
+            averages.append((spec.subspace_size, np.array(t_max)))
+            return real(spec, psi0, t_max, dt)
+
+        for module in (theory, experiments):
+            monkeypatch.setattr(module, "edge_population", lambda *a, **k: series.append(a),
+                                raising=False)
+        monkeypatch.setattr(experiments, "edge_time_average", average)
+        getattr(experiments, preset)(tmp_path, m=60, reproducible=True)
+        assert series == []
+        mean = moments(experiments.BIMODAL_1_5).mean
+        assert sorted(lam for lam, _ in averages) == list(range(1, 10))
+        for lam, t_max in averages:
+            step = 10 if preset == "preset_fig3" and lam < 9 else 1
+            np.testing.assert_array_equal(t_max, np.arange(1, 61, step) * mean)
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -369,6 +369,53 @@ class TestEdgeTimeAverage:
         assert abs(edge_time_average(spec, w_state(12, 2), t_max=600.0, dt=0.15) - 0.5) <= 1e-15
 
 
+class TestEdgeTimeAverageArray:
+    # one time average per entry of an array t_max, by one quadratic form each
+    @pytest.mark.parametrize("lam", [1, 2, 5, 9])
+    @pytest.mark.parametrize("initial", ["wstate", "leftmost"])
+    def test_each_entry_equals_its_scalar_call(self, lam, initial):
+        spec = ChainSpec(n_sites=12, subspace_size=lam)
+        psi0 = w_state(12, lam) if initial == "wstate" else leftmost_excited(12)
+        t_max = np.array([0.15, 0.3, 7.5, 150.0, 300.0, 2999.95, 6000.0, 30000.0])
+        averages = edge_time_average(spec, psi0, t_max=t_max, dt=0.15)
+        scalars = [edge_time_average(spec, psi0, t_max=t, dt=0.15) for t in t_max]
+        assert all(type(a) is float for a in scalars)
+        # rounding noise of ~1e-17 (clipped at 0) where the edge is still empty
+        np.testing.assert_allclose(averages, scalars, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("lam", range(1, 10))
+    @pytest.mark.parametrize("initial", ["wstate", "leftmost"])
+    def test_staircase_matches_the_series_curve(self, lam, initial):
+        # the fig2/fig3 staircase: m = 1..2000 on the grid dt = mean / 20
+        spec = ChainSpec(n_sites=12, subspace_size=lam)
+        psi0 = w_state(12, lam) if initial == "wstate" else leftmost_excited(12)
+        mom, m_axis = moments(BIMODAL), np.arange(1, 2001)
+        series = edge_population(spec, psi0, t_max=2000 * mom.mean, dt=mom.mean / 20)
+        expected = pstar_time_averaged_curve(m_axis, BIMODAL, series, spec.beta)
+        averages = edge_time_average(spec, psi0, t_max=m_axis * mom.mean, dt=mom.mean / 20)
+        curve = np.exp(-theory._exponent(m_axis, mom, spec.beta**2 * averages))
+        assert np.max(np.abs(curve - expected) / expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "t_max",
+        [[], [1.0, np.nan], [np.inf], [5.0, 0.0], [-1.0, 2.0], [3.0, 0.4], np.zeros((2, 0))],
+        ids=["empty", "nan", "inf", "zero", "negative", "one-point-grid", "empty-2d"],
+    )
+    def test_bad_entries_raise(self, t_max):
+        spec = ChainSpec(n_sites=6, subspace_size=3)
+        with pytest.raises(ValueError, match="t_max"):
+            edge_time_average(spec, leftmost_excited(6), t_max=np.array(t_max), dt=1.0)
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (2, 3), (3, 1, 2)])
+    def test_output_has_the_input_shape(self, shape):
+        spec = ChainSpec(n_sites=12, subspace_size=4)
+        t_max = np.linspace(10.0, 600.0, int(np.prod(shape))).reshape(shape)
+        averages = edge_time_average(spec, w_state(12, 4), t_max=t_max, dt=0.15)
+        assert isinstance(averages, np.ndarray) and averages.shape == shape
+        last = edge_time_average(spec, w_state(12, 4), t_max=float(t_max.ravel()[-1]), dt=0.15)
+        assert abs(averages.ravel()[-1] - last) <= 1e-13 * last
+
+
 class TestTimeAveraged:
     def test_constant_edge_reduces_to_weak_form_exactly(self):
         spec = ChainSpec(n_sites=12, subspace_size=2)
