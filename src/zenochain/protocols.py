@@ -150,7 +150,8 @@ def _word_length(atoms: int, dim: int, m: int) -> int:
     (dim per matrix product) than one column's m steps.  L is never a
     function of the ensemble width, so no column's arithmetic is either."""
     def fits(length: int) -> bool:
-        words = sum(atoms**i for i in range(1, length + 1))  # all but the atoms are built
+        # the table holds k + k^2 + ... + k^L words; all but the k atoms are built
+        words = length if atoms == 1 else (atoms ** (length + 1) - atoms) // (atoms - 1)
         return words * 16 * dim * dim <= TABLE_BYTES and (words - atoms) * dim <= m
 
     return max((2**p for p in range(1, BLOCK.bit_length()) if fits(2**p)), default=1)
@@ -448,12 +449,20 @@ def run_lockstep(
     continuous protocol is deterministic and draws nothing: the list holds
     its one run, for the expected total time num_intervals * mean(mu), with
     the population on the same per-interval grid the stochastic protocols
-    use.
+    use.  A one-atom law leaves post-selected and pulsed runs nothing random:
+    one column runs, and the R realizations share its arrays, made read-only.
     """
     if not samplers:
         raise ValueError("need at least one realization")
     if config.kind is not ProtocolKind.CONTINUOUS:
-        return _lockstep(spec, psi0, config, samplers)
+        if len(config.distribution.atoms) > 1 or config.bernoulli:
+            return _lockstep(spec, psi0, config, samplers)
+        traj = _lockstep(spec, psi0, config, samplers[:1])[0]
+        for sampler in samplers[1:]:
+            sampler.rewind(-config.num_intervals)  # skip the m draws a column makes
+        for array in filter(lambda a: isinstance(a, np.ndarray), vars(traj).values()):
+            array.flags.writeable = False
+        return [Trajectory(**vars(traj)) for _ in samplers]
     mean = moments(config.distribution).mean
     traj = run_continuous(
         spec,

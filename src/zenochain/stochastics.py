@@ -73,7 +73,7 @@ class SeededSampler:
         return draw_uniforms([self], k)[0]
 
     def rewind(self, k: int) -> None:
-        """Step the stream back by k draws, so the next k draws repeat."""
+        """Step the stream back by k draws, so the next k draws repeat (k < 0: skip -k)."""
         self._state = (self._state - k * _GAMMA) & _MASK64
 
     def spawn(self, index: int) -> "SeededSampler":
@@ -179,10 +179,11 @@ def moments(d: IntervalDistribution) -> Moments:
 
 
 def atom_indices(d: IntervalDistribution, uniforms: np.ndarray) -> np.ndarray:
-    """Index of the atom each uniform draw selects, by inverse CDF in atom order."""
-    cdf = np.cumsum(d.probabilities)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, uniforms, side="right")
+    """Index of the atom each uniform draw selects: the count of CDF entries <= u."""
+    index = np.zeros(np.shape(uniforms), dtype=int)
+    for c in np.cumsum(d.probabilities)[:-1]:  # the last, 1 > u, counts none
+        index += uniforms >= c
+    return index
 
 
 def sample_intervals(

@@ -388,6 +388,25 @@ class TestWriteCsv:
         scalar_write_csv(tmp_path / "s.csv", header, zip(*cols), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
+    def test_whole_number_floats_read_as_by_15g(self, tmp_path):
+        # whole floats below 1e15 are written by %d; -0.0, 1e15 and non-finite
+        # values keep %.15g; a chunk decides for itself
+        rows = 2 * experiments.CHUNK_ROWS
+        edge = [-0.0, -5.0, 999999999999999.0, -999999999999999.0, 1e15, np.nan, np.inf, 0.0]
+        tails = [[], [-0.0], [1e15], [np.nan], [-np.inf], [2.5], [2.0**53]]
+        whole = np.arange(rows, dtype=float) - 7.0
+        mixed = whole.copy()
+        mixed[experiments.CHUNK_ROWS + 3] = 0.5  # the second chunk only
+        cols = [whole, mixed, np.resize(edge, rows)]
+        cols += [np.resize([1.0, -2.0, *tail], rows) for tail in tails]
+        header = tuple(f"c{i}" for i in range(len(cols)))
+        write_csv(tmp_path / "t.csv", header, cols, reproducible=True)
+        scalar_write_csv(tmp_path / "s.csv", header, zip(*cols), reproducible=True)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+        _, back = read_csv(tmp_path / "t.csv")
+        assert [r[2] for r in back[:8]] == ["-0", "-5", "999999999999999", "-999999999999999",
+                                            "1e+15", "nan", "inf", "0"]
+
     def test_every_output_goes_through_write_csv(self, tmp_path, monkeypatch):
         # the benchmark times write_csv for its CSV rows/s; a writer that
         # bypassed it would go unmeasured
@@ -510,6 +529,20 @@ class TestSweeps:
         monkeypatch.setattr(protocols, "run_continuous", counted)
         preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)
         assert means == [3.0, 3.0000000000000004]
+
+    def test_fig5_runs_one_column_at_kappa_zero(self, tmp_path, monkeypatch):
+        # kappa = 0 is a one-atom law: its projective (dim 2) and pulsed (dim 12)
+        # ensembles advance one column; every other point advances R = 5
+        calls = []  # (width, state dimension) of each batched advance
+        products = protocols._products
+
+        def counted(table, codes, length, psi, out):
+            calls.append((len(codes), psi.shape[1]))
+            return products(table, codes, length, psi, out)
+
+        monkeypatch.setattr(protocols, "_products", counted)
+        preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)
+        assert calls == [(1, 2), (1, 12)] + [(5, 2), (5, 12)] * 6
 
     def test_scaling_sweep_small(self):
         rows = scaling_sweep(lam=5, total_time=300.0, mu_min=1.0, mu_max=3.0, points=3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenochain import linalg, protocols
+from zenochain import linalg, protocols, stochastics
 from zenochain.analysis import ensemble_fidelities
 from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, leftmost_excited, projector, w_state
 from zenochain.linalg import propagator
@@ -533,6 +533,19 @@ class TestWordKernel:
         for (atoms, dim, m), length in self.LENGTHS.items():
             assert protocols._word_length(atoms, dim, m) == length
 
+    def test_word_length_closed_form_equals_the_sum(self):
+        def summed(atoms, dim, m):  # the rule with the word count as an explicit sum
+            def fits(length):
+                words = sum(atoms**i for i in range(1, length + 1))
+                return words * 16 * dim * dim <= protocols.TABLE_BYTES and (words - atoms) * dim <= m
+
+            return max((2**p for p in range(1, BLOCK.bit_length()) if fits(2**p)), default=1)
+
+        for atoms in range(1, 6):
+            for dim in range(1, 33):
+                for m in (1, 2, 7, 50, 100, 333, 2000, 10000, 10**6):
+                    assert protocols._word_length(atoms, dim, m) == summed(atoms, dim, m)
+
     @pytest.mark.parametrize("kind, lam, d", [
         (ProtocolKind.PULSED, 4, BIMODAL),
         (ProtocolKind.PROJECTIVE, 9, BIMODAL),
@@ -582,6 +595,65 @@ class TestWordKernel:
         run_lockstep(spec, leftmost_excited(12), config, [SeededSampler(i) for i in range(1000)])
         assert max(gathers) <= protocols.TABLE_BYTES
         assert sum(gathers) == 1000 * 100 * 12 * 12 * 16  # every step of every column, once
+
+
+class TestOneAtomEnsemble:
+    """A one-atom law leaves a post-selected or pulsed run nothing random:
+    one column runs, and the R realizations share its read-only arrays."""
+
+    ONE_ATOM = IntervalDistribution.deterministic(0.7)
+
+    def configs(self, record_states):
+        yield pm_config(150, self.ONE_ATOM, record_states=record_states)
+        yield ProtocolConfig(ProtocolKind.PULSED, 150, self.ONE_ATOM, record_states=record_states)
+
+    @pytest.mark.parametrize("record_states", [False, True])
+    def test_equals_lone_runs_bit_for_bit(self, record_states):
+        spec, psi0 = ChainSpec(n_sites=9, subspace_size=3), w_state(9, 3)
+        for config in self.configs(record_states):
+            run_one = run_projective if config.kind is ProtocolKind.PROJECTIVE else run_pulsed
+            samplers = [SeededSampler(11).spawn(i) for i in range(6)]
+            starts = [s._state for s in samplers]
+            trajs = run_lockstep(spec, psi0, config, samplers)
+            assert len(trajs) == 6
+            for traj, start, sampler, i in zip(trajs, starts, samplers, range(6)):
+                assert_same_run(traj, run_one(spec, psi0, config, SeededSampler(11).spawn(i)))
+                assert traj.aborted_at is None
+                assert (traj.states is not None) is record_states
+                assert sampler._state == (start + 150 * stochastics._GAMMA) % 2**64
+
+    def test_shared_arrays_are_read_only(self):
+        spec, psi0 = ChainSpec(n_sites=9, subspace_size=3), w_state(9, 3)
+        for config in self.configs(True):
+            trajs = run_lockstep(spec, psi0, config, [SeededSampler(i) for i in range(4)])
+            assert len({id(t) for t in trajs}) == 4
+            for name in ("intervals", "times", "cumulative_survival", "final_state",
+                         "survival_factors", "log_cumulative_survival", "states"):
+                array = getattr(trajs[0], name)
+                if array is None:
+                    continue
+                assert all(getattr(t, name) is array for t in trajs), name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    def test_bernoulli_outcomes_still_drawn_per_column(self, monkeypatch):
+        # q < 1 every step: each column's outcomes are its own, so runs abort
+        # at different steps; every column is advanced by the kernel
+        widths = []
+        products = protocols._products
+        monkeypatch.setattr(protocols, "_products",
+                            lambda table, codes, *a: widths.append(len(codes)) or
+                            products(table, codes, *a))
+        spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
+        config = pm_config(300, IntervalDistribution.deterministic(4.0), bernoulli=True)
+        trajs = run_lockstep(spec, psi0, config, [SeededSampler(3).spawn(i) for i in range(12)])
+        assert len(trajs) == 12 and widths[0] == 12
+        assert len({t.aborted_at for t in trajs}) > 3
+
+    def test_continuous_still_one_run(self):
+        spec, psi0 = ChainSpec(n_sites=9, subspace_size=3), w_state(9, 3)
+        config = ProtocolConfig(ProtocolKind.CONTINUOUS, 40, self.ONE_ATOM)
+        assert len(run_lockstep(spec, psi0, config, [SeededSampler(i) for i in range(5)])) == 1
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning, e.g. 0/0 on a zero-norm column

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zenochain.stochastics import (
     IntervalDistribution,
+    atom_indices,
     SeededSampler,
     derive_seed,
     draw_uniforms,
@@ -212,6 +213,22 @@ class TestBlockDraws:
         assert np.array_equal(s.uniforms(4), first[6:])
         s.rewind(10)
         assert np.array_equal(s.uniforms(10), first)
+
+    @pytest.mark.parametrize("atoms", range(1, 7))
+    def test_atom_indices_equal_searchsorted(self, atoms):
+        # the inverse CDF as searchsorted on the CDF with its last entry set to 1,
+        # on random draws, 0.0 and draws equal to each CDF entry
+        rng = np.random.default_rng(atoms)
+        weights = rng.integers(1, 9, atoms).astype(float)
+        d = IntervalDistribution.from_atoms(zip(range(1, atoms + 1), weights / weights.sum()))
+        cdf = np.cumsum(d.probabilities)
+        cdf[-1] = 1.0
+        u = draw_uniforms([SeededSampler(i) for i in range(5)], 300)
+        u[0, : atoms + 1] = [0.0, *cdf[:-1], np.nextafter(1.0, 0.0)]
+        index = atom_indices(d, u)
+        assert index.dtype == np.searchsorted(cdf, u).dtype
+        assert np.array_equal(index, np.searchsorted(cdf, u, side="right"))
+        assert index[0, 0] == 0 and list(index[0, 1:atoms]) == list(range(1, atoms))
 
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**63 + 11, 2**64 - 1])
     def test_sample_intervals_match_scalar_path(self, seed):
