@@ -157,17 +157,12 @@ def _predicted_staircase(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribut
     return np.exp(-_exponent(m_values, moments(d), spec.beta**2 * avg))
 
 
-def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig, memo: dict):
-    """A sweep point's theory.csv row and prediction; memo keeps a run's
-    eigenstate weights and edge time averages, one per distinct input."""
+def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
+    """A sweep point's theory.csv row and prediction."""
     d, m = protocol.distribution, protocol.num_intervals
     mom = moments(d)
-    key = (spec, psi0.tobytes())
-    if key not in memo:
-        memo[key] = _eigenstate_edge_weight(spec, psi0)
-    if (key, mom.mean, m) not in memo:
-        memo[key, mom.mean, m] = edge_time_average(spec, psi0, *_edge_grid(d, m))
-    c2_eigen, c2_avg = memo[key], memo[key, mom.mean, m]
+    c2_eigen = _eigenstate_edge_weight(spec, psi0)
+    c2_avg = edge_time_average(spec, psi0, *_edge_grid(d, m))
     pred_avg = pstar_weak(m, d, spec.beta**2 * c2_avg)  # pstar_time_averaged, from the average
     pstar_const = pstar_weak(m, d, spec.beta**2 * c2_eigen).pstar
     return (
@@ -219,7 +214,8 @@ def run_ensemble(
     Realization i draws its intervals from the child stream
     derive_seed(seed, i); all advance together in one lockstep kernel and
     are scored against the ideal confined evolution at their own realized
-    total times.  The continuous protocol is one run, not ``realizations``.
+    total times.  A deterministic ensemble (the continuous protocol, or a
+    one-atom post-selected or pulsed one) is one run, not ``realizations``.
     """
     children = derive_seed(seed, np.arange(realizations, dtype=np.uint64))
     trajs = run_lockstep(spec, psi0, protocol, [SeededSampler(s) for s in children.tolist()])
@@ -240,7 +236,7 @@ def run_experiment(
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows, theory_rows, memo, runs = [], [], {}, {}
+    summary_rows, theory_rows, runs = [], [], {}
     for k, (spec, psi0, protocol) in enumerate(config.sweep_points()):
         if protocol.kind is not ProtocolKind.CONTINUOUS:
             trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
@@ -250,7 +246,7 @@ def run_experiment(
             if key not in runs:
                 runs[key] = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
             trajs, fids = runs[key]
-        trow, pred = _theory_row(spec, psi0, protocol, memo)
+        trow, pred = _theory_row(spec, psi0, protocol)
         if k == 0:
             base_trajs, base_pred = trajs, pred
             for i, traj in enumerate(trajs):
@@ -284,8 +280,7 @@ def write_theory_csv(
 ) -> Path:
     """Theory-only run: the theory.csv rows of ``run_experiment``, same sweep."""
     path = Path(out_dir if out_dir is not None else config.output_path) / "theory.csv"
-    memo = {}
-    rows = [_theory_row(*point, memo)[0] for point in config.sweep_points()]
+    rows = [_theory_row(*point)[0] for point in config.sweep_points()]
     write_csv(path, THEORY_HEADER, zip(*rows), reproducible)
     return path
 

@@ -445,24 +445,20 @@ def run_lockstep(
 ) -> list[Trajectory]:
     """One realization of the configured protocol per sampler, run together.
 
-    Realization r is bit-identical to a lone run with samplers[r].  The
-    continuous protocol is deterministic and draws nothing: the list holds
-    its one run, for the expected total time num_intervals * mean(mu), with
-    the population on the same per-interval grid the stochastic protocols
-    use.  A one-atom law leaves post-selected and pulsed runs nothing random:
-    one column runs, and the R realizations share its arrays, made read-only.
+    Realization r is bit-identical to a lone run with samplers[r].  A
+    deterministic ensemble is one run, and the list holds only that run:
+    the continuous protocol, for the expected total time
+    num_intervals * mean(mu) with the population on the same per-interval
+    grid the stochastic protocols use, and a post-selected projective or
+    pulsed ensemble under a one-atom law, run with samplers[0].  It leaves
+    samplers[1:] untouched.  Bernoulli ensembles keep one run per sampler,
+    since their outcomes stay random.
     """
     if not samplers:
         raise ValueError("need at least one realization")
     if config.kind is not ProtocolKind.CONTINUOUS:
-        if len(config.distribution.atoms) > 1 or config.bernoulli:
-            return _lockstep(spec, psi0, config, samplers)
-        traj = _lockstep(spec, psi0, config, samplers[:1])[0]
-        for sampler in samplers[1:]:
-            sampler.rewind(-config.num_intervals)  # skip the m draws a column makes
-        for array in filter(lambda a: isinstance(a, np.ndarray), vars(traj).values()):
-            array.flags.writeable = False
-        return [Trajectory(**vars(traj)) for _ in samplers]
+        random = len(config.distribution.atoms) > 1 or config.bernoulli
+        return _lockstep(spec, psi0, config, samplers if random else samplers[:1])
     mean = moments(config.distribution).mean
     traj = run_continuous(
         spec,

@@ -68,12 +68,8 @@ class SeededSampler:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * (2.0 ** -53)
 
-    def uniforms(self, k: int) -> np.ndarray:
-        """The next k ``uniform()`` draws as one array; the state advances by k."""
-        return draw_uniforms([self], k)[0]
-
     def rewind(self, k: int) -> None:
-        """Step the stream back by k draws, so the next k draws repeat (k < 0: skip -k)."""
+        """Step the stream back by k draws, so the next k draws repeat."""
         self._state = (self._state - k * _GAMMA) & _MASK64
 
     def spawn(self, index: int) -> "SeededSampler":
@@ -192,7 +188,7 @@ def sample_intervals(
     """Draw m i.i.d. waiting times by inverse CDF in atom order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return d.values[atom_indices(d, sampler.uniforms(m))]
+    return d.values[atom_indices(d, draw_uniforms([sampler], m)[0])]
 
 
 def weak_zeno_margin(d: IntervalDistribution, m: int, c_bound: float) -> float:

@@ -135,24 +135,24 @@ class TestRunExperiment:
         assert abs(kappas[2] - 16.0 / 9.0) <= 1e-12
 
     @pytest.mark.parametrize("write", [run_experiment, write_theory_csv])
-    def test_theory_inputs_computed_once_per_distinct_input(self, tmp_path, monkeypatch, write):
-        # three sweep points, one mean interval (3.0 exactly): one edge time
-        # average and one eigenstate weight serve every theory row
+    def test_theory_rows_equal_direct_calls(self, tmp_path, write):
+        # three sweep points: each theory row holds the eigenstate weight, the
+        # edge time average and both P* of its own point, computed directly
+        # (leftmost start: its edge weight moves, so the two weights differ)
         text = CONFIG.replace(
             "seed = 4242", "seed = 4242\nkappa_sweep = (0.5, 2.0, 4.0); (0.5, 0.5, 5.5)"
-        )
-        calls = []
-
-        def counted(name):
-            real = getattr(experiments, name)
-            return lambda *a, **k: calls.append(name) or real(*a, **k)
-
-        for name in ("edge_time_average", "_eigenstate_edge_weight"):
-            monkeypatch.setattr(experiments, name, counted(name))
-        write(parse_config(text), out_dir=tmp_path, reproducible=True)
-        _, rows = read_csv(tmp_path / "theory.csv")
+        ).replace(WSTATE, "initial_state = leftmost")
+        config = parse_config(text)
+        write(config, out_dir=tmp_path, reproducible=True)
+        header, rows = read_csv(tmp_path / "theory.csv")
         assert len(rows) == 3 and len({r[3] for r in rows}) == 3  # three kappas
-        assert sorted(calls) == ["_eigenstate_edge_weight", "edge_time_average"]
+        for row, (spec, psi0, protocol) in zip(rows, config.sweep_points()):
+            d, m = protocol.distribution, protocol.num_intervals
+            c2_eigen = experiments._eigenstate_edge_weight(spec, psi0)
+            c2_avg = edge_time_average(spec, psi0, *experiments._edge_grid(d, m))
+            expected = (c2_eigen, c2_avg, pstar_weak(m, d, spec.beta**2 * c2_eigen).pstar,
+                        pstar_weak(m, d, spec.beta**2 * c2_avg).pstar)
+            assert row[header.index("c2_eigen"):] == ["%.15g" % v for v in expected]
 
     def test_continuous_protocol_runs_once_per_distinct_mean(self, tmp_path, monkeypatch):
         # the base law and two kappa_sweep triples share the mean 3.0: one
@@ -577,6 +577,23 @@ class TestCLI:
         assert "wrote 3 files" in capsys.readouterr().out
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["summary.csv", "theory.csv", "trajectory_r0.csv"]
+
+    @pytest.mark.parametrize("kind", ["projective", "pulsed"])
+    def test_simulate_one_atom_is_one_run_at_any_realization_count(self, tmp_path, kind):
+        # a one-atom post-selected or pulsed ensemble is deterministic: one
+        # trajectory file, and the same summary and theory rows for any R
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace("kind = projective", f"kind = {kind}")
+                       .replace(DIST, "dist = [(3.0, 1.0)]"))
+        outputs = []
+        for r in ("1", "7"):
+            out = tmp_path / r
+            assert cli_main(["simulate", str(cfg), "--out-dir", str(out),
+                             "--realizations", r, "--reproducible"]) == 0
+            names = sorted(p.name for p in out.iterdir())
+            assert names == ["summary.csv", "theory.csv", "trajectory_r0.csv"]
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
 
     def test_compare_where_pstar_underflows(self, tmp_path, capsys):
         # P* = exp(-7896) is 0 in double precision; ln P* is carried as

@@ -517,10 +517,13 @@ class TestWordKernel:
         if config.kind is ProtocolKind.PROJECTIVE:
             config = replace(config, bernoulli=bernoulli)
         lone = run_lockstep(spec, psi0, config, [SeededSampler(seed)])[0]
+        random = len(config.distribution.atoms) > 1 or config.bernoulli
         for width in (7, 50):
             samplers = [SeededSampler(others).spawn(i) for i in range(width)]
             samplers[slot] = SeededSampler(seed)
-            traj = run_lockstep(spec, psi0, config, samplers)[slot]
+            trajs = run_lockstep(spec, psi0, config, samplers)
+            assert len(trajs) == (width if random else 1)
+            traj = trajs[slot if random else 0]  # a deterministic ensemble is its one run
             assert traj.aborted_at == lone.aborted_at
             assert_same_run(traj, lone)
 
@@ -599,7 +602,7 @@ class TestWordKernel:
 
 class TestOneAtomEnsemble:
     """A one-atom law leaves a post-selected or pulsed run nothing random:
-    one column runs, and the R realizations share its read-only arrays."""
+    the ensemble is one run, made with the first sampler."""
 
     ONE_ATOM = IntervalDistribution.deterministic(0.7)
 
@@ -608,33 +611,26 @@ class TestOneAtomEnsemble:
         yield ProtocolConfig(ProtocolKind.PULSED, 150, self.ONE_ATOM, record_states=record_states)
 
     @pytest.mark.parametrize("record_states", [False, True])
-    def test_equals_lone_runs_bit_for_bit(self, record_states):
+    def test_one_run_equals_a_lone_run_bit_for_bit(self, record_states):
         spec, psi0 = ChainSpec(n_sites=9, subspace_size=3), w_state(9, 3)
         for config in self.configs(record_states):
             run_one = run_projective if config.kind is ProtocolKind.PROJECTIVE else run_pulsed
             samplers = [SeededSampler(11).spawn(i) for i in range(6)]
             starts = [s._state for s in samplers]
-            trajs = run_lockstep(spec, psi0, config, samplers)
-            assert len(trajs) == 6
-            for traj, start, sampler, i in zip(trajs, starts, samplers, range(6)):
-                assert_same_run(traj, run_one(spec, psi0, config, SeededSampler(11).spawn(i)))
-                assert traj.aborted_at is None
-                assert (traj.states is not None) is record_states
-                assert sampler._state == (start + 150 * stochastics._GAMMA) % 2**64
+            [traj] = run_lockstep(spec, psi0, config, samplers)
+            assert_same_run(traj, run_one(spec, psi0, config, SeededSampler(11).spawn(0)))
+            assert traj.aborted_at is None
+            assert (traj.states is not None) is record_states
+            assert samplers[0]._state == (starts[0] + 150 * stochastics._GAMMA) % 2**64
+            assert [s._state for s in samplers[1:]] == starts[1:]  # left untouched
 
-    def test_shared_arrays_are_read_only(self):
+    def test_arrays_are_writeable(self):
         spec, psi0 = ChainSpec(n_sites=9, subspace_size=3), w_state(9, 3)
         for config in self.configs(True):
-            trajs = run_lockstep(spec, psi0, config, [SeededSampler(i) for i in range(4)])
-            assert len({id(t) for t in trajs}) == 4
-            for name in ("intervals", "times", "cumulative_survival", "final_state",
-                         "survival_factors", "log_cumulative_survival", "states"):
-                array = getattr(trajs[0], name)
-                if array is None:
-                    continue
-                assert all(getattr(t, name) is array for t in trajs), name
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0.0
+            [traj] = run_lockstep(spec, psi0, config, [SeededSampler(i) for i in range(4)])
+            for array in vars(traj).values():
+                if isinstance(array, np.ndarray):
+                    assert array.flags.writeable
 
     def test_bernoulli_outcomes_still_drawn_per_column(self, monkeypatch):
         # q < 1 every step: each column's outcomes are its own, so runs abort

@@ -183,7 +183,7 @@ class TestBlockDraws:
     )
     def test_uniforms_equal_scalar_draws_and_state(self, seed, k):
         block, scalar = SeededSampler(seed), SeededSampler(seed)
-        u = block.uniforms(k)
+        u = draw_uniforms([block], k)[0]
         assert np.array_equal(u, [scalar.uniform() for _ in range(k)])
         # same state afterwards: the streams continue identically
         assert block.next_uint64() == scalar.next_uint64()
@@ -195,24 +195,24 @@ class TestBlockDraws:
         k=st.integers(0, 200),
     )
     def test_multi_stream_rows_equal_each_stream(self, seeds, k):
-        # row r is samplers[r].uniforms(k) bit for bit, and every state ends
+        # row r is samplers[r]'s one-stream draw bit for bit, and every state ends
         # where k single uniform() calls leave it
         samplers = [SeededSampler(s) for s in seeds]
         block = draw_uniforms(samplers, k)
         assert block.shape == (len(seeds), k)
         for row, s, seed in zip(block, samplers, seeds):
             one, scalar = SeededSampler(seed), SeededSampler(seed)
-            assert np.array_equal(row, one.uniforms(k))
+            assert np.array_equal(row, draw_uniforms([one], k)[0])
             assert np.array_equal(row, [scalar.uniform() for _ in range(k)])
             assert s.next_uint64() == one.next_uint64() == scalar.next_uint64()
 
     def test_rewind_repeats_draws(self):
         s = SeededSampler(5)
-        first = s.uniforms(10)
+        first = draw_uniforms([s], 10)[0]
         s.rewind(4)
-        assert np.array_equal(s.uniforms(4), first[6:])
+        assert np.array_equal(draw_uniforms([s], 4)[0], first[6:])
         s.rewind(10)
-        assert np.array_equal(s.uniforms(10), first)
+        assert np.array_equal(draw_uniforms([s], 10)[0], first)
 
     @pytest.mark.parametrize("atoms", range(1, 7))
     def test_atom_indices_equal_searchsorted(self, atoms):
