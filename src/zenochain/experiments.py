@@ -11,7 +11,6 @@ realization's numbers are bit-identical however many run beside it.
 from __future__ import annotations
 
 import datetime
-import functools
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -40,33 +39,233 @@ from .theory import (
 )
 from . import linalg
 
-CHUNK_ROWS = 512  # rows made text and written together: memory bounded by this
+CHUNK_ROWS = 1024  # rows made text and written together: memory bounded by this
 EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
-_FIELDS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.15g"}  # cell format by dtype kind
+
+# A chunk of rows becomes one uint8 matrix, each cell in a fixed-width slot
+# padded with _PAD, a byte UTF-8 never produces, deleted before writing.  A
+# numeric cell's text is read from its 32-byte source row: 16 decimal digits
+# (four 4-digit groups, one uint32 each) and then _ALPHABET, through a layout
+# row chosen by the cell's sign, exponent and digit count.
+_PAD = 0xFF
+_ALPHABET = np.frombuffer(b"0123456789.-e+\xff\xff", np.uint32)  # source bytes 16..31
+_ZERO, _DOT, _MINUS, _E, _PLUS, _BLANK = 16, 26, 27, 28, 29, 30
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_QUADS = _QUADS.reshape(10000, 4).view(np.uint32)[:, 0]  # "0000".."9999", 4 bytes each
+_QUAD_ZEROS = np.zeros(10000, np.int8)  # trailing zeros of each group, 4 for 0000
+for _j in range(1, 5):
+    _QUAD_ZEROS[:: 10**_j] += 1
+_SOURCE = np.concatenate([_QUADS[[0, 0, 0, 0]], _ALPHABET])[None]  # the source row of 0
+_TENS = np.array([10**j for j in range(1, 16)])
+# 10**k, exact for k <= 22; 0 at 23 (not exact) and at 24 (zero's slot)
+_POW10 = np.array([float(10**k) for k in range(23)] + [0.0, 0.0])
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_EXPONENTS = np.arange(-9, 16, dtype=np.int16)  # of the floats the byte pass writes
+_WIDTH = 22  # of the longest cell a number makes: -1.23456789012345e-308
 
 
-def _cells(column, lone: bool) -> list[str]:
-    """Text cells of one column, by its dtype; a list or tuple of ``str`` is used as
-    it is.  Text is quoted as csv.writer quotes it: where a cell holds a comma, a
-    quote or a line break, or is its row's only field and empty.
+def _int_layout():
+    """Source positions of %d's characters for (sign, digit count), and the lengths."""
+    grid = np.meshgrid(np.arange(2, dtype=np.int16), np.arange(16, dtype=np.int16), indexing="ij")
+    neg, digits = (g.ravel()[:, None] for g in grid)
+    b = np.arange(_WIDTH, dtype=np.int16) - neg  # position after the sign
+    pos = np.where(b < digits, 16 - digits + b, _BLANK)
+    return np.where(b < 0, _MINUS, pos), (neg + digits).ravel()
+
+
+def _float_layout():
+    """Source positions of %.15g's characters for (sign, exponent, significant
+    digits), digit i at position 1 + i, and the lengths."""
+    grid = np.meshgrid(np.arange(2, dtype=np.int16), _EXPONENTS,
+                       np.arange(1, 16, dtype=np.int16), indexing="ij")
+    neg, e, sig = (g.ravel()[:, None] for g in grid)
+    fixed = (e >= -4) & (e < 15)
+    lead = np.where(fixed, np.maximum(-e, 0), 0)  # zeros before the digits: "0.000" of 1e-4
+    point = np.where(fixed, np.maximum(e, 0) + 1, 1)  # characters before the point
+    digits = np.maximum(lead + sig, point)  # zero-led digits, with any zeros up to the point
+    body = digits + (digits > point)
+    b = np.arange(_WIDTH, dtype=np.int16) - neg  # position after the sign
+    i = b - (b > point)  # position among the zero-led digits
+    pos = np.where(b == point, _DOT, np.where(i < lead, _ZERO, 1 + i - lead))
+    j = b - body  # position in the exponent suffix "e-05"
+    suffix = np.select([j == 0, j == 1, j == 2, j == 3],
+                       [_E, np.where(e < 0, _MINUS, _PLUS), _ZERO + abs(e) // 10, _ZERO + abs(e) % 10],
+                       _BLANK)
+    pos = np.where(b < body, pos, np.where(fixed, _BLANK, suffix))
+    return np.where(b < 0, _MINUS, pos), (neg + body + 4 * ~fixed).ravel()
+
+
+def _row_items(layout):
+    """A layout table as one void item per row: take copies whole rows, far
+    faster than 2-D fancy indexing."""
+    return np.ascontiguousarray(layout, np.uint8).view(f"V{_WIDTH}").ravel()
+
+
+_INT_LAYOUT, _INT_LENGTHS = _int_layout()
+_FLOAT_LAYOUT, _FLOAT_LENGTHS = _float_layout()
+_INT_LAYOUT, _FLOAT_LAYOUT = _row_items(_INT_LAYOUT), _row_items(_FLOAT_LAYOUT)
+
+
+def _digit_rows(n, top):
+    """Source rows of non-negative integers up to top, below 1e16, and their
+    4-digit groups from the lowest up to the highest that top needs."""
+    rows = np.repeat(_SOURCE, len(n), axis=0)
+    groups = []
+    while top >= 10**4:
+        n, low = np.divmod(n, 10**4)
+        groups.append(low)
+        top //= 10**4
+    groups.append(n)
+    for k, group in enumerate(groups):
+        rows[:, 3 - k] = _QUADS[group]
+    return rows, groups
+
+
+def _cells(rows, layout, lengths, combo, fallback):
+    """(cells, width) uint8 matrix: cell k is rows[k] read through layout[combo[k]],
+    or the text fallback gives for k, and _PAD past its end."""
+    texts = {k: text.encode() for k, text in fallback}
+    width = max([lengths[combo].max(), *map(len, texts.values())])
+    index = layout.take(combo).view(np.uint8).reshape(len(combo), _WIDTH)[:, :width]
+    index = index + 32 * np.arange(len(combo))[:, None]
+    cells = rows.view(np.uint8).ravel().take(index)
+    for k, text in texts.items():
+        cells[k] = _PAD
+        cells[k, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells
+
+
+def _int_cells(values):
+    """%d cells of int64 values below 1e15 in magnitude."""
+    n = np.abs(values)
+    rows, _ = _digit_rows(n, int(n.max()))
+    combo = 16 * (values < 0) + 1 + np.searchsorted(_TENS, n, side="right")
+    return _cells(rows, _INT_LAYOUT, _INT_LENGTHS, combo, [])
+
+
+def _digits(x, zero):
+    """(n, e, ok): |x| rounded to 15 significant digits as n * 10**(e - 14),
+    where ok; zero, where x is zero, is n = e = 0.
+
+    Each finite |x| from 1e-8 up to 1e15 is scaled by the exact double
+    10**(14 - e), e = floor(log10|x|), and Dekker's two-product gives the
+    product exactly as hi + lo; rounding it to an integer gives n.  A cell
+    is not ok when it is not finite, when its product lies outside [1e14,
+    1e15) (log10 guessed the exponent wrong, or x is out of range), or
+    when the product lies within 1e-6 of a rounding tie.
     """
-    if not (type(column) in (list, tuple) and set(map(type, column)) <= {str}):
-        values = np.asarray(column)
-        if values.dtype.kind in _FIELDS:  # one % call for the column: cheaper than one per cell
-            field = _FIELDS[values.dtype.kind]
-            if field == "%.15g" and all(map(float.is_integer, values[:1].tolist())):  # cheap screen
-                # whole numbers below 1e15, -0.0 aside, read the same by %d, which is cheaper
-                if ((np.abs(values) < 1e15) & (np.trunc(values) == values)
-                        & (np.signbit(values) == (values < 0))).all():
-                    field, values = "%d", values.astype(np.int64)
-            return (("\n" + field) * len(values) % tuple(values.tolist())).split("\n")[1:]
-        if values.dtype.kind != "U":
-            raise TypeError(f"cannot write a column of dtype {values.dtype}")
-        column = list(column)  # the caller's strings: numpy drops trailing NULs
-    if lone or any(ch in "".join(column) for ch in ',"\r\n'):
-        quote = [(lone and not c) or any(ch in c for ch in ',"\r\n') for c in column]
-        column = ['"' + c.replace('"', '""') + '"' if q else c for c, q in zip(column, quote)]
-    return column
+    a = np.abs(x)
+    ok = (a >= 1e-8) & (a < 1e15)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = 14 - e + 10 * zero  # zero, and a log10 guess of -9, scale by 0
+    hi = a * _POW10[k]
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a -= a_hi  # the low half
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = a * p_lo - (((hi - a_hi * p_hi) - a * p_hi) - a_hi * p_lo)
+    n = np.floor(hi)
+    lo += hi - n  # the fraction of the product
+    # a product just below 1e14 that rounds to hi = 1e14 has the same 15 digits
+    ok &= (hi >= 1e14) & (hi < 1e15) & (abs(lo - 0.5) > 1e-6)
+    n = n.astype(np.int64) + (lo > 0.5)
+    up = n == 10**15  # rounded up into a 16th digit
+    n[up] = 10**14
+    e += up
+    return n, e, ok | zero
+
+
+def _float_cells(x):
+    """%.15g cells of float64 values; those _digits leaves go through %."""
+    zero = x == 0
+    n, e, ok = _digits(x, zero)
+    rows, (g3, g2, g1, g0) = _digit_rows(n, 10**15 - 1)
+    zeros = _QUAD_ZEROS
+    trailing = zeros[g3] + (g3 == 0) * (zeros[g2] + (g2 == 0) * (zeros[g1] + (g1 == 0) * zeros[g0]))
+    sig = np.maximum(15 - trailing, 1)  # zero has 16 trailing zeros and is written "0"
+    combo = (np.signbit(x) * len(_EXPONENTS) + e - _EXPONENTS[0]) * 15 + sig - 1
+    fallback = [(k, "%.15g" % x[k]) for k in np.flatnonzero(~ok).tolist()]
+    return _cells(rows, _FLOAT_LAYOUT, _FLOAT_LENGTHS, combo, fallback)
+
+
+def _quoted(cells: Sequence[str], lone: bool) -> list[str]:
+    """Text cells quoted as csv.writer quotes them: where a cell holds a comma,
+    a quote or a line break, or is its row's only field and empty."""
+    quote = [(lone and not c) or any(ch in c for ch in ',"\r\n') for c in cells]
+    return ['"' + c.replace('"', '""') + '"' if q else c for c, q in zip(cells, quote)]
+
+
+def _text_cells(cells: Sequence[str], lone: bool):
+    """UTF-8 cells of strings, quoted as csv.writer quotes them, encoded together."""
+    text = "".join(cells)
+    if lone or any(ch in text for ch in ',"\r\n'):
+        cells = _quoted(cells, lone)
+        text = "".join(cells)
+    if not text:
+        return np.empty((len(cells), 0), np.uint8)
+    data = text.encode()
+    lengths = np.fromiter(map(len, cells if text.isascii() else map(str.encode, cells)),
+                          np.intp, len(cells))
+    width = lengths.max()
+    data = np.frombuffer(data + bytes([_PAD]) * width, np.uint8)
+    at = np.arange(width)
+    return np.where(at < lengths[:, None], data[(np.cumsum(lengths) - lengths)[:, None] + at], _PAD)
+
+
+def _column(column):
+    """A column as the byte pass reads it: a list or tuple of str, a float64
+    array, or an int64 array of integers below 1e15 in magnitude.  Integers
+    of 1e15 or more in magnitude are rare enough that a column holding one
+    is made text by %d, cell by cell."""
+    if type(column) in (list, tuple) and set(map(type, column)) <= {str}:
+        return column
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        if values.dtype != np.float64:
+            with np.errstate(invalid="ignore"):  # a float32 signalling NaN stays NaN
+                values = values.astype(np.float64)
+        # whole numbers below 1e15, -0.0 aside, read the same by %d
+        if not (len(values) and float(values[0]).is_integer()  # cheap screen
+                and ((np.abs(values) < 1e15) & (np.trunc(values) == values)
+                     & (np.signbit(values) == (values < 0))).all()):
+            return values
+    elif values.dtype.kind in "biu":
+        if ((values >= 10**15) | (values <= -(10**15))).any():
+            return ["%d" % v for v in values.tolist()]
+    elif values.dtype.kind == "U":
+        return list(column)  # the caller's strings: numpy drops trailing NULs
+    else:
+        raise TypeError(f"cannot write a column of dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
+def _block(columns: dict, cells_of) -> dict:
+    """Cells of same-kind column chunks (keyed by column id), made text as one block."""
+    keys = list(columns)
+    values = columns[keys[0]] if len(keys) == 1 else np.stack(list(columns.values()), 1).ravel()
+    cells = cells_of(values)
+    return {key: cells[j :: len(keys)] for j, key in enumerate(keys)}
+
+
+def _chunk_cells(chunk: dict, lone: bool) -> dict:
+    """Cells of each column chunk (keyed by column id): integers as one block
+    of %d cells, floats as one block of %.15g cells, text column by column."""
+    ints, floats, cells = {}, {}, {}
+    for key, c in chunk.items():
+        if not isinstance(c, np.ndarray):
+            cells[key] = _text_cells(c, lone)
+        elif c.dtype.kind == "i":
+            ints[key] = c
+        else:
+            floats[key] = c
+    if ints:
+        cells.update(_block(ints, _int_cells))
+    if floats:
+        cells.update(_block(floats, _float_cells))
+    return cells
 
 
 def write_csv(
@@ -75,13 +274,19 @@ def write_csv(
     columns: Iterable[Sequence],
     reproducible: bool = False,
 ) -> None:
-    """Write a table given as one sequence of cells per header field.
+    """Write a table given as one sequence of cells per header field, in UTF-8.
 
-    Each column object becomes text once, by its dtype: integers and bools
-    in decimal, floats as ``%.15g``, strings as they are, quoted the way
-    ``csv.writer`` quotes them.  A column passed for two fields is made text
-    once for both.  Lines end in CRLF.  Unless ``reproducible``, a
-    ``# generated <timestamp>`` comment comes first.
+    Each column becomes text by its dtype: integers and bools in decimal,
+    floats as ``%.15g``, strings as they are, quoted the way ``csv.writer``
+    quotes them.  A column passed for two fields is made text once for both.
+    Lines end in CRLF.  Unless ``reproducible``, a ``# generated
+    <timestamp>`` comment comes first.
+
+    Each chunk of ``CHUNK_ROWS`` rows is made text in one numpy byte pass:
+    numeric cells are written digit by digit from lookup tables.  Only the
+    floats the pass cannot decide (non-finite, out of its range or next to
+    a rounding tie) and the integer columns holding a value of 1e15 or more
+    in magnitude go through ``%``, one cell at a time.
     """
     columns = list(columns)
     if len(columns) != len(header):
@@ -89,22 +294,22 @@ def write_csv(
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     lone = len(header) == 1
+    prepared = {id(c): _column(c) for c in columns}
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         if not reproducible:
-            fh.write(f"# generated {datetime.datetime.now().isoformat()}\r\n")
-        fh.write(",".join(_cells(header, lone)) + "\r\n")
+            fh.write(f"# generated {datetime.datetime.now().isoformat()}\r\n".encode())
+        fh.write((",".join(_quoted(header, lone)) + "\r\n").encode())
         for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
-            text = {id(c): c[start : start + CHUNK_ROWS] for c in columns}
-            text = {key: _cells(c, lone) for key, c in text.items()}
-            rows = zip(*(text[id(c)] for c in columns))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
-
-
-@functools.lru_cache(maxsize=1)
-def _step_text(steps: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Steps 1..steps and a blank column as text, shared by a run's files."""
-    return tuple(map(str, range(1, steps + 1))), ("",) * steps
+            chunk = {key: c[start : start + CHUNK_ROWS] for key, c in prepared.items()}
+            cells = _chunk_cells(chunk, lone)
+            fields = [cells[id(c)] for c in columns]
+            widths = np.cumsum([f.shape[1] + 1 for f in fields])
+            table = np.full((len(fields[0]), widths[-1] + 1), ord(","), np.uint8)
+            for field, end in zip(fields, widths):
+                table[:, end - 1 - field.shape[1] : end - 1] = field
+            table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+            fh.write(table.tobytes().translate(None, bytes([_PAD])))
 
 
 def write_trajectory_csv(
@@ -114,15 +319,15 @@ def write_trajectory_csv(
 
     q_j is blank for a coherent run, pop_subspace for a projective one.
     """
-    steps, blank = _step_text(len(traj.times))
-    atoms, which = np.unique(traj.intervals, return_inverse=True)
+    steps = len(traj.times)
+    blank = ("",) * steps
     write_csv(
         path,
         ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace"),
         (
-            steps,
+            np.arange(1, steps + 1),
             traj.times,
-            list(map(_cells(atoms, False).__getitem__, which.tolist())),  # text once per atom
+            traj.intervals,
             blank if traj.survival_factors is None else traj.survival_factors,
             traj.cumulative_survival,
             traj.cumulative_survival if traj.survival_factors is None else blank,
@@ -215,9 +420,11 @@ def run_ensemble(
     derive_seed(seed, i); all advance together in one lockstep kernel and
     are scored against the ideal confined evolution at their own realized
     total times.  A deterministic ensemble (the continuous protocol, or a
-    one-atom post-selected or pulsed one) is one run, not ``realizations``.
+    one-atom post-selected or pulsed one) is one run, not ``realizations``,
+    and draws from child stream 0 only.
     """
-    children = derive_seed(seed, np.arange(realizations, dtype=np.uint64))
+    runs = realizations if protocol.stochastic else min(realizations, 1)
+    children = derive_seed(seed, np.arange(runs, dtype=np.uint64))
     trajs = run_lockstep(spec, psi0, protocol, [SeededSampler(s) for s in children.tolist()])
     return trajs, ensemble_fidelities(spec, psi0, trajs).tolist()
 

@@ -86,6 +86,14 @@ class ProtocolConfig:
         ):
             raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
 
+    @property
+    def stochastic(self) -> bool:
+        """Whether realizations differ: a projective or pulsed protocol under
+        a law of several atoms, or Bernoulli outcomes."""
+        return self.kind is not ProtocolKind.CONTINUOUS and (
+            len(self.distribution.atoms) > 1 or self.bernoulli
+        )
+
     def effective_coupling(self) -> float:
         """Continuous coupling strength; defaults to pi / (2 * mean interval)."""
         if self.coupling is not None:
@@ -457,8 +465,7 @@ def run_lockstep(
     if not samplers:
         raise ValueError("need at least one realization")
     if config.kind is not ProtocolKind.CONTINUOUS:
-        random = len(config.distribution.atoms) > 1 or config.bernoulli
-        return _lockstep(spec, psi0, config, samplers if random else samplers[:1])
+        return _lockstep(spec, psi0, config, samplers if config.stochastic else samplers[:1])
     mean = moments(config.distribution).mean
     traj = run_continuous(
         spec,

@@ -236,7 +236,7 @@ def scalar_write_csv(
     reproducible: bool = False,
 ) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if not reproducible:
             fh.write(f"# generated {datetime.datetime.now().isoformat()}\r\n")
         writer = csv.writer(fh)

@@ -1,6 +1,11 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +57,7 @@ CUSTOM = "initial_state = custom\namplitudes = "
 
 def read_csv(path):
     """Header and rows, past the ``# generated`` line if the file has one."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         lines = list(fh)
     if lines and lines[0].startswith("# generated"):
         lines = lines[1:]
@@ -203,10 +208,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", ["pulsed", "continuous"])
     def test_coherent_trajectory_cells(self, tmp_path, kind):
-        # two runs of different length in one process: the step and blank
-        # text shared by one run's files never serves the other length; 600
-        # rows span two write chunks
-        for m in (600, 25):
+        # two runs of different length in one process, the longer one
+        # spanning two write chunks
+        for m in (experiments.CHUNK_ROWS + 88, 25):
             text = CONFIG.replace("kind = projective", f"kind = {kind}").replace("m = 60", f"m = {m}")
             result = run_experiment(parse_config(text), out_dir=tmp_path / f"m{m}", reproducible=True)
             for i, traj in enumerate(result["trajectories"]):
@@ -258,9 +262,10 @@ class TestRunExperiment:
                 assert alone.log_survival == inside.log_survival
 
 
-# ASCII text, so every cell can be written under any locale; it holds the
-# characters csv quoting turns on (comma, quote, CR, LF) and NUL
-TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=6)
+# any text UTF-8 can encode, as both writers write UTF-8 under any locale; it
+# holds the characters csv quoting turns on (comma, quote, CR, LF), NUL and
+# multi-byte characters
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308, -1e308,
                1.7976931348623157e308, 1e15, 999999999999999.9, 1e15 + 0.5, 1e16,
                9999999999999998.0, 1e16 + 2.0, 0.1 + 0.2, 1.0 / 3.0]
@@ -356,23 +361,22 @@ class TestWriteCsv:
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
 
     def test_a_column_passed_twice_is_formatted_once(self, tmp_path, monkeypatch):
-        formatted, converted = [], []  # dtype kind of each column made text; float values
+        formatted = []  # (block formatter, values) of each numeric block made text
 
-        def counting(column, lone):
-            values = np.asarray(column)
-            formatted.append(values.dtype.kind)
-            if values.dtype.kind == "f":
-                converted.extend(values.tolist())
-            return real(column, lone)
+        def counting(real):
+            def cells_of(values, *args):
+                formatted.append((real.__name__, values.tolist()))
+                return real(values, *args)
+            return cells_of
 
-        real = experiments._cells
-        monkeypatch.setattr(experiments, "_cells", counting)
+        for name in ("_int_cells", "_float_cells"):
+            monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
         pops = np.array([0.25, 1.0 / 3.0, 1e-300])
         steps = np.arange(1, 4)
         header = ("step", "P_cum", "pop_subspace")
         write_csv(tmp_path / "t.csv", header, (steps, pops, pops), reproducible=True)
-        assert formatted.count("f") == 1  # pops is the one float column
-        assert converted == pops.tolist()
+        # pops is the one float column, formatted once for both its fields
+        assert formatted == [("_int_cells", [1, 2, 3]), ("_float_cells", pops.tolist())]
         scalar_write_csv(tmp_path / "s.csv", header, zip(steps, pops, pops), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
@@ -390,7 +394,7 @@ class TestWriteCsv:
 
     def test_whole_number_floats_read_as_by_15g(self, tmp_path):
         # whole floats below 1e15 are written by %d; -0.0, 1e15 and non-finite
-        # values keep %.15g; a chunk decides for itself
+        # values keep %.15g; a column decides for itself
         rows = 2 * experiments.CHUNK_ROWS
         edge = [-0.0, -5.0, 999999999999999.0, -999999999999999.0, 1e15, np.nan, np.inf, 0.0]
         tails = [[], [-0.0], [1e15], [np.nan], [-np.inf], [2.5], [2.0**53]]
@@ -406,6 +410,89 @@ class TestWriteCsv:
         _, back = read_csv(tmp_path / "t.csv")
         assert [r[2] for r in back[:8]] == ["-0", "-5", "999999999999999", "-999999999999999",
                                             "1e+15", "nan", "inf", "0"]
+
+    @staticmethod
+    def hard_floats():
+        """Floats the byte pass must get right or hand to %, hardest first."""
+        rng = np.random.default_rng(2024)
+        ties = [(k + 0.5) / 10.0**j for j in range(20) for k in rng.integers(0, 10**15, 40).tolist()]
+        near = []
+        for j in range(-10, 17):
+            below = above = 10.0**j
+            for _ in range(3):
+                below, above = np.nextafter(below, 0), np.nextafter(above, math.inf)
+                near += [below, 10.0**j, above]
+        edges = [9.999999999999995e-5, 999999999999999.5, 999999999999999.7, 0.99999999999999997,
+                 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, math.nan, math.inf,
+                 -math.inf, 1.7976931348623157e308, 1e15, 1e-8, 1e-9, 0.5, 0.1, 0.3]
+        hard = np.array(edges + ties + near)
+        bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+        return np.concatenate([hard, -hard, bits])
+
+    @pytest.mark.parametrize("rows", [experiments.CHUNK_ROWS - 1, experiments.CHUNK_ROWS,
+                                      experiments.CHUNK_ROWS + 1, None])
+    def test_byte_pass_equals_the_cell_by_cell_writer(self, tmp_path, rows):
+        # rounding ties, neighbours of powers of ten, carries into a 16th
+        # digit, cells out of the pass's range and random bit patterns, with
+        # extreme integers, float32 and text that needs quoting beside them
+        floats = self.hard_floats()[:rows]
+        n = len(floats)
+        rng = np.random.default_rng(n)
+        text = ["plain", "a,b", 'say "hi"', "cr\rlf\n", "nul\0", "größe", "", "名前 ☃"]
+        cols = (
+            np.arange(n) - n // 2,
+            floats,
+            (text * n)[:n],
+            np.resize([np.iinfo(np.int64).min, -1, 0, 10**15, -(10**15) + 1, np.iinfo(np.int64).max], n),
+            np.resize(np.array([2**63 + 5, 2**64 - 1, 7, 10**15 - 1], np.uint64), n),
+            rng.integers(0, 2**32, n, dtype=np.uint32).view(np.float32),
+            floats[::-1].copy(),
+        )
+        header = ("i", "x", "s", "int64", "uint64", "float32", "x_reversed")
+        write_csv(tmp_path / "t.csv", header, cols, reproducible=True)
+        scalar_write_csv(tmp_path / "s.csv", header, zip(*cols), reproducible=True)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    def test_ordinary_cells_skip_the_fallback(self, tmp_path, monkeypatch):
+        # every finite double from 1e-8 to 1e15 away from a rounding tie is
+        # written by the byte pass, as is every integer below 1e15 in
+        # magnitude; below 1e11 a double with a random 53-bit significand is
+        # never on a tie
+        fallback = []
+
+        def counting(rows, layout, lengths, combo, texts):
+            fallback.extend(texts)
+            return real(rows, layout, lengths, combo, texts)
+
+        real = experiments._cells
+        monkeypatch.setattr(experiments, "_cells", counting)
+        rng = np.random.default_rng(5)
+        floats = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-8, 11, 20000)
+        ints = rng.integers(-(10**15) + 1, 10**15, 20000)
+        write_csv(tmp_path / "t.csv", ("x", "i", "z"), (floats, ints, np.zeros(20000)),
+                  reproducible=True)
+        assert fallback == []
+
+    def test_no_runtime_warning_on_zero_nan_or_inf(self, tmp_path):
+        values = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_csv(tmp_path / "t.csv", ("x", "y"), (values, values[::-1].copy()), reproducible=True)
+        _, back = read_csv(tmp_path / "t.csv")
+        assert [r[0] for r in back] == ["0", "-0", "nan", "inf", "-inf", "4.94065645841247e-324",
+                                        "1.79769313486232e+308", "0.5"]
+
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        # with Python's UTF-8 mode off under the C locale, open()'s default
+        # encoding is ASCII and cannot write these cells
+        path = tmp_path / "t.csv"
+        header, text = ("größe", "名前"), ["é,ü", "nul\0"]
+        code = ("import sys; from pathlib import Path; from zenochain.experiments import write_csv; "
+                f"write_csv(Path(sys.argv[1]), {ascii(header)}, ([1.5, -2.0], {ascii(text)}), True)")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        assert path.read_bytes() == 'größe,名前\r\n1.5,"é,ü"\r\n-2,nul\0\r\n'.encode("utf-8")
 
     def test_every_output_goes_through_write_csv(self, tmp_path, monkeypatch):
         # the benchmark times write_csv for its CSV rows/s; a writer that
