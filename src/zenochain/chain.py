@@ -39,7 +39,7 @@ class ChainSpec:
         subspace_size + 2 <= n_sites).
     alpha: field strength in rad/us, finite (enters only as a
         sector-constant phase, see module docstring).
-    beta: hopping/coupling strength in rad/us, finite and > 0.
+    beta: hopping/coupling strength in rad/us, > 0 with a finite, nonzero square.
     subspace_size: number of leading sites forming the confined subspace.
     """
 
@@ -56,8 +56,8 @@ class ChainSpec:
             raise InvalidSpecError(
                 f"subspace_size must lie in [1, {self.n_sites}], got {self.subspace_size}"
             )
-        if not (0 < self.beta < np.inf):
-            raise InvalidSpecError(f"beta must be positive and finite, got {self.beta}")
+        if not (0 < self.beta and 0 < float(self.beta) * float(self.beta) < np.inf):
+            raise InvalidSpecError(f"beta must be > 0, beta^2 finite and nonzero, got {self.beta}")
         if not np.isfinite(self.alpha):
             raise InvalidSpecError(f"alpha must be finite, got {self.alpha}")
 

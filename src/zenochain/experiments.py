@@ -39,7 +39,7 @@ from .theory import (
 )
 from . import linalg
 
-CHUNK_ROWS = 1024  # rows made text and written together: memory bounded by this
+CHUNK_ROWS = 2048  # rows made text and written together: memory bounded by this
 EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
 
 # A chunk of rows becomes one uint8 matrix, each cell in a fixed-width slot

@@ -38,9 +38,10 @@ from .stochastics import (
 
 NORM_TOL = 1e-10
 DEAD_BRANCH = 1e-300
-NORM_FLOOR = 1e-250  # a block whose products end below this is redone step by step
-BLOCK = 64  # steps per renormalization of the projective state
+NORM_FLOOR = 1e-250  # no projective product falls below this times its slice's start
+BLOCK = 64  # the longest word, and the shortest slice where K allows it
 TABLE_BYTES = 1 << 18  # cap on a word table, and on one gather of its words
+SLICE_BYTES = 1 << 19  # cap on the states of one slice, unless BLOCK steps exceed it
 
 
 class InitialStateOutsideSubspaceError(ValueError):
@@ -152,17 +153,26 @@ def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:
     return psi0.copy()
 
 
-def _word_length(atoms: int, dim: int, m: int) -> int:
-    """Steps per word, L: the largest power of two <= BLOCK whose word table
-    fits in TABLE_BYTES and takes no more matrix-vector products to build
-    (dim per matrix product) than one column's m steps.  L is never a
+def _word_length(atoms: int, dim: int, m: int, longest: int = BLOCK) -> int:
+    """Steps per word, L: the largest power of two <= min(BLOCK, longest) whose
+    word table fits in TABLE_BYTES and takes no more matrix-vector products to
+    build (dim per matrix product) than one column's m steps.  L is never a
     function of the ensemble width, so no column's arithmetic is either."""
     def fits(length: int) -> bool:
         # the table holds k + k^2 + ... + k^L words; all but the k atoms are built
         words = length if atoms == 1 else (atoms ** (length + 1) - atoms) // (atoms - 1)
         return words * 16 * dim * dim <= TABLE_BYTES and (words - atoms) * dim <= m
 
-    return max((2**p for p in range(1, BLOCK.bit_length()) if fits(2**p)), default=1)
+    return max((2**p for p in range(1, min(BLOCK, longest).bit_length()) if fits(2**p)), default=1)
+
+
+def _steps_above_floor(mats: np.ndarray) -> int:
+    """K = floor(ln NORM_FLOOR / ln s^2), at least 1, s the smallest singular
+    value of the projective blocks: no product of K of them takes a state's
+    squared norm below NORM_FLOOR times its start.  Unitary blocks (lambda =
+    n) have s^2 = 1 to rounding, which the clip makes K ~ 5e18: no cap."""
+    s2 = np.clip(np.linalg.svd(mats, compute_uv=False).min() ** 2, DEAD_BRANCH, np.nextafter(1, 0))
+    return max(1, int(np.log(NORM_FLOOR) / np.log(s2)))
 
 
 def _word_table(mats: np.ndarray, length: int) -> np.ndarray:
@@ -205,41 +215,6 @@ def _products(
             state = np.matmul(w.reshape(len(cols), -1, dim), state, out=rows)[:, -dim:]
 
 
-def _projective_block(
-    table: np.ndarray, block: np.ndarray, codes: np.ndarray, length: int,
-    psi: np.ndarray, out: np.ndarray, live: np.ndarray,
-) -> np.ndarray:
-    """Advance normalized subspace states through one block of steps.
-
-    psi is width x lambda x 1, block is width x steps atom indices, codes
-    their words.  The block P U(mu) P is linear, so the unnormalized products
-    carry every step: their squared norms n_i give q_i = n_i / n_(i-1), with
-    n_(-1) = 1, and one division leaves the renormalized state after each
-    step in out.  Norms never grow, so a live column whose last norm falls
-    below NORM_FLOOR (where a product may have underflowed) is redone one
-    step at a time, and its q are the per-step ones.  Other columns under the
-    floor (aborted ones) get finite placeholders.  Returns q, width x steps.
-    """
-    _products(table, codes, length, psi, out)
-    norms = (np.abs(out[..., 0]) ** 2).sum(-1)
-    redo = (norms[:, -1] < NORM_FLOOR) & (block.shape[1] > 1)
-    norms[redo] = 1.0  # placeholders; live columns are redone below
-    q = norms.copy()
-    q[:, 1:] /= norms[:, :-1]
-    # the max only acts at a dead step (q < DEAD_BRANCH): finite values after
-    # it are never read
-    out /= np.sqrt(np.maximum(norms, DEAD_BRANCH))[..., None, None]
-    for r in np.flatnonzero(redo & live):
-        state = psi[r : r + 1]
-        for i in range(block.shape[1]):
-            atom = block[r : r + 1, i : i + 1]  # a one-step word is its atom
-            q[r, i] = _projective_block(
-                table, atom, atom, 1, state, out[r : r + 1, i : i + 1], live[r : r + 1]
-            )[0, 0]
-            state = out[r : r + 1, i]
-    return q
-
-
 def _lockstep(
     spec: ChainSpec,
     psi0: np.ndarray,
@@ -251,18 +226,26 @@ def _lockstep(
     One multi-stream draw gives every column its intervals (and Bernoulli
     outcomes) from samplers[r], exactly as a lone run would.  A column
     advances L steps per gather of tabled words and batched product, and L
-    depends on the law, the state dimension and m only, so no column's
-    numbers depend on the width of the ensemble:
+    depends on the law, the state dimension and m only.  Steps run in
+    slices: the most multiples of L whose states fit SLICE_BYTES, at least
+    BLOCK steps.
 
     - pulsed: the fused kick @ U(mu) on the n-site state, unitary, so never
       renormalized;
     - projective: the lambda x lambda block P U(mu) P on a state that lives
-      on the subspace, renormalized once per block of BLOCK steps
-      (_projective_block); the complement is built only for a column whose
-      Bernoulli outcome fails, and states are zero-padded back to n sites.
+      on the subspace.  The block is linear, so the unnormalized product
+      carries every step: its squared norms n_i give q_i = n_i / n_(i-1)
+      and one division the normalized state after each step.  At a slice
+      end the product and its squared norm are scaled by an exact power of
+      two, which becomes the next slice's n_(-1) (1 before the first step).
+      So no column's numbers depend on the slicing, or on the width of the
+      ensemble.  Slices and L are capped at K steps, over which no product
+      can fall below NORM_FLOOR times its start (_steps_above_floor).  The
+      complement is built only for a column whose Bernoulli outcome fails,
+      and states are zero-padded back to n sites.
 
     Factors (projective), populations (pulsed) and states are written a
-    block at a time into whole (width x steps) arrays, and each Trajectory
+    slice at a time into whole (width x steps) arrays, and each Trajectory
     holds row slices of them.
     """
     n, lam, m, width = spec.n_sites, spec.subspace_size, config.num_intervals, len(samplers)
@@ -275,26 +258,39 @@ def _lockstep(
         dim, mats = lam, steps[:, :lam, :lam]
     else:
         dim, mats = n, linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
-    length = _word_length(len(mats), dim, m)
+    cap = _steps_above_floor(mats) if projective else BLOCK
+    length = _word_length(len(mats), dim, m, cap)
     table = _word_table(mats, length)
+    span = max(BLOCK, SLICE_BYTES // (width * dim * 16) // length * length)
+    if projective:
+        span = min(span, cap // length * length)
     draws = draw_uniforms(samplers, 2 * m if bernoulli else m)  # intervals, then outcomes
     atoms = atom_indices(d, draws[:, :m])  # width x m
     intervals = d.values[atoms]
-    psi = np.repeat(psi0[None, :dim, None], width, axis=0)
-    buf = np.empty((width, min(BLOCK, m), dim, 1), dtype=complex)
+    psi = np.repeat(psi0[None, :dim, None], width, axis=0)  # projective: unnormalized
+    state = psi[..., 0]  # the normalized state after the last step
+    buf = np.empty((width, min(span, m), dim, 1), dtype=complex)
 
     factors = np.empty((width, m)) if projective else None
     cum = None if projective else np.empty((width, m))  # pulsed: the subspace population
     states = np.zeros((width, m, n), dtype=complex) if config.record_states else None
     aborted_at = np.zeros(width, dtype=int)  # 0 = never
     collapsed: dict[int, np.ndarray] = {}
-    for j in range(0, m, BLOCK):
-        block = atoms[:, j : j + BLOCK]
+    carry = np.ones((width, 1))  # projective: the squared norm of psi, n_(-1)
+    for j in range(0, m, span):
+        block = atoms[:, j : j + span]
         b, out = block.shape[1], buf[:, : block.shape[1]]
-        codes = _word_codes(block, len(mats), length)
+        _products(table, _word_codes(block, len(mats), length), length, psi, out)
+        last = out[:, -1].copy()  # the next slice overwrites buf
         if projective:
+            vec = out[..., 0].view(float)
+            sq = np.vecdot(vec, vec)  # n_0, ..., n_(b-1)
+            # the max only acts after a zero product (a dead step, or an
+            # aborted column): finite placeholders, never read
+            norms = np.maximum(np.concatenate([carry, sq], 1), DEAD_BRANCH)  # from n_(-1)
+            q = sq / norms[:, :-1]
+            out /= np.sqrt(norms[:, 1:])[..., None, None]
             live = aborted_at == 0
-            q = _projective_block(table, block, codes, length, psi, out, live)
             dead = (q < DEAD_BRANCH) & live[:, None]
             if bernoulli:
                 fail = (draws[:, m + j : m + j + b] >= q) & live[:, None]
@@ -309,24 +305,28 @@ def _lockstep(
                 for r in np.flatnonzero(first < b):
                     # failed outcome: collapse the state before it onto the complement
                     k = int(first[r])
-                    prev = out[r, k - 1, :, 0] if k else psi[r, :, 0]
+                    prev = out[r, k - 1, :, 0] if k else state[r]
                     collapse = steps[atoms[r, j + k], :, :lam] @ prev
                     collapse[:lam] = 0.0
                     collapsed[r] = collapse / np.linalg.norm(collapse)
                     aborted_at[r] = j + k + 1
                     samplers[r].rewind(m - j - k - 1)  # outcome draws never made
+            # a power of two scales exactly, so every later q and state
+            # rounds as it would without the scaling
+            shift = np.frexp(norms[:, -1:])[1] // 2
+            np.ldexp(last.view(float), -shift[..., None], out=last.view(float))
+            carry = np.ldexp(norms[:, -1:], -2 * shift)
         else:
-            _products(table, codes, length, psi, out)
             cum[:, j : j + b] = (np.abs(out[:, :, :lam, 0]) ** 2).sum(-1)
         if states is not None:
             states[:, j : j + b, :dim] = out[..., 0]
-        psi = out[:, -1].copy()  # the next block overwrites buf
+        psi, state = last, out[:, -1, :, 0].copy()
         if bernoulli and np.all(aborted_at):
             break
 
     times = np.cumsum(intervals, axis=1)
     final = np.zeros((width, n), dtype=complex)
-    final[:, :dim] = psi[:, :, 0]
+    final[:, :dim] = state
     log_cum = None
     if bernoulli:
         cum = np.ones((width, m))

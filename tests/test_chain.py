@@ -200,6 +200,11 @@ class TestSpecValidation:
             with pytest.raises(InvalidSpecError, match="alpha"):
                 ChainSpec(n_sites=5, subspace_size=2, alpha=-bad, include_field_phase=True)
 
+    @pytest.mark.parametrize("beta", [1e160, 1.34e154 * 1.01, 1e-170])
+    def test_rejects_beta_whose_square_overflows_or_underflows(self, beta):
+        with pytest.raises(InvalidSpecError, match="beta"):
+            ChainSpec(n_sites=5, subspace_size=2, beta=beta)
+
     def test_default_rate_value(self):
         assert abs(DEFAULT_RATE - 2 * np.pi * 0.005) < 1e-18
         assert abs(DEFAULT_RATE - 0.0314159) < 1e-6

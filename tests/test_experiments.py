@@ -863,6 +863,16 @@ class TestCLI:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "theory", "compare"])
+    def test_beta_whose_square_overflows_is_a_config_error(self, tmp_path, capsys, command):
+        # the theory rows square beta: 1e160 squared is not a double
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG.replace("lambda = 2", "lambda = 2\nbeta = 1e160"))
+        rc = cli_main([command, str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -434,18 +434,23 @@ class TestLockstepKernel:
         assert traj.final_survival == 0.0  # exp(-817) underflows
         assert abs(traj.log_survival - oracle.log_survival) <= 1e-12 * 817
         assert abs(traj.log_survival + 817.40) <= 0.01
-        # two atoms on two sites: mu = 50 leaves q = 2.6e-32, so a block with
-        # eight such steps ends below NORM_FLOOR and its column is redone one
-        # step at a time, though the block was advanced in words of L = 8 steps
-        lengths = []
-        block = protocols._projective_block
-        monkeypatch.setattr(protocols, "_projective_block",
-                            lambda *a: lengths.append(a[3]) or block(*a))
+        # two atoms on two sites: mu = 50 leaves sigma_min^2 = 2.6e-32, so no
+        # product of K = 7 blocks falls below NORM_FLOOR; words (L = 4) and
+        # slices are capped at K steps, and no column needs a redo
+        lengths, spans = [], []
+        table, products = protocols._word_table, protocols._products
+        monkeypatch.setattr(protocols, "_word_table",
+                            lambda mats, length: lengths.append(length) or table(mats, length))
+        monkeypatch.setattr(protocols, "_products",
+                            lambda *a: spans.append(a[-1].shape[1]) or products(*a))
         spec = ChainSpec(n_sites=2, subspace_size=1)
-        config = pm_config(2000, IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)]))
+        d = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
+        mats = linalg.propagators(hamiltonian(spec), d.values)[:, :1, :1]
+        assert protocols._steps_above_floor(mats) == 7
+        config = pm_config(2000, d)
         traj = run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
         oracle = scalar_run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
-        assert lengths[0] == 8 and 1 in lengths  # words, and a redo
+        assert lengths == [4] and set(spans) == {4}
         assert abs(traj.log_survival - oracle.log_survival) <= 1e-12 * abs(oracle.log_survival)
         assert traj.log_survival < -5000
 
@@ -653,8 +658,9 @@ class TestOneAtomEnsemble:
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning, e.g. 0/0 on a zero-norm column
-class TestBlockRenormalization:
-    """The projective state is renormalized once per block of BLOCK steps."""
+class TestCarriedProduct:
+    """Projective columns carry the unnormalized P U P product across slices,
+    rescaled by powers of two: every q and state matches the scalar oracle."""
 
     @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_block_edges_match_scalar_oracle(self, m):
@@ -702,11 +708,11 @@ class TestBlockRenormalization:
             assert_matches_oracle(a, b, config)
             assert sampler.next_uint64() == own.next_uint64()
 
-    def test_column_underflowing_mid_block_is_redone_alone(self):
-        # lambda = 1: mu = 50 swaps site 1 out up to q = 2.6e-32, so the
-        # unnormalized product of stream 7 reaches 0 inside its second block
-        # (12 such steps there); stream 1 has at most 6 per block and stays
-        # above the floor
+    def test_leaky_column_stays_above_the_floor_under_the_cap(self):
+        # lambda = 1: mu = 50 swaps site 1 out up to q = 2.6e-32; stream 7
+        # has 12 such steps in its second 64 (a product of 1e-377 there, far
+        # below the smallest double), stream 1 at most 6.  Slices of K = 7
+        # steps keep both products above NORM_FLOOR
         spec, psi0 = ChainSpec(n_sites=2, subspace_size=1), leftmost_excited(2)
         d = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
         config = pm_config(2 * BLOCK + 3, d, record_states=True)
@@ -717,3 +723,65 @@ class TestBlockRenormalization:
             b = scalar_run_projective(spec, psi0, config, SeededSampler(seed))
             assert_matches_oracle(a, b, config)
             assert_same_run(a, run_projective(spec, psi0, config, SeededSampler(seed)))
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning, e.g. 0/0 on a zero-norm column
+class TestSlices:
+    """Slices of L steps give every column bitwise the run it has in one
+    slice, and in an ensemble of one."""
+
+    @pytest.mark.parametrize("case", ["post-selected", "bernoulli", "pulsed"])
+    def test_slices_of_one_word_change_no_bit(self, monkeypatch, case):
+        if case == "pulsed":
+            spec, psi0 = ChainSpec(n_sites=12, subspace_size=4), leftmost_excited(12)
+            config = ProtocolConfig(ProtocolKind.PULSED, 300, BIMODAL, record_states=True)
+        else:
+            spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
+            config = pm_config(2 * BLOCK + 3, IntervalDistribution.bimodal(4.0, 9.0, 0.5),
+                               bernoulli=case == "bernoulli", record_states=True)
+        # spawn streams of SeededSampler(0) whose first Bernoulli outcome
+        # fails at steps 1, 65 and 129, each the first step of a slice
+        seeds = [SeededSampler(0).spawn(i)._state for i in (3, 61, 868, 7, 100)]
+        whole = run_lockstep(spec, psi0, config, [SeededSampler(s) for s in seeds])
+        dim = spec.subspace_size if config.kind is ProtocolKind.PROJECTIVE else spec.n_sites
+        length = protocols._word_length(2, dim, config.num_intervals)
+        spans = []
+        products = protocols._products
+        with monkeypatch.context() as patch:  # BLOCK = L keeps the words L steps long
+            patch.setattr(protocols, "SLICE_BYTES", 0)
+            patch.setattr(protocols, "BLOCK", length)
+            patch.setattr(protocols, "_products",
+                          lambda *a: spans.append(a[-1].shape[1]) or products(*a))
+            runs = run_lockstep(spec, psi0, config, [SeededSampler(s) for s in seeds])
+        assert length > 1 and set(spans[:-1]) == {length} and spans[-1] <= length
+        assert len(whole) == len(runs) == len(seeds)
+        if case == "bernoulli":
+            assert [a.aborted_at for a in runs[:3]] == [1, BLOCK + 1, 2 * BLOCK + 1]
+        for seed, a, b in zip(seeds, runs, whole):
+            assert a.aborted_at == b.aborted_at
+            assert_same_run(a, b)
+            assert_same_run(a, run_lockstep(spec, psi0, config, [SeededSampler(seed)])[0])
+
+    def test_aborted_column_with_a_zero_product_keeps_finite_placeholders(self, monkeypatch):
+        # three atoms on two sites: a near swap (q = 1e-20, whose outcome
+        # fails), an exact swap out of the subspace (q = 0) and the identity.
+        # Column 0 aborts at step 1 and its product is 0 from step 2 on;
+        # column 1 never leaves the subspace and keeps the ensemble going
+        theta = np.arccos(1e-10)
+        near = np.array([[np.cos(theta), -1j * np.sin(theta)],
+                         [-1j * np.sin(theta), np.cos(theta)]])
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(linalg, "propagators",
+                            lambda h, times: np.array([near, swap, np.eye(2, dtype=complex)]))
+        patterns = np.full((2, 2 * BLOCK + 3), 2)
+        patterns[0, :2] = [0, 1]
+        monkeypatch.setattr(protocols, "atom_indices", lambda d, u: patterns[: len(u)])
+        spec = ChainSpec(n_sites=2, subspace_size=1)
+        d = IntervalDistribution.from_atoms([(1.0, 0.2), (2.0, 0.3), (3.0, 0.5)])
+        config = pm_config(2 * BLOCK + 3, d, bernoulli=True, record_states=True)
+        aborted, alive = run_lockstep(spec, leftmost_excited(2), config,
+                                      [SeededSampler(0), SeededSampler(1)])
+        assert aborted.aborted_at == 1 and alive.aborted_at is None
+        assert np.array_equal(aborted.final_state, [0, -1j])  # collapsed onto the complement
+        assert np.array_equal(alive.survival_factors, np.ones(2 * BLOCK + 3))
+        assert np.array_equal(alive.final_state, [1, 0])
