@@ -15,6 +15,8 @@ prefactor, so its sector matrix element is 2 (not beta).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +52,29 @@ class ChainSpec:
     include_field_phase: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_sites", "subspace_size"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise InvalidSpecError(f"{name} must be an integer, got {size!r}")
         if self.n_sites < 2:
             raise InvalidSpecError(f"n_sites must be >= 2, got {self.n_sites}")
         if not (1 <= self.subspace_size <= self.n_sites):
             raise InvalidSpecError(
                 f"subspace_size must lie in [1, {self.n_sites}], got {self.subspace_size}"
             )
-        if not (0 < self.beta and 0 < float(self.beta) * float(self.beta) < np.inf):
+        _finite_float("alpha", self.alpha)
+        beta = _finite_float("beta", self.beta)
+        if not (0 < beta and 0 < beta * beta < np.inf):
             raise InvalidSpecError(f"beta must be > 0, beta^2 finite and nonzero, got {self.beta}")
-        if not np.isfinite(self.alpha):
-            raise InvalidSpecError(f"alpha must be finite, got {self.alpha}")
+
+
+def _finite_float(name: str, value) -> float:
+    """value as a float; InvalidSpecError unless it is a finite real number
+    (an int beyond any float, nan and a bool are not)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and -sys.float_info.max <= value <= sys.float_info.max):
+        raise InvalidSpecError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def hopping_matrix(

@@ -62,7 +62,8 @@ class InitialStateSpec:
         if len(given) > spec.n_sites:
             raise ValidationError("custom state longer than the chain")
         amps[: len(given)] = given
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # a sum of squares beyond any float: norm = inf
+            norm = np.linalg.norm(amps)
         if not (0 < norm < np.inf):
             raise ValidationError(f"custom state needs a finite nonzero norm, got {norm}")
         amps /= norm  # normalized on load

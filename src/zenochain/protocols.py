@@ -155,11 +155,13 @@ def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:
 
 def _word_length(atoms: int, dim: int, m: int, longest: int = BLOCK) -> int:
     """Steps per word, L: the largest power of two <= min(BLOCK, longest) whose
-    word table fits in TABLE_BYTES and takes no more matrix-vector products to
-    build (dim per matrix product) than one column's m steps.  L is never a
-    function of the ensemble width, so no column's arithmetic is either."""
+    k + k^2 + ... + k^L prefix products (k atoms) fit in TABLE_BYTES and take
+    no more matrix-vector products to build (dim per matrix product) than
+    one column's m steps.  L is never a function of the ensemble width, so
+    no column's arithmetic is either.  The stacked table holds k^L words of
+    at most L * dim rows, so it takes at most L * TABLE_BYTES."""
     def fits(length: int) -> bool:
-        # the table holds k + k^2 + ... + k^L words; all but the k atoms are built
+        # k + k^2 + ... + k^L products; all but the k atoms are built
         words = length if atoms == 1 else (atoms ** (length + 1) - atoms) // (atoms - 1)
         return words * 16 * dim * dim <= TABLE_BYTES and (words - atoms) * dim <= m
 
@@ -175,44 +177,47 @@ def _steps_above_floor(mats: np.ndarray) -> int:
     return max(1, int(np.log(NORM_FLOOR) / np.log(s2)))
 
 
-def _word_table(mats: np.ndarray, length: int) -> np.ndarray:
-    """Every product mats[a_(l-1)] @ ... @ mats[a_0], l = 1..length, one
-    batched product per level; word a sits at sum_(i<l) k^i - 1 + sum_p a_p k^p."""
-    levels = [mats]
+def _word_tables(mats: np.ndarray, length: int, head: int, tail: int = 0) -> tuple:
+    """The stacked words of length steps, and of tail steps if tail > 0: the
+    word of atoms a_0..a_(l-1), at code sum_p a_p k^p, holds the first head
+    rows of each proper prefix product mats[a_(i-1)] @ ... @ mats[a_0], i <
+    l, then all rows of the whole product.  One batched product per level."""
+    k, levels = len(mats), [mats]
     for _ in range(1, length):  # contiguous stacks: a broadcast matmul holds more memory
         prev = levels[-1]
-        levels.append(np.repeat(mats, len(prev), axis=0) @ np.tile(prev, (len(mats), 1, 1)))
-    return np.concatenate(levels)
+        levels.append(np.repeat(mats, len(prev), axis=0) @ np.tile(prev, (k, 1, 1)))
 
+    def stacked(steps: int) -> np.ndarray:  # word c's prefix of i atoms: word c mod k^i of its level
+        heads = [np.tile(levels[i][:, :head], (k ** (steps - 1 - i), 1, 1)) for i in range(steps - 1)]
+        return np.concatenate([*heads, levels[steps - 1]], axis=1)
 
-def _word_codes(block: np.ndarray, atoms: int, length: int) -> np.ndarray:
-    """Table index of the word from each step's sub-block start up to it, for
-    width x steps atom indices; with length 1 the codes are the atoms."""
-    pos = np.arange(block.shape[1]) % length
-    codes = np.cumsum(block * atoms**pos, axis=1)
-    ends = np.repeat(codes[:, length - 1 :: length], length, axis=1)  # code at a sub-block end
-    codes[:, length:] -= ends[:, : block.shape[1] - length]
-    return codes + np.cumsum(atoms ** np.arange(length))[pos] - 1
+    return stacked(length), stacked(tail) if tail else None
 
 
 def _products(
-    table: np.ndarray, codes: np.ndarray, length: int, psi: np.ndarray, out: np.ndarray
-) -> None:
-    """out[:, i] = table[codes[:, i]] @ out[:, s - 1] column by column, from
-    out[:, -1] = psi, s the start of step i's sub-block of length steps: one
-    gather of words into a reused buffer and one batched product per
-    sub-block.  Chunks of columns, which change no column's numbers, keep a
-    gather within TABLE_BYTES at any width."""
-    width, steps, dim = out.shape[:3]
-    chunk = min(width, max(1, TABLE_BYTES // (length * table[0].nbytes)))
-    gathered = np.empty((chunk, length, dim, dim), dtype=complex)  # fresh gathers page-fault
+    tables: tuple, block: np.ndarray, powers: np.ndarray, psi: np.ndarray, out: np.ndarray
+) -> int:
+    """Advance every column from psi through block's steps (width x steps atom
+    indices), L = len(powers) per sub-block: one gather of the stacked word
+    of code sum_p a_p k^p (powers[p] = k^p; the tail table for a short last
+    sub-block) and one batched product, whose rows follow the sub-block
+    before's in out (width x rows x 1), returning the rows written.  Chunks
+    of columns keep a gather within TABLE_BYTES and change no number."""
+    (table, tail), (width, steps), length = tables, block.shape, len(powers)
+    codes = np.add.reduceat(block * powers[np.arange(steps) % length], np.arange(0, steps, length), 1)
+    whole, (rows, dim) = steps // length, table.shape[1:]
+    used = whole * rows + (tail.shape[1] if whole < codes.shape[1] else 0)
+    chunk = min(width, max(1, TABLE_BYTES // table[0].nbytes))
+    gathered = np.empty((chunk, rows, dim), dtype=complex)  # fresh gathers page-fault
     for c in range(0, width, chunk):
-        cols, state = codes[c : c + chunk], psi[c : c + chunk]
-        flat = out[c : c + chunk].reshape(len(cols), -1, 1)  # a view of out
-        for s in range(0, steps, length):
-            w = table.take(cols[:, s : s + length], 0, gathered[: len(cols), : steps - s], "clip")
-            rows = flat[:, s * dim : (s + w.shape[1]) * dim]
-            state = np.matmul(w.reshape(len(cols), -1, dim), state, out=rows)[:, -dim:]
+        state, cols, part = psi[c : c + chunk], codes[c : c + chunk].T.copy(), out[c : c + chunk]
+        subs = part[:, : whole * rows].reshape(len(state), whole, rows, 1)
+        for s in range(whole):
+            w = table.take(cols[s], 0, gathered[: len(state)], "clip")
+            state = np.matmul(w, state, subs[:, s])[:, -dim:]
+        if used > whole * rows:
+            np.matmul(tail[cols[-1]], state, part[:, whole * rows : used])
+    return used
 
 
 def _lockstep(
@@ -225,10 +230,12 @@ def _lockstep(
 
     One multi-stream draw gives every column its intervals (and Bernoulli
     outcomes) from samplers[r], exactly as a lone run would.  A column
-    advances L steps per gather of tabled words and batched product, and L
-    depends on the law, the state dimension and m only.  Steps run in
-    slices: the most multiples of L whose states fit SLICE_BYTES, at least
-    BLOCK steps.
+    advances L steps per gather of one stacked word and batched product,
+    and L depends on the law, the state dimension and m only.  A sub-block
+    computes head rows per step, all dim of its last step's, which carry on:
+    lambda for a pulsed run that records no states, dim otherwise.  Steps
+    run in slices: the most multiples of L whose states fit SLICE_BYTES, at
+    least BLOCK steps; m mod L steps at the end read a tail table.
 
     - pulsed: the fused kick @ U(mu) on the n-site state, unitary, so never
       renormalized;
@@ -260,7 +267,9 @@ def _lockstep(
         dim, mats = n, linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
     cap = _steps_above_floor(mats) if projective else BLOCK
     length = _word_length(len(mats), dim, m, cap)
-    table = _word_table(mats, length)
+    head = dim if config.record_states else lam  # rows kept per step; projective: lam = dim
+    tables = _word_tables(mats, length, head, m % length)
+    rows, powers = tables[0].shape[1], len(mats) ** np.arange(length)
     span = max(BLOCK, SLICE_BYTES // (width * dim * 16) // length * length)
     if projective:
         span = min(span, cap // length * length)
@@ -269,7 +278,7 @@ def _lockstep(
     intervals = d.values[atoms]
     psi = np.repeat(psi0[None, :dim, None], width, axis=0)  # projective: unnormalized
     state = psi[..., 0]  # the normalized state after the last step
-    buf = np.empty((width, min(span, m), dim, 1), dtype=complex)
+    buf = np.empty((width, -(-min(span, m) // length) * rows, 1), dtype=complex)
 
     factors = np.empty((width, m)) if projective else None
     cum = None if projective else np.empty((width, m))  # pulsed: the subspace population
@@ -278,10 +287,10 @@ def _lockstep(
     collapsed: dict[int, np.ndarray] = {}
     carry = np.ones((width, 1))  # projective: the squared norm of psi, n_(-1)
     for j in range(0, m, span):
-        block = atoms[:, j : j + span]
-        b, out = block.shape[1], buf[:, : block.shape[1]]
-        _products(table, _word_codes(block, len(mats), length), length, psi, out)
-        last = out[:, -1].copy()  # the next slice overwrites buf
+        b = min(span, m - j)
+        used = _products(tables, atoms[:, j : j + b], powers, psi, buf)
+        last = buf[:, used - dim : used].copy()  # the next slice overwrites buf
+        out = buf[:, :used].reshape(width, b, dim, 1) if head == dim else None  # every state
         if projective:
             vec = out[..., 0].view(float)
             sq = np.vecdot(vec, vec)  # n_0, ..., n_(b-1)
@@ -316,11 +325,12 @@ def _lockstep(
             shift = np.frexp(norms[:, -1:])[1] // 2
             np.ldexp(last.view(float), -shift[..., None], out=last.view(float))
             carry = np.ldexp(norms[:, -1:], -2 * shift)
-        else:
-            cum[:, j : j + b] = (np.abs(out[:, :, :lam, 0]) ** 2).sum(-1)
+        else:  # the first L * head rows of a sub-block are its steps' leading rows
+            heads = buf[:, : -(-b // length) * rows].reshape(width, -1, rows)[:, :, : length * head]
+            cum[:, j : j + b] = (np.abs(heads.reshape(width, -1, head)[:, :b, :lam]) ** 2).sum(-1)
         if states is not None:
             states[:, j : j + b, :dim] = out[..., 0]
-        psi, state = last, out[:, -1, :, 0].copy()
+        psi, state = last, out[:, -1, :, 0].copy() if projective else last[..., 0]
         if bernoulli and np.all(aborted_at):
             break
 

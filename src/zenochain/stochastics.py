@@ -14,6 +14,7 @@ expression (Salmon et al., SC'11).
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,8 +53,10 @@ def derive_seed(seed: int, index):
 class SeededSampler:
     """SplitMix64 stream: state advances by a fixed odd constant, output is mixed.
 
-    Single-owner: do not share one instance between threads; use
-    ``spawn(index)`` to derive independent per-realization streams.
+    Single-owner: do not share one instance between threads.  Independent
+    per-realization streams are seeded with ``derive_seed(seed, index)``, as
+    the experiments do for a whole ensemble at once; ``spawn(index)`` is the
+    same derivation for one stream.
     """
 
     def __init__(self, seed: int):
@@ -111,7 +114,7 @@ class IntervalDistribution:
         total = 0.0
         seen = set()
         for mu, p in self.atoms:
-            if not (0 < mu < np.inf):
+            if not (0 < mu <= sys.float_info.max):  # also an int beyond any float
                 raise ValueError(f"interval must be positive and finite, got {mu}")
             if float(mu) * mu == 0 or not float(mu) * mu * mu < np.inf:  # moments() needs both
                 raise ValueError(f"interval {mu}: mu^2 underflows to 0 or mu^3 overflows")
@@ -126,11 +129,14 @@ class IntervalDistribution:
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[Sequence[float]]) -> "IntervalDistribution":
-        return cls(tuple((float(mu), float(p)) for mu, p in pairs))
+        try:
+            return cls(tuple((float(mu), float(p)) for mu, p in pairs))
+        except OverflowError as exc:  # an integer beyond any float
+            raise ValueError(f"atom beyond the float range: {exc}") from exc
 
     @classmethod
     def deterministic(cls, mu: float) -> "IntervalDistribution":
-        return cls(((float(mu), 1.0),))
+        return cls.from_atoms([(mu, 1.0)])
 
     @classmethod
     def bimodal(cls, mu1: float, mu2: float, p1: float) -> "IntervalDistribution":
@@ -152,7 +158,7 @@ class IntervalDistribution:
             raise ValueError("distribution literal must be a list of (mu, prob) pairs")
         try:
             return cls.from_atoms(value)
-        except (TypeError, OverflowError) as exc:  # overflow: an integer beyond any float
+        except TypeError as exc:
             raise ValueError(f"distribution atoms must be (mu, prob) pairs: {exc}") from exc
 
     @property

@@ -205,6 +205,26 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match="beta"):
             ChainSpec(n_sites=5, subspace_size=2, beta=beta)
 
+    @pytest.mark.parametrize("sizes", [(12.0, 4), (12, 4.5), (12.0, 4.5), (True, 1), (5, True),
+                                       ("5", 2), (5, None)])
+    def test_rejects_sizes_that_are_not_integers(self, sizes):
+        with pytest.raises(InvalidSpecError, match="must be an integer"):
+            ChainSpec(*sizes)
+
+    def test_takes_numpy_integer_sizes(self):
+        spec = ChainSpec(np.int64(5), np.int32(2))
+        assert hamiltonian(spec).shape == (5, 5)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [10**400, -(10**400), "0.1", None, 1j, True],
+                             ids=["int-beyond-float", "-int-beyond-float", "str", "None", "complex",
+                                  "bool"])
+    def test_rejects_rates_that_are_not_finite_floats(self, name, bad):
+        # an int beyond any float used to end in a raw OverflowError (beta)
+        # or TypeError (alpha)
+        with pytest.raises(InvalidSpecError, match=name):
+            ChainSpec(n_sites=5, subspace_size=2, **{name: bad})
+
     def test_default_rate_value(self):
         assert abs(DEFAULT_RATE - 2 * np.pi * 0.005) < 1e-18
         assert abs(DEFAULT_RATE - 0.0314159) < 1e-6

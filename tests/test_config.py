@@ -1,9 +1,16 @@
+import contextlib
+import csv
 import dataclasses
+import io
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zenochain.cli import main as cli_main
 from zenochain.config import SCHEMA, ParseError, ValidationError, parse_config
 from zenochain.protocols import ProtocolKind
 
@@ -188,3 +195,118 @@ def test_readme_config_block_sets_every_key():
         elif line:
             keys.add((section, line.partition("=")[0].strip()))
     assert keys == {(section, key) for section in SCHEMA for key in SCHEMA[section]}
+
+
+# Every SCHEMA key has moderate values and wild ones: the whole double range
+# (subnormals, the beta^2 and mu^3 limits, inf, nan), malformed text or no
+# line at all.  A config draws up to three keys wild.  The keys that size
+# memory are capped: n <= 8, m <= 30, realizations <= 3, and at most three
+# lambda_sweep values and kappa_sweep triples.
+MALFORMED = st.sampled_from(["", "x", "1.5.", "[", "((1, 2)", "None", "--1", "1e", "[(1.0,)]",
+                             "[]", "()", "nan", "-inf", "True", "0x10", "1 2", "[(1, 0.5), 3]"])
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e-170, 1e-150, 1.34e154 * 1.01, 1e160,
+                         1e100, 1e120, 1.7976931348623157e308, -1.0])
+WILD = st.floats() | st.floats(min_value=5e-324, max_value=1.7976931348623157e308) | EDGES
+
+
+def _dist(values, probabilities=None):
+    def pairs(mus):
+        equal = st.just([1 / len(mus)] * len(mus))
+        if probabilities is not None:
+            equal |= st.lists(probabilities, min_size=len(mus), max_size=len(mus))
+        return equal.map(lambda probs: repr(list(zip(mus, probs))))
+
+    return st.lists(values, min_size=1, max_size=3, unique=True).flatmap(pairs)
+
+
+def _triples(values):
+    return st.lists(st.tuples(values, values, values), min_size=1, max_size=3).map(
+        lambda triples: "; ".join(map(repr, triples)))
+
+
+def _amplitudes(values):
+    return st.lists(st.builds(complex, values, values), min_size=1, max_size=9).map(repr)
+
+
+# section -> key -> (moderate values, wild values), each the text after "key ="
+FUZZ_SCHEMA = {
+    "chain": {
+        "n": (st.integers(3, 8), st.integers(-2, 2)),
+        "lambda": (st.integers(1, 4), st.integers(-1, 10)),
+        "beta": (st.floats(1e-3, 1.0), WILD),
+    },
+    "protocol": {
+        "kind": (st.sampled_from(["projective", "pulsed", "continuous"]), st.just("zeno")),
+        "m": (st.integers(1, 30), st.integers(-1, 0)),
+        "dist": (_dist(st.floats(0.05, 10.0)), _dist(WILD, WILD)),
+        "pulse_area": (st.floats(0.1, 10.0), WILD),
+        "coupling": (st.floats(0.01, 10.0), WILD),
+        "bernoulli": (st.just("false"), st.sampled_from(["true", "maybe"])),
+    },
+    "experiment": {
+        "initial_state": (st.sampled_from(["wstate", "leftmost", "custom"]), st.just("bogus")),
+        "amplitudes": (_amplitudes(st.floats(-1.0, 1.0)), _amplitudes(WILD)),
+        "realizations": (st.integers(1, 3), st.integers(-1, 0)),
+        "seed": (st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70)),
+        "output_path": (st.just("ignored"), st.just("ignored")),  # --out-dir overrides it
+        "lambda_sweep": (st.lists(st.integers(1, 8), min_size=1, max_size=3).map(
+            lambda lams: ",".join(map(str, lams))), st.integers(-1, 0)),
+        "kappa_sweep": (_triples(st.floats(0.05, 1.0)), _triples(WILD)),
+    },
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """Config text: every key moderate but up to three wild, malformed or left out."""
+    keys = [(section, key) for section, keys in FUZZ_SCHEMA.items() for key in keys]
+    wild = draw(st.sets(st.sampled_from(keys), max_size=3))
+    lines = []
+    for section, keys in FUZZ_SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (moderate, extreme) in keys.items():
+            if (section, key) not in wild:
+                lines.append(f"{key} = {draw(moderate)}")
+            elif draw(st.integers(0, 3)) < 3:  # else the line is left out
+                lines.append(f"{key} = {draw(extreme.map(str) | MALFORMED)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigFuzz:
+    def test_fuzz_schema_covers_every_key(self):
+        assert {s: set(k) for s, k in FUZZ_SCHEMA.items()} == {s: set(k) for s, k in SCHEMA.items()}
+
+    def test_amplitudes_whose_squares_overflow_are_a_config_error(self, tmp_path, capsys):
+        # the norm of [1e200, 1] overflows: a config error, not a RuntimeWarning
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(MINIMAL.replace("initial_state = wstate",
+                                       "initial_state = custom\namplitudes = [1e200, 1]"))
+        for command in ("simulate", "theory", "compare"):
+            assert cli_main([command, str(cfg), "--out-dir", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err.startswith("config error: custom state needs a finite")
+            assert not (tmp_path / command).exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=fuzzed_configs())
+    def test_every_config_runs_or_names_its_error(self, text):
+        # simulate, theory and compare: exit 0 with every CSV cell finite or
+        # blank (labels aside), or exit 2 with a config error; never raise
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            for command in ("simulate", "theory", "compare"):
+                out, err = Path(tmp) / command, io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = cli_main([command, str(cfg), "--out-dir", str(out), "--reproducible"])
+                assert rc in (0, 2), (command, rc, err.getvalue())
+                if rc == 2:
+                    assert err.getvalue().startswith("config error:"), err.getvalue()
+                    continue
+                for path in out.glob("*.csv"):
+                    for row in csv.reader(path.read_text(encoding="utf-8").splitlines()[1:]):
+                        for cell in row:
+                            try:
+                                value = float(cell)
+                            except ValueError:  # a blank cell or a label
+                                continue
+                            assert np.isfinite(value), (command, path.name, row)

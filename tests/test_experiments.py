@@ -623,9 +623,9 @@ class TestSweeps:
         calls = []  # (width, state dimension) of each batched advance
         products = protocols._products
 
-        def counted(table, codes, length, psi, out):
-            calls.append((len(codes), psi.shape[1]))
-            return products(table, codes, length, psi, out)
+        def counted(tables, block, powers, psi, out):
+            calls.append((len(block), psi.shape[1]))
+            return products(tables, block, powers, psi, out)
 
         monkeypatch.setattr(protocols, "_products", counted)
         preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)

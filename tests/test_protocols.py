@@ -345,7 +345,9 @@ def assert_matches_oracle(a, b, config):
         assert_close(a.survival_factors, b.survival_factors)
     assert_close(a.cumulative_survival, b.cumulative_survival)
     assert_close(a.final_state, b.final_state)
-    assert_close(np.array(a.states), np.array(b.states))
+    assert (a.states is None) == (b.states is None)
+    if a.states is not None:
+        assert_close(a.states, b.states)
 
 
 def assert_same_run(a, b):
@@ -438,11 +440,12 @@ class TestLockstepKernel:
         # product of K = 7 blocks falls below NORM_FLOOR; words (L = 4) and
         # slices are capped at K steps, and no column needs a redo
         lengths, spans = [], []
-        table, products = protocols._word_table, protocols._products
-        monkeypatch.setattr(protocols, "_word_table",
-                            lambda mats, length: lengths.append(length) or table(mats, length))
+        build, products = protocols._word_tables, protocols._products
+        monkeypatch.setattr(protocols, "_word_tables",
+                            lambda mats, length, *a: lengths.append(length) or build(mats, length, *a))
         monkeypatch.setattr(protocols, "_products",
-                            lambda *a: spans.append(a[-1].shape[1]) or products(*a))
+                            lambda tables, block, *a: spans.append(block.shape[1]) or
+                            products(tables, block, *a))
         spec = ChainSpec(n_sites=2, subspace_size=1)
         d = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
         mats = linalg.propagators(hamiltonian(spec), d.values)[:, :1, :1]
@@ -562,9 +565,9 @@ class TestWordKernel:
     ])
     def test_word_length_same_at_every_width(self, monkeypatch, kind, lam, d):
         lengths = []
-        table = protocols._word_table
-        monkeypatch.setattr(protocols, "_word_table",
-                            lambda mats, length: lengths.append(length) or table(mats, length))
+        build = protocols._word_tables
+        monkeypatch.setattr(protocols, "_word_tables",
+                            lambda mats, length, *a: lengths.append(length) or build(mats, length, *a))
         spec = ChainSpec(n_sites=12, subspace_size=lam)
         for width in (1, 7, 50, 300):
             run_lockstep(spec, leftmost_excited(12), ProtocolConfig(kind, 150, d),
@@ -587,8 +590,9 @@ class TestWordKernel:
         assert np.max(np.abs(traj.cumulative_survival - population)) <= 1e-11
 
     def test_gather_stays_within_the_table_cap_at_any_width(self, monkeypatch):
-        # R = 1000 columns of 12 x 12 words would gather 4.6 MB in one piece;
-        # chunks of columns keep every gather within TABLE_BYTES
+        # R = 1000 columns of 16 x 12 stacked words (L = 2: lambda = 4 rows of
+        # the first step, all 12 of the second) would gather 3.1 MB in one
+        # piece; chunks of columns keep every gather within TABLE_BYTES
         gathers = []
 
         class Table(np.ndarray):  # the word table, recording each gather from it
@@ -596,13 +600,97 @@ class TestWordKernel:
                 gathers.append(np.size(indices) * self[0].nbytes)
                 return np.ndarray.take(self, indices, *args)
 
-        table = protocols._word_table
-        monkeypatch.setattr(protocols, "_word_table", lambda *a: table(*a).view(Table))
+        build = protocols._word_tables
+        monkeypatch.setattr(protocols, "_word_tables",
+                            lambda *a: tuple(t if t is None else t.view(Table) for t in build(*a)))
         spec = ChainSpec(n_sites=12, subspace_size=4)
         config = ProtocolConfig(ProtocolKind.PULSED, 100, BIMODAL)
         run_lockstep(spec, leftmost_excited(12), config, [SeededSampler(i) for i in range(1000)])
         assert max(gathers) <= protocols.TABLE_BYTES
-        assert sum(gathers) == 1000 * 100 * 12 * 12 * 16  # every step of every column, once
+        assert sum(gathers) == 1000 * 50 * 16 * 12 * 16  # every sub-block of every column, once
+
+
+    def test_stacked_table_within_the_bound_of_word_length(self):
+        # _word_length's docstring: k^L stacked words of at most L * dim rows
+        # take at most L * TABLE_BYTES; head = dim is the largest table
+        rng = np.random.default_rng(0)
+        for (atoms, dim, m), length in self.LENGTHS.items():
+            assert protocols._word_length(atoms, dim, m) == length
+            mats = np.linalg.qr(rng.standard_normal((atoms, dim, dim)) + 0j)[0]
+            table, tail = protocols._word_tables(mats, length, dim, length - 1)
+            assert table.shape == (atoms**length, length * dim, dim)
+            assert table.nbytes <= length * protocols.TABLE_BYTES
+            assert tail is None or tail.nbytes < table.nbytes
+
+    @pytest.mark.parametrize("atoms, length, head, tail", [(1, 4, 2, 3), (2, 3, 1, 2), (3, 2, 3, 1)])
+    def test_stacked_word_rows_are_the_prefix_products(self, atoms, length, head, tail):
+        # word c = sum_p a_p k^p: head rows of each proper prefix, then the whole product
+        rng = np.random.default_rng(atoms)
+        mats = rng.standard_normal((atoms, 3, 3)) + 1j * rng.standard_normal((atoms, 3, 3))
+        for steps, table in zip((length, tail), protocols._word_tables(mats, length, head, tail)):
+            assert table.shape == (atoms**steps, (steps - 1) * head + 3, 3)
+            for code in range(atoms**steps):
+                word = [code // atoms**p % atoms for p in range(steps)]
+                prefix, rows = np.eye(3), []
+                for i, a in enumerate(word):
+                    prefix = mats[a] @ prefix
+                    rows.append(prefix if i == steps - 1 else prefix[:head])
+                assert np.allclose(table[code], np.concatenate(rows), rtol=0, atol=1e-12)
+
+
+class TestStackedWords:
+    """A pulsed run that records no states computes only the lambda subspace
+    rows of each step but the last of a sub-block; a run's m mod L last
+    steps read a tail table.  Neither changes a bit of any column."""
+
+    LAWS = [IntervalDistribution.deterministic(0.7), BIMODAL,
+            IntervalDistribution.from_atoms([(1, .2), (2, .3), (4, .5)])]
+
+    @pytest.mark.parametrize("d", LAWS, ids=["one-atom", "two-atom", "three-atom"])
+    def test_pulsed_rows_kept_change_no_bit(self, d):
+        # head = n with record_states, head = lambda without
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=4), leftmost_excited(12)
+        for m in (1, 3, 66, 131, 1003):
+            config = ProtocolConfig(ProtocolKind.PULSED, m, d)
+            plain, recorded = (
+                run_lockstep(spec, psi0, replace(config, record_states=record),
+                             [SeededSampler(5).spawn(i) for i in range(3)])
+                for record in (False, True)
+            )
+            for a, b in zip(plain, recorded, strict=True):
+                assert a.states is None and b.states.shape == (m, 12)
+                assert np.array_equal(a.intervals, b.intervals)
+                assert np.array_equal(a.cumulative_survival, b.cumulative_survival)
+                assert np.array_equal(a.final_state, b.final_state)
+                assert np.array_equal(b.states[-1], b.final_state)
+
+    @pytest.mark.parametrize("kind", [ProtocolKind.PROJECTIVE, ProtocolKind.PULSED])
+    @pytest.mark.parametrize("d", LAWS, ids=["one-atom", "two-atom", "three-atom"])
+    def test_every_tail_matches_a_lone_run_and_the_oracle(self, monkeypatch, kind, d):
+        # m = 128..128 + L - 1 at m = 128's L (the same L there) gives every
+        # tail m mod L from 1 to L - 1; the other m are short and long runs
+        spec, psi0 = ChainSpec(n_sites=8, subspace_size=3), w_state(8, 3)
+        dim = 8 if kind is ProtocolKind.PULSED else 3
+        base = protocols._word_length(len(d.atoms), dim, 128)
+        tails = []
+        build = protocols._word_tables
+        monkeypatch.setattr(protocols, "_word_tables",
+                            lambda mats, length, head, tail: tails.append((length, tail)) or
+                            build(mats, length, head, tail))
+        oracle = scalar_run_pulsed if kind is ProtocolKind.PULSED else scalar_run_projective
+        random = len(d.atoms) > 1
+        for m in sorted({1, 2, 3, 5, 7, 65, 67, 131, 1003} | {128 + t for t in range(base)}):
+            config = ProtocolConfig(kind, m, d)
+            samplers = [SeededSampler(m).spawn(i) for i in range(7)]
+            seeds = [s._state for s in samplers]
+            trajs = run_lockstep(spec, psi0, config, samplers)
+            assert len(trajs) == (7 if random else 1)
+            for r in (0, 3, 6) if random else (0,):
+                lone = run_lockstep(spec, psi0, config, [SeededSampler(seeds[r])])[0]
+                assert_same_run(trajs[r], lone)
+                assert_matches_oracle(trajs[r], oracle(spec, psi0, config, SeededSampler(seeds[r])),
+                                      config)
+        assert base > 1 and {t for length, t in tails if length == base} == set(range(base))
 
 
 class TestOneAtomEnsemble:
@@ -643,8 +731,8 @@ class TestOneAtomEnsemble:
         widths = []
         products = protocols._products
         monkeypatch.setattr(protocols, "_products",
-                            lambda table, codes, *a: widths.append(len(codes)) or
-                            products(table, codes, *a))
+                            lambda tables, block, *a: widths.append(len(block)) or
+                            products(tables, block, *a))
         spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
         config = pm_config(300, IntervalDistribution.deterministic(4.0), bernoulli=True)
         trajs = run_lockstep(spec, psi0, config, [SeededSampler(3).spawn(i) for i in range(12)])
@@ -751,7 +839,8 @@ class TestSlices:
             patch.setattr(protocols, "SLICE_BYTES", 0)
             patch.setattr(protocols, "BLOCK", length)
             patch.setattr(protocols, "_products",
-                          lambda *a: spans.append(a[-1].shape[1]) or products(*a))
+                          lambda tables, block, *a: spans.append(block.shape[1]) or
+                          products(tables, block, *a))
             runs = run_lockstep(spec, psi0, config, [SeededSampler(s) for s in seeds])
         assert length > 1 and set(spans[:-1]) == {length} and spans[-1] <= length
         assert len(whole) == len(runs) == len(seeds)

@@ -43,6 +43,16 @@ class TestDistribution:
         mom = moments(IntervalDistribution.deterministic(mu))
         assert mom.mean == mu and mom.kappa == 0.0 and 0 <= mom.third_raw < np.inf
 
+    def test_integer_interval_beyond_any_float_is_a_value_error(self):
+        # not a raw OverflowError from float(mu)
+        for make in (lambda: IntervalDistribution(((10**400, 1.0),)),
+                     lambda: IntervalDistribution.from_atoms([(10**400, 1.0)]),
+                     lambda: IntervalDistribution.from_atoms([(1.0, 10**400)]),
+                     lambda: IntervalDistribution.deterministic(10**400),
+                     lambda: IntervalDistribution.from_literal(f"[({10**400}, 1.0)]")):
+            with pytest.raises(ValueError):
+                make()
+
     def test_atoms_must_be_distinct(self):
         with pytest.raises(ValueError):
             IntervalDistribution(((2.0, 0.5), (2.0, 0.5)))
