@@ -78,14 +78,13 @@ class ProtocolConfig:
             raise ValueError(
                 f"bernoulli outcomes apply to the projective protocol only, not {self.kind.value}"
             )
-        if self.kind is ProtocolKind.PULSED and not (0 < self.pulse_area < np.inf):
-            raise ValueError(f"pulse_area must be positive and finite, got {self.pulse_area}")
-        if (
-            self.kind is ProtocolKind.CONTINUOUS
-            and self.coupling is not None
-            and not (0 < self.coupling < np.inf)
+        # a phase E t of 1e300 or more could overflow exp(-i E t) into nan
+        if self.kind is ProtocolKind.PULSED and not (0 < self.pulse_area < 1e300):
+            raise ValueError(f"pulse_area must lie in (0, 1e300), got {self.pulse_area}")
+        if self.kind is ProtocolKind.CONTINUOUS and self.coupling is not None and not (
+            0 < float(self.coupling) * float(m) * moments(self.distribution).mean < 1e300
         ):
-            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
+            raise ValueError(f"coupling must be > 0, times m * mean(mu) < 1e300, got {self.coupling}")
 
     @property
     def stochastic(self) -> bool:

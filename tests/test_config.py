@@ -286,6 +286,17 @@ class TestConfigFuzz:
             assert capsys.readouterr().err.startswith("config error: custom state needs a finite")
             assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("protocol", ["kind = pulsed\npulse_area = 1.7976931348623157e308",
+                                          "kind = continuous\ncoupling = 1e307"])
+    def test_phases_beyond_any_float_are_a_config_error(self, tmp_path, capsys, protocol):
+        # exp(-i E t) of an overflowing phase wrote nan cells with exit 0
+        cfg = tmp_path / "phase.cfg"
+        cfg.write_text(MINIMAL.replace("kind = projective", protocol))
+        for command in ("simulate", "theory", "compare"):
+            assert cli_main([command, str(cfg), "--out-dir", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err.startswith("config error:")
+            assert not (tmp_path / command).exists()
+
     @settings(max_examples=100, deadline=None)
     @given(text=fuzzed_configs())
     def test_every_config_runs_or_names_its_error(self, text):

@@ -291,6 +291,8 @@ class TestDispatcher:
             (ProtocolKind.CONTINUOUS, {"coupling": -1.0}),
             (ProtocolKind.CONTINUOUS, {"coupling": np.inf}),
             (ProtocolKind.CONTINUOUS, {"coupling": np.nan}),
+            (ProtocolKind.PULSED, {"pulse_area": 1e300}),  # 2 * pulse_area phases overflow
+            (ProtocolKind.CONTINUOUS, {"coupling": 1e299}),  # over m * mean = 30 us
             (ProtocolKind.PROJECTIVE, {"num_intervals": 10.5}),
             (ProtocolKind.PROJECTIVE, {"num_intervals": 10.0}),
             (ProtocolKind.PROJECTIVE, {"num_intervals": True}),
