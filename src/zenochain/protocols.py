@@ -176,7 +176,7 @@ def _steps_above_floor(mats: np.ndarray) -> int:
     return max(1, int(np.log(NORM_FLOOR) / np.log(s2)))
 
 
-def _word_tables(mats: np.ndarray, length: int, head: int, tail: int = 0) -> tuple:
+def _word_tables(mats: np.ndarray, length: int, head: int, tail: int) -> tuple:
     """The stacked words of length steps, and of tail steps if tail > 0: the
     word of atoms a_0..a_(l-1), at code sum_p a_p k^p, holds the first head
     rows of each proper prefix product mats[a_(i-1)] @ ... @ mats[a_0], i <
