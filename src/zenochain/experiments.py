@@ -10,6 +10,7 @@ realization's numbers are bit-identical however many run beside it.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -40,6 +41,7 @@ from .theory import (
 from . import linalg
 
 CHUNK_ROWS = 2048  # rows made text and written together: memory bounded by this
+OPEN_FILES = 16  # files one write_csv call keeps open at once
 EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
 
 # A chunk of rows becomes one uint8 matrix, each cell in a fixed-width slot
@@ -56,7 +58,14 @@ _QUAD_ZEROS = np.zeros(10000, np.int8)  # trailing zeros of each group, 4 for 00
 for _j in range(1, 5):
     _QUAD_ZEROS[:: 10**_j] += 1
 _SOURCE = np.concatenate([_QUADS[[0, 0, 0, 0]], _ALPHABET])[None]  # the source row of 0
-_TENS = np.array([10**j for j in range(1, 16)])
+# a cell's 4-digit groups before its first digit: "0012" as _PAD _PAD "12", and
+# 0 as "0" in the cell's last group (_LAST), as nothing in its others (_LEADS)
+_LAST = _QUADS.view(np.uint8).reshape(10000, 4).copy()
+for _j in range(3):
+    _LAST[: 10 ** (3 - _j), _j] = _PAD
+_LAST = _LAST.view(np.uint32)[:, 0]
+_SIGNS = np.frombuffer(b"\xff\xff\xff\xff\xff\xff\xff-", np.uint32)  # a cell's "" or "-"
+_LEADS = np.concatenate([_SIGNS[:1], _LAST[1:]])
 # 10**k, exact for k <= 22; 0 at 23 (not exact) and at 24 (zero's slot)
 _POW10 = np.array([float(10**k) for k in range(23)] + [0.0, 0.0])
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
@@ -64,15 +73,6 @@ _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _EXPONENTS = np.arange(-9, 16, dtype=np.int16)  # of the floats the byte pass writes
 _WIDTH = 22  # of the longest cell a number makes: -1.23456789012345e-308
-
-
-def _int_layout():
-    """Source positions of %d's characters for (sign, digit count), and the lengths."""
-    grid = np.meshgrid(np.arange(2, dtype=np.int16), np.arange(16, dtype=np.int16), indexing="ij")
-    neg, digits = (g.ravel()[:, None] for g in grid)
-    b = np.arange(_WIDTH, dtype=np.int16) - neg  # position after the sign
-    pos = np.where(b < digits, 16 - digits + b, _BLANK)
-    return np.where(b < 0, _MINUS, pos), (neg + digits).ravel()
 
 
 def _float_layout():
@@ -97,30 +97,20 @@ def _float_layout():
     return np.where(b < 0, _MINUS, pos), (neg + body + 4 * ~fixed).ravel()
 
 
-def _row_items(layout):
-    """A layout table as one void item per row: take copies whole rows, far
-    faster than 2-D fancy indexing."""
-    return np.ascontiguousarray(layout, np.uint8).view(f"V{_WIDTH}").ravel()
-
-
-_INT_LAYOUT, _INT_LENGTHS = _int_layout()
 _FLOAT_LAYOUT, _FLOAT_LENGTHS = _float_layout()
-_INT_LAYOUT, _FLOAT_LAYOUT = _row_items(_INT_LAYOUT), _row_items(_FLOAT_LAYOUT)
+# one void item per layout row: take copies whole rows, far faster than 2-D fancy indexing
+_FLOAT_LAYOUT = np.ascontiguousarray(_FLOAT_LAYOUT, np.uint8).view(f"V{_WIDTH}").ravel()
 
 
-def _digit_rows(n, top):
-    """Source rows of non-negative integers up to top, below 1e16, and their
-    4-digit groups from the lowest up to the highest that top needs."""
-    rows = np.repeat(_SOURCE, len(n), axis=0)
+def _groups(n, top):
+    """4-digit groups of non-negative integers up to top, below 1e16, from
+    the lowest up to the highest that top needs."""
     groups = []
     while top >= 10**4:
         n, low = np.divmod(n, 10**4)
         groups.append(low)
         top //= 10**4
-    groups.append(n)
-    for k, group in enumerate(groups):
-        rows[:, 3 - k] = _QUADS[group]
-    return rows, groups
+    return groups + [n]
 
 
 def _cells(rows, layout, lengths, combo, fallback):
@@ -138,11 +128,17 @@ def _cells(rows, layout, lengths, combo, fallback):
 
 
 def _int_cells(values):
-    """%d cells of int64 values below 1e15 in magnitude."""
-    n = np.abs(values)
-    rows, _ = _digit_rows(n, int(n.max()))
-    combo = 16 * (values < 0) + 1 + np.searchsorted(_TENS, n, side="right")
-    return _cells(rows, _INT_LAYOUT, _INT_LENGTHS, combo, [])
+    """%d cells of int64 values below 1e15 in magnitude: the sign, where one
+    is negative, then each 4-digit group from the highest, the zeros before
+    a cell's first digit padded."""
+    n, neg = np.abs(values), values < 0
+    words = [_SIGNS[neg.view(np.uint8)]] if neg.any() else []
+    groups, lead = _groups(n, int(n.max())), True  # lead: no digit yet
+    for k, group in enumerate(reversed(groups)):
+        led = (_LEADS if k < len(groups) - 1 else _LAST)[group]
+        words.append(led if lead is True else np.where(lead, led, _QUADS[group]))
+        lead = lead & (group == 0)
+    return np.stack(words, 1).view(np.uint8)
 
 
 def _digits(x, zero):
@@ -182,7 +178,10 @@ def _float_cells(x):
     """%.15g cells of float64 values; those _digits leaves go through %."""
     zero = x == 0
     n, e, ok = _digits(x, zero)
-    rows, (g3, g2, g1, g0) = _digit_rows(n, 10**15 - 1)
+    rows = np.repeat(_SOURCE, len(n), axis=0)
+    g3, g2, g1, g0 = groups = _groups(n, 10**15 - 1)
+    for k, group in enumerate(groups):
+        rows[:, 3 - k] = _QUADS[group]
     zeros = _QUAD_ZEROS
     trailing = zeros[g3] + (g3 == 0) * (zeros[g2] + (g2 == 0) * (zeros[g1] + (g1 == 0) * zeros[g0]))
     sig = np.maximum(15 - trailing, 1)  # zero has 16 trailing zeros and is written "0"
@@ -216,12 +215,12 @@ def _text_cells(cells: Sequence[str], lone: bool):
 
 
 def _column(column):
-    """A column as the byte pass reads it: a list or tuple of str, a float64
-    array, or an int64 array of integers below 1e15 in magnitude.  Integers
-    of 1e15 or more in magnitude are rare enough that a column holding one
-    is made text by %d, cell by cell."""
+    """A column as the byte pass reads it, and the dtype its chunks are cast
+    to: a list or tuple of str (None), or an array whose chunks become float64,
+    or int64 below 1e15 in magnitude.  Integers of 1e15 or more in magnitude
+    are rare enough that a column holding one is made text by %d, cell by cell."""
     if type(column) in (list, tuple) and set(map(type, column)) <= {str}:
-        return column
+        return column, None
     values = np.asarray(column)
     if values.dtype.kind == "f":
         if values.dtype != np.float64:
@@ -231,23 +230,38 @@ def _column(column):
         if not (len(values) and float(values[0]).is_integer()  # cheap screen
                 and ((np.abs(values) < 1e15) & (np.trunc(values) == values)
                      & (np.signbit(values) == (values < 0))).all()):
-            return values
+            return values, np.float64
     elif values.dtype.kind in "biu":
         if ((values >= 10**15) | (values <= -(10**15))).any():
-            return ["%d" % v for v in values.tolist()]
+            return ["%d" % v for v in values.tolist()], None
     elif values.dtype.kind == "U":
-        return list(column)  # the caller's strings: numpy drops trailing NULs
+        return list(column), None  # the caller's strings: numpy drops trailing NULs
     else:
         raise TypeError(f"cannot write a column of dtype {values.dtype}")
-    return values.astype(np.int64, copy=False)
+    return values, np.int64
+
+
+def _rows(column, files):
+    """(rows, dtype) of a column: one row, which every file shares, or, where
+    ``files`` is a count, one row per file, numbers in each or text in each."""
+    if files is None or not (len(column) and hasattr(column[0], "__len__")
+                             and not isinstance(column[0], str)):
+        rows, dtype = _column(column)
+        return [rows], dtype
+    if len(column) != files:
+        raise ValueError(f"a column of {len(column)} rows for {files} files")
+    rows, dtypes = zip(*map(_column, column))
+    if None in dtypes and len(set(dtypes)) > 1:
+        raise TypeError("a column holds text in some files and numbers in others")
+    return list(rows), np.float64 if np.float64 in dtypes else dtypes[0]
 
 
 def _block(columns: dict, cells_of) -> dict:
     """Cells of same-kind column chunks (keyed by column id), made text as one block."""
-    keys = list(columns)
-    values = columns[keys[0]] if len(keys) == 1 else np.stack(list(columns.values()), 1).ravel()
-    cells = cells_of(values)
-    return {key: cells[j :: len(keys)] for j, key in enumerate(keys)}
+    values = list(columns.values())
+    cells = cells_of(values[0] if len(values) == 1 else np.concatenate(values))
+    ends = np.cumsum([len(v) for v in values])
+    return {key: cells[end - len(v) : end] for (key, v), end in zip(columns.items(), ends)}
 
 
 def _chunk_cells(chunk: dict, lone: bool) -> dict:
@@ -268,8 +282,16 @@ def _chunk_cells(chunk: dict, lone: bool) -> dict:
     return cells
 
 
+def _chunk(rows: list, dtype, start: int, stop: int):
+    """Cells start..stop of each of a column's rows, one row after the other."""
+    parts = [row[start:stop] for row in rows]
+    if dtype is None:
+        return [cell for part in parts for cell in part]
+    return np.concatenate(parts, dtype=dtype, casting="unsafe")
+
+
 def write_csv(
-    path: Path,
+    path: Path | Sequence[Path],
     header: Sequence[str],
     columns: Iterable[Sequence],
     reproducible: bool = False,
@@ -282,58 +304,67 @@ def write_csv(
     Lines end in CRLF.  Unless ``reproducible``, a ``# generated
     <timestamp>`` comment comes first.
 
-    Each chunk of ``CHUNK_ROWS`` rows is made text in one numpy byte pass:
-    numeric cells are written digit by digit from lookup tables.  Only the
-    floats the pass cannot decide (non-finite, out of its range or next to
-    a rounding tie) and the integer columns holding a value of 1e15 or more
-    in magnitude go through ``%``, one cell at a time.
+    ``path`` may also be a list of paths: one file per path, all with this
+    header and the same number of rows.  Each column is then either one
+    sequence shared by every file, made text once for all of them, or one
+    row per file, as a 2-D array or a list of sequences.  At most
+    ``OPEN_FILES`` files are open at once.
+
+    Each pass makes up to ``CHUNK_ROWS`` rows text, in total across the
+    open files, in one numpy byte pass: numeric cells are written digit by
+    digit from lookup tables.  Only the floats the pass cannot decide
+    (non-finite, out of its range or next to a rounding tie) and the
+    integer columns holding a value of 1e15 or more in magnitude go through
+    ``%``, one cell at a time.
     """
+    many = isinstance(path, (list, tuple))
+    paths = list(path) if many else [path]
     columns = list(columns)
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
-    lone = len(header) == 1
-    prepared = {id(c): _column(c) for c in columns}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        if not reproducible:
-            fh.write(f"# generated {datetime.datetime.now().isoformat()}\r\n".encode())
-        fh.write((",".join(_quoted(header, lone)) + "\r\n").encode())
-        for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
-            chunk = {key: c[start : start + CHUNK_ROWS] for key, c in prepared.items()}
-            cells = _chunk_cells(chunk, lone)
-            fields = [cells[id(c)] for c in columns]
-            widths = np.cumsum([f.shape[1] + 1 for f in fields])
-            table = np.full((len(fields[0]), widths[-1] + 1), ord(","), np.uint8)
-            for field, end in zip(fields, widths):
-                table[:, end - 1 - field.shape[1] : end - 1] = field
-            table[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
-            fh.write(table.tobytes().translate(None, bytes([_PAD])))
+    prepared = {id(c): _rows(c, len(paths) if many else None) for c in columns}
+    lengths = sorted({len(row) for rows, _ in prepared.values() for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
+    steps, lone = lengths[0] if lengths else 0, len(header) == 1
+    head = b"" if reproducible else f"# generated {datetime.datetime.now().isoformat()}\r\n".encode()
+    head += (",".join(_quoted(header, lone)) + "\r\n").encode()
+    for parent in {p.parent for p in paths}:
+        parent.mkdir(parents=True, exist_ok=True)
+    for first in range(0, len(paths), OPEN_FILES):
+        group = slice(first, first + OPEN_FILES)
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(p, "wb")) for p in paths[group]]
+            for fh in handles:
+                fh.write(head)
+            per = max(1, CHUNK_ROWS // len(handles))  # rows of each file in a pass
+            for start in range(0, steps, per):
+                stop = min(start + per, steps)
+                chunk = {key: _chunk(rows[group] if len(rows) > 1 else rows, dtype, start, stop)
+                         for key, (rows, dtype) in prepared.items()}
+                cells = _chunk_cells(chunk, lone)
+                fields = [cells[id(c)] for c in columns]
+                widths = np.cumsum([f.shape[1] + 1 for f in fields])
+                table = np.full((len(handles), stop - start, widths[-1] + 1), ord(","), np.uint8)
+                for field, end in zip(fields, widths):  # a shared field fills every file's rows
+                    table[..., end - 1 - field.shape[1] : end - 1] = field.reshape(
+                        len(field) // (stop - start), stop - start, field.shape[1])
+                table[..., -2:] = np.frombuffer(b"\r\n", np.uint8)
+                for fh, part in zip(handles, table):
+                    fh.write(part.tobytes().translate(None, bytes([_PAD])))
 
 
-def write_trajectory_csv(
-    traj: Trajectory, path: Path, reproducible: bool = False
-) -> None:
-    """Per-step export: step, t_us, mu_us, q_j, P_cum, pop_subspace.
-
-    q_j is blank for a coherent run, pop_subspace for a projective one.
-    """
-    steps = len(traj.times)
-    blank = ("",) * steps
-    write_csv(
-        path,
-        ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace"),
-        (
-            np.arange(1, steps + 1),
-            traj.times,
-            traj.intervals,
-            blank if traj.survival_factors is None else traj.survival_factors,
-            traj.cumulative_survival,
-            traj.cumulative_survival if traj.survival_factors is None else blank,
-        ),
-        reproducible,
-    )
+def write_trajectory_csv(trajs: Sequence[Trajectory], paths: Sequence[Path],
+                         reproducible: bool = False) -> None:
+    """Per-step export of runs of one length, one file each: step, t_us,
+    mu_us, q_j, P_cum, pop_subspace.  q_j is blank for a coherent run,
+    pop_subspace for a projective one."""
+    steps, coherent = len(trajs[0].times), trajs[0].survival_factors is None
+    blank, cum = ("",) * steps, [t.cumulative_survival for t in trajs]
+    columns = (np.arange(1, steps + 1), [t.times for t in trajs], [t.intervals for t in trajs],
+               blank if coherent else [t.survival_factors for t in trajs], cum, cum if coherent else blank)
+    header = ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace")
+    write_csv(list(paths), header, columns, reproducible)
 
 
 def _eigenstate_edge_weight(spec: ChainSpec, psi0: np.ndarray) -> float:
@@ -456,8 +487,12 @@ def run_experiment(
         trow, pred = _theory_row(spec, psi0, protocol)
         if k == 0:
             base_trajs, base_pred = trajs, pred
+            runs_of = {}  # runs by length: each aborted Bernoulli run is shorter
             for i, traj in enumerate(trajs):
-                write_trajectory_csv(traj, out / f"trajectory_r{i}.csv", reproducible)
+                runs_of.setdefault(len(traj.times), []).append(i)
+            for group in runs_of.values():
+                write_trajectory_csv([trajs[i] for i in group],
+                                     [out / f"trajectory_r{i}.csv" for i in group], reproducible)
         theory_rows.append(trow)
         summary_rows.append(
             (

@@ -20,6 +20,7 @@ chains (for instance a severed boundary bond).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -219,6 +220,21 @@ def _products(
     return used
 
 
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """p.sum(-1), bit for bit, from adds in numpy's own order: left to right
+    below 8 terms; from 8, eight running sums combined pairwise, then the
+    rest left to right.  numpy halves a sum of 128 or more recursively."""
+    lam = p.shape[-1]
+    if lam >= 128:
+        return p.sum(-1)
+    full, terms = lam - lam % 8 if lam >= 8 else 0, []
+    if full:
+        r = functools.reduce(np.add, [p[..., i : i + 8] for i in range(0, full, 8)])
+        r = r[..., 0::2] + r[..., 1::2]
+        terms.append((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3]))
+    return functools.reduce(np.add, terms + [p[..., k] for k in range(full, lam)])
+
+
 def _lockstep(
     spec: ChainSpec,
     psi0: np.ndarray,
@@ -326,7 +342,7 @@ def _lockstep(
             carry = np.ldexp(norms[:, -1:], -2 * shift)
         else:  # the first L * head rows of a sub-block are its steps' leading rows
             heads = buf[:, : -(-b // length) * rows].reshape(width, -1, rows)[:, :, : length * head]
-            cum[:, j : j + b] = (np.abs(heads.reshape(width, -1, head)[:, :b, :lam]) ** 2).sum(-1)
+            cum[:, j : j + b] = _row_sums(np.abs(heads.reshape(width, -1, head)[:, :b, :lam]) ** 2)
         if states is not None:
             states[:, j : j + b, :dim] = out[..., 0]
         psi, state = last, out[:, -1, :, 0].copy() if projective else last[..., 0]

@@ -143,9 +143,13 @@ class IntervalDistribution:
         # checked here too, since the collapsed form drops mu2 and 1 - p1
         if not (0 < p1 <= 1 and mu2 > 0):
             raise ValueError(f"bimodal needs 0 < p1 <= 1 and mu2 > 0, got p1={p1}, mu2={mu2}")
+        try:
+            mu1, mu2 = float(mu1), float(mu2)
+        except OverflowError as exc:  # an integer beyond any float
+            raise ValueError(f"interval beyond the float range: {exc}") from exc
         if abs(mu1 - mu2) < 1e-15 or p1 >= 1.0:
             return cls.deterministic(mu1)
-        return cls(((float(mu1), float(p1)), (float(mu2), 1.0 - float(p1))))
+        return cls(((mu1, float(p1)), (mu2, 1.0 - float(p1))))
 
     @classmethod
     def from_literal(cls, text: str) -> "IntervalDistribution":

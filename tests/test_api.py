@@ -81,6 +81,14 @@ def test_no_parameter_that_no_caller_sets():
     assert "lam" not in inspect.signature(preset_fig5).parameters
 
 
+def test_write_csv_keeps_the_name_and_parameters_the_bench_and_demos_use():
+    # bench/layers.py times CSV emission at zenochain.experiments.write_csv by
+    # name, and the demos pass its arguments by position; a rename would
+    # otherwise show only in a traced bench run
+    params = list(inspect.signature(zenochain.experiments.write_csv).parameters)
+    assert params == ["path", "header", "columns", "reproducible"]
+
+
 def test_hermitian_eig_keeps_the_parameter_the_bench_binds():
     # bench/layers.py's eigendecomposition hook reads args["a"]
     assert "a" in inspect.signature(zenochain.linalg.hermitian_eig).parameters

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -380,6 +381,173 @@ class TestWriteCsv:
         scalar_write_csv(tmp_path / "s.csv", header, zip(steps, pops, pops), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
+        # three files: the shared steps are made text once per pass, not
+        # once per file, and the per-file pops once for both their fields
+        formatted.clear()
+        per_file = [pops, 2 * pops, pops / 3]
+        paths = [tmp_path / f"f{i}.csv" for i in range(3)]
+        write_csv(paths, header, (steps, per_file, per_file), reproducible=True)
+        assert formatted == [("_int_cells", [1, 2, 3]),
+                             ("_float_cells", np.concatenate(per_file).tolist())]
+        for path, p in zip(paths, per_file):
+            scalar_write_csv(tmp_path / "s.csv", header, zip(steps, p, p), reproducible=True)
+            assert path.read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+        # a pass holds CHUNK_ROWS rows in total: 3 files of 2,000 rows take
+        # 3 passes of 682 rows each, the shared column formatted once in each
+        formatted.clear()
+        rows = 2000
+        long_pops = [np.linspace(0.1, 0.9, rows) * (i + 1) for i in range(3)]
+        write_csv(paths, header, (np.arange(1, rows + 1), long_pops, long_pops), reproducible=True)
+        per = experiments.CHUNK_ROWS // 3
+        ints = [values for name, values in formatted if name == "_int_cells"]
+        assert ints == [list(range(start + 1, min(start + per, rows) + 1))
+                        for start in range(0, rows, per)]
+
+    @staticmethod
+    def per_file_columns(files, rows, seed):
+        """Columns of every kind for files of rows rows: shared and per-file,
+        as 2-D arrays and as lists, and a column that is whole in some files."""
+        rng = np.random.default_rng(seed)
+        floats = rng.standard_normal((files, rows)) * 10.0 ** rng.integers(-9, 16, (files, rows))
+        mixed = [np.arange(rows, dtype=float) - 3.0 + (0.5 if f % 2 else 0.0) for f in range(files)]
+        text = [[f"f{f}r{i}" + ("," if i % 5 == 0 else "") for i in range(rows)]
+                for f in range(files)]
+        cols = (
+            np.arange(1, rows + 1),  # shared
+            floats,  # 2-D
+            [row.copy() for row in floats[:, ::-1]],  # a list of arrays
+            mixed,
+            [rng.integers(-(10**6), 10**6, rows) for _ in range(files)],
+            text,
+            ("",) * rows,  # shared blank
+            [rng.integers(0, 2, rows).astype(bool) for _ in range(files)],
+            rng.uniform(0.0, 1.0, rows),  # shared float
+        )
+        header = ("step", "x", "x_reversed", "mixed", "i", "s", "blank", "b", "u")
+        return header, cols
+
+    @pytest.mark.parametrize("files", [1, 2, 3, 10])
+    @pytest.mark.parametrize("passes", [1, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_a_multi_file_call_equals_one_file_calls(self, tmp_path, files, passes, offset):
+        # at and around the per-file pass boundary, and across several passes
+        rows = passes * (experiments.CHUNK_ROWS // files) + offset
+        header, cols = self.per_file_columns(files, rows, seed=rows)
+        paths = [tmp_path / "multi" / f"r{i}.csv" for i in range(files)]
+        write_csv(paths, header, cols, reproducible=True)
+        for f, path in enumerate(paths):
+            own = [c[f] if isinstance(c, list) or np.ndim(c) == 2 else c for c in cols]
+            write_csv(tmp_path / "one.csv", header, own, reproducible=True)
+            assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
+        if files == 3 and passes == 1 and offset == 0:
+            scalar_write_csv(tmp_path / "s.csv", header, zip(*own), reproducible=True)
+            assert paths[-1].read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    @pytest.mark.parametrize("realizations", [1, 2, 3, 10])
+    @pytest.mark.parametrize("protocol", ["post-selected", "bernoulli", "pulsed", "continuous"])
+    def test_ensemble_trajectories_equal_one_file_calls(self, tmp_path, protocol, realizations):
+        # run_experiment writes runs of one length in one call; each run's
+        # file equals the one-file call on that run's columns
+        m = 2 * (experiments.CHUNK_ROWS // realizations) + 1
+        text = CONFIG.replace("m = 60", f"m = {m}").replace("realizations = 3", f"realizations = {realizations}")
+        if protocol == "bernoulli":
+            text = text.replace("m = ", "bernoulli = true\nm = ").replace(DIST, "dist = [(0.7, 0.5), (2.0, 0.5)]")
+        elif protocol != "post-selected":
+            text = text.replace("kind = projective", f"kind = {protocol}")
+        trajs = run_experiment(parse_config(text), out_dir=tmp_path, reproducible=True)["trajectories"]
+        header = ("step", "t_us", "mu_us", "q_j", "P_cum", "pop_subspace")
+        for i, traj in enumerate(trajs):
+            steps, coherent = len(traj.times), traj.survival_factors is None
+            blank = ("",) * steps
+            own = (np.arange(1, steps + 1), traj.times, traj.intervals,
+                   blank if coherent else traj.survival_factors, traj.cumulative_survival,
+                   traj.cumulative_survival if coherent else blank)
+            write_csv(tmp_path / "one" / "t.csv", header, own, reproducible=True)
+            assert (tmp_path / f"trajectory_r{i}.csv").read_bytes() == (tmp_path / "one" / "t.csv").read_bytes()
+        if protocol == "bernoulli" and realizations == 10:  # runs of several lengths
+            lengths = [len(t.times) for t in trajs]
+            assert m in lengths and len(set(lengths)) > 2
+
+    def test_a_multi_file_call_stamps_every_file(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        write_csv(paths, ("x",), ([[1.5], [2.5]],))
+        for path, cell in zip(paths, (b"1.5", b"2.5")):
+            text = path.read_bytes()
+            assert text.startswith(b"# generated ") and text.endswith(b"\r\nx\r\n" + cell + b"\r\n")
+
+    def test_multi_file_columns_of_unequal_length_raise_before_any_file_exists(self, tmp_path):
+        paths = [tmp_path / "out" / f"r{i}.csv" for i in range(3)]
+        equal = [np.arange(4.0)] * 3
+        bad = [
+            (ValueError, "unequal length", [np.arange(4.0), np.arange(3.0), np.arange(4.0)], np.arange(4)),
+            (ValueError, "unequal length", equal, np.arange(5)),
+            (ValueError, "2 rows for 3 files", [np.arange(4.0)] * 2, np.arange(4)),
+            (TypeError, "text in some files", [["a"] * 4, np.arange(4.0), ["b"] * 4], np.arange(4)),
+        ]
+        for error, message, per_file, shared in bad:
+            with pytest.raises(error, match=message):
+                write_csv(paths, ("x", "step"), (per_file, shared), reproducible=True)
+        with pytest.raises(TypeError, match="dtype"):
+            write_csv(paths, ("x", "c"), (equal, [np.zeros(4, complex)] * 3))
+        assert not (tmp_path / "out").exists()
+
+    def test_more_files_than_the_open_file_bound(self, tmp_path, monkeypatch):
+        # the number of files open at once does not grow with the file count
+        open_now, most = set(), [0]
+
+        class Tracked:
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+                open_now.add(self)
+                most[0] = max(most[0], len(open_now))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                open_now.discard(self)
+                self.fh.close()
+
+            def write(self, data):
+                return self.fh.write(data)
+
+        monkeypatch.setattr(experiments, "open", Tracked, raising=False)
+        files = 2 * experiments.OPEN_FILES + 3
+        header, cols = self.per_file_columns(files, 7, seed=files)
+        paths = [tmp_path / f"r{i}.csv" for i in range(files)]
+        write_csv(paths, header, cols, reproducible=True)
+        assert most[0] == experiments.OPEN_FILES and not open_now
+        monkeypatch.undo()
+        for f, path in enumerate(paths):
+            own = [c[f] if isinstance(c, list) or np.ndim(c) == 2 else c for c in cols]
+            scalar_write_csv(tmp_path / "s.csv", header, zip(*own), reproducible=True)
+            assert path.read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    def test_ten_file_write_peak_memory_stays_near_the_per_file_writer(self, tmp_path):
+        # the benchmark's simulate_long ensemble: ten pulsed runs of 10,000 steps
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=4), leftmost_excited(12)
+        config = ProtocolConfig(ProtocolKind.PULSED, 10000, IntervalDistribution.bimodal(1.0, 5.0, 0.5))
+        trajs, _ = run_ensemble(spec, psi0, config, 10, 0)
+        paths = [tmp_path / f"trajectory_r{i}.csv" for i in range(10)]
+
+        def peak(write):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        def per_file():
+            for traj, path in zip(trajs, paths):
+                experiments.write_trajectory_csv([traj], [path], reproducible=True)
+
+        alone = peak(per_file)
+        together = peak(lambda: experiments.write_trajectory_csv(trajs, paths, reproducible=True))
+        assert together <= alone + 0.5 * 2**20
+
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * experiments.CHUNK_ROWS + 3])
     def test_tables_past_one_chunk(self, tmp_path, offset):
         rows = experiments.CHUNK_ROWS + offset
@@ -500,7 +668,7 @@ class TestWriteCsv:
         written = []
 
         def counting(path, *args, **kwargs):
-            written.append(path)
+            written.extend(path if isinstance(path, list) else [path])
             return real(path, *args, **kwargs)
 
         real = experiments.write_csv

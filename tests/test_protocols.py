@@ -144,6 +144,17 @@ class TestPulsed:
         assert np.array_equal(traj.cumulative_survival, pops)
         assert traj.survival_factors is None
 
+    @pytest.mark.parametrize("lam", [*range(1, 33), 130])
+    def test_row_sums_equal_numpys_sum_bit_for_bit(self, lam):
+        # the pulsed population adds |psi_k|^2 over the subspace in numpy's
+        # own order, so every pulsed output keeps its last digits
+        rng = np.random.default_rng(lam)
+        for width, steps in [(10, 272), (1, 700), (3, 1)]:
+            shape = (width, steps, lam + 3)
+            z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-8, 0, shape)
+            want = (np.abs(z[:, :, :lam]) ** 2).sum(-1)
+            assert np.array_equal(protocols._row_sums(np.abs(z[:, :, :lam]) ** 2), want)
+
     def test_swap_area_exchanges_outer_pair(self):
         # pulse area pi/4 makes the kick a population swap on the pair
         spec = ChainSpec(n_sites=4, subspace_size=1)

@@ -53,6 +53,12 @@ class TestDistribution:
             with pytest.raises(ValueError):
                 make()
 
+    @pytest.mark.parametrize("mu1, mu2", [(10**400, 5.0), (1.0, 10**400)], ids=["mu1", "mu2"])
+    def test_bimodal_interval_beyond_any_float_is_a_value_error(self, mu1, mu2):
+        # not a raw OverflowError from abs(mu1 - mu2)
+        with pytest.raises(ValueError, match="float range"):
+            IntervalDistribution.bimodal(mu1, mu2, 0.5)
+
     def test_atoms_must_be_distinct(self):
         with pytest.raises(ValueError):
             IntervalDistribution(((2.0, 0.5), (2.0, 0.5)))
