@@ -46,7 +46,7 @@ EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
 
 # A chunk of rows becomes one uint8 matrix, each cell in a fixed-width slot
 # padded with _PAD, a byte UTF-8 never produces, deleted before writing.  A
-# numeric cell's text is read from its 32-byte source row: 16 decimal digits
+# float cell's text is read from its 32-byte source row: 16 decimal digits
 # (four 4-digit groups, one uint32 each) and then _ALPHABET, through a layout
 # row chosen by the cell's sign, exponent and digit count.
 _PAD = 0xFF
