@@ -40,7 +40,9 @@ from .theory import (
 )
 from . import linalg
 
-CHUNK_ROWS = 2048  # rows made text and written together: memory bounded by this
+# rows made text and written together, across the open files: a pass's memory
+# grows with this; 6144 keeps simulate's first-call peak RSS within 0.5 MB of 2048
+CHUNK_ROWS = 6144
 OPEN_FILES = 16  # files one write_csv call keeps open at once
 EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
 
@@ -73,6 +75,8 @@ _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _EXPONENTS = np.arange(-9, 16, dtype=np.int16)  # of the floats the byte pass writes
 _WIDTH = 22  # of the longest cell a number makes: -1.23456789012345e-308
+_GATHER = 2048  # float cells gathered at once: 2048 source rows of 32 bytes, a uint16 index
+_OFFSETS = 32 * np.arange(_GATHER, dtype=np.uint16)[:, None]  # each source row's first byte
 
 
 def _float_layout():
@@ -115,12 +119,19 @@ def _groups(n, top):
 
 def _cells(rows, layout, lengths, combo, fallback):
     """(cells, width) uint8 matrix: cell k is rows[k] read through layout[combo[k]],
-    or the text fallback gives for k, and _PAD past its end."""
+    or the text fallback gives for k, and _PAD past its end.
+
+    Cells are gathered ``_GATHER`` at a time into the one matrix, each by a
+    uint16 index into its sub-block's source bytes, so no index array grows
+    with the number of cells."""
     texts = {k: text.encode() for k, text in fallback}
     width = max([lengths[combo].max(), *map(len, texts.values())])
     index = layout.take(combo).view(np.uint8).reshape(len(combo), _WIDTH)[:, :width]
-    index = index + 32 * np.arange(len(combo))[:, None]
-    cells = rows.view(np.uint8).ravel().take(index)
+    source, cells = rows.view(np.uint8), np.empty((len(combo), width), np.uint8)
+    for first in range(0, len(combo), _GATHER):
+        block = slice(first, first + _GATHER)
+        part = index[block]  # mode="clip": a take into out= buffers only under "raise"
+        source[block].ravel().take(part + _OFFSETS[: len(part)], out=cells[block], mode="clip")
     for k, text in texts.items():
         cells[k] = _PAD
         cells[k, : len(text)] = np.frombuffer(text, np.uint8)
@@ -312,10 +323,11 @@ def write_csv(
 
     Each pass makes up to ``CHUNK_ROWS`` rows text, in total across the
     open files, in one numpy byte pass: numeric cells are written digit by
-    digit from lookup tables.  Only the floats the pass cannot decide
-    (non-finite, out of its range or next to a rounding tie) and the
-    integer columns holding a value of 1e15 or more in magnitude go through
-    ``%``, one cell at a time.
+    digit from lookup tables, floats gathered ``_GATHER`` cells at a time
+    by a uint16 index, so the gather's index does not grow with the pass.
+    Only the floats the pass cannot decide (non-finite, out of its range or
+    next to a rounding tie) and the integer columns holding a value of 1e15
+    or more in magnitude go through ``%``, one cell at a time.
     """
     many = isinstance(path, (list, tuple))
     paths = list(path) if many else [path]
@@ -469,7 +481,8 @@ def run_experiment(
 
     Sweeps (lambda_sweep, kappa_sweep) add one summary/theory row per point;
     per-step trajectory files, one per run, are written for the base
-    configuration only, and its runs and predicted P* are returned.
+    configuration only, and its runs and predicted P* are returned, with the
+    names of the files this run wrote (other files in the directory stay).
     """
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -487,12 +500,12 @@ def run_experiment(
         trow, pred = _theory_row(spec, psi0, protocol)
         if k == 0:
             base_trajs, base_pred = trajs, pred
+            paths = [out / f"trajectory_r{i}.csv" for i in range(len(trajs))]
             runs_of = {}  # runs by length: each aborted Bernoulli run is shorter
             for i, traj in enumerate(trajs):
                 runs_of.setdefault(len(traj.times), []).append(i)
             for group in runs_of.values():
-                write_trajectory_csv([trajs[i] for i in group],
-                                     [out / f"trajectory_r{i}.csv" for i in group], reproducible)
+                write_trajectory_csv([trajs[i] for i in group], [paths[i] for i in group], reproducible)
         theory_rows.append(trow)
         summary_rows.append(
             (
@@ -513,7 +526,7 @@ def run_experiment(
         "out_dir": out,
         "trajectories": base_trajs,
         "prediction": base_pred,
-        "files": sorted(p.name for p in out.glob("*.csv")),
+        "files": sorted([p.name for p in paths] + ["summary.csv", "theory.csv"]),
     }
 
 

@@ -621,6 +621,52 @@ class TestWriteCsv:
         scalar_write_csv(tmp_path / "s.csv", header, zip(*cols), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
+    @pytest.mark.parametrize("cells", [experiments._GATHER - 1, experiments._GATHER,
+                                       experiments._GATHER + 1, 3 * experiments._GATHER + 5])
+    def test_float_blocks_around_the_gather_size(self, tmp_path, monkeypatch, cells):
+        # a pass's float block is gathered _GATHER cells at a time: blocks one
+        # below, at and one above a gather, and three gathers and a part, each
+        # made text in one pass, with hard floats (negative, exponent-form and
+        # %-fallback cells) spread over every gather among ordinary ones
+        blocks = []
+
+        def recording(values):
+            blocks.append(len(values))
+            return real(values)
+
+        real = experiments._float_cells
+        monkeypatch.setattr(experiments, "_float_cells", recording)
+        rng = np.random.default_rng(cells)
+        floats = rng.choice([-1.0, 1.0], cells) * 10.0 ** rng.uniform(-8, 15, cells)
+        floats[::7] = np.resize(self.hard_floats(), len(floats[::7]))
+        # split into as few float columns as fit one pass
+        split = next(k for k in range(1, cells + 1)
+                     if cells % k == 0 and cells // k <= experiments.CHUNK_ROWS)
+        rows = cells // split
+        cols = [np.arange(rows) - rows // 2, *floats.reshape(split, rows), (["a,b", "c"] * rows)[:rows]]
+        header = tuple(f"c{i}" for i in range(len(cols)))
+        write_csv(tmp_path / "t.csv", header, cols, reproducible=True)
+        assert blocks == [cells]
+        scalar_write_csv(tmp_path / "s.csv", header, zip(*cols), reproducible=True)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    def test_float_cells_memory_per_cell(self):
+        # from 2,048 to 6,144 floats the float path's tracemalloc peak grows
+        # by about 135 B a cell; a gather index of one int64 per output byte
+        # over the whole block would add about 150 B more, so larger passes
+        # cannot bring it back unseen
+        def peak(n):
+            x = np.random.default_rng(n).uniform(0.0, 1.0, n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                experiments._float_cells(x)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(6144) - peak(2048)) / 4096 < 200
+
     def test_ordinary_cells_skip_the_fallback(self, tmp_path, monkeypatch):
         # every finite double from 1e-8 to 1e15 away from a rounding tie is
         # written by the byte pass, as is every integer below 1e15 in
@@ -832,6 +878,21 @@ class TestCLI:
         assert "wrote 3 files" in capsys.readouterr().out
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["summary.csv", "theory.csv", "trajectory_r0.csv"]
+
+    def test_simulate_reports_the_files_it_wrote(self, tmp_path, capsys):
+        # a narrower run into the directory of a wider one counts and lists
+        # its own files, and deletes none of the wider run's
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(CONFIG)
+        for r in (10, 3):
+            assert cli_main(["simulate", str(cfg), "--out-dir", str(out),
+                             "--realizations", str(r), "--reproducible"]) == 0
+            assert f"wrote {r + 2} files to" in capsys.readouterr().out
+        result = run_experiment(parse_config(CONFIG), out_dir=out, reproducible=True)
+        assert result["files"] == ["summary.csv", "theory.csv", "trajectory_r0.csv",
+                                   "trajectory_r1.csv", "trajectory_r2.csv"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["summary.csv", "theory.csv"] + [f"trajectory_r{i}.csv" for i in range(10)])
 
     @pytest.mark.parametrize("kind", ["projective", "pulsed"])
     def test_simulate_one_atom_is_one_run_at_any_realization_count(self, tmp_path, kind):
