@@ -122,8 +122,8 @@ def _cells(rows, layout, lengths, combo, fallback):
     or the text fallback gives for k, and _PAD past its end.
 
     Cells are gathered ``_GATHER`` at a time into the one matrix, each by a
-    uint16 index into its sub-block's source bytes, so no index array grows
-    with the number of cells."""
+    uint16 index into its sub-block's source bytes, so the intp index take
+    widens it to spans one sub-block; the uint8 layout index spans them all."""
     texts = {k: text.encode() for k, text in fallback}
     width = max([lengths[combo].max(), *map(len, texts.values())])
     index = layout.take(combo).view(np.uint8).reshape(len(combo), _WIDTH)[:, :width]

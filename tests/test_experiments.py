@@ -393,16 +393,19 @@ class TestWriteCsv:
             scalar_write_csv(tmp_path / "s.csv", header, zip(steps, p, p), reproducible=True)
             assert path.read_bytes() == (tmp_path / "s.csv").read_bytes()
 
-        # a pass holds CHUNK_ROWS rows in total: 3 files of 2,000 rows take
-        # 3 passes of 682 rows each, the shared column formatted once in each
+        # a pass holds CHUNK_ROWS rows in total: 3 files of 2 * (CHUNK_ROWS // 3)
+        # + 5 rows take 3 passes, CHUNK_ROWS // 3 rows of each file in the
+        # first two and 5 in the last, the shared column formatted once in each
         formatted.clear()
-        rows = 2000
+        per = experiments.CHUNK_ROWS // 3
+        rows = 2 * per + 5
         long_pops = [np.linspace(0.1, 0.9, rows) * (i + 1) for i in range(3)]
         write_csv(paths, header, (np.arange(1, rows + 1), long_pops, long_pops), reproducible=True)
-        per = experiments.CHUNK_ROWS // 3
         ints = [values for name, values in formatted if name == "_int_cells"]
-        assert ints == [list(range(start + 1, min(start + per, rows) + 1))
-                        for start in range(0, rows, per)]
+        assert ints == [list(range(1, per + 1)), list(range(per + 1, 2 * per + 1)),
+                        list(range(2 * per + 1, rows + 1))]
+        floats = [len(values) for name, values in formatted if name == "_float_cells"]
+        assert floats == [3 * per, 3 * per, 15]
 
     @staticmethod
     def per_file_columns(files, rows, seed):
@@ -623,32 +626,18 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("cells", [experiments._GATHER - 1, experiments._GATHER,
                                        experiments._GATHER + 1, 3 * experiments._GATHER + 5])
-    def test_float_blocks_around_the_gather_size(self, tmp_path, monkeypatch, cells):
-        # a pass's float block is gathered _GATHER cells at a time: blocks one
-        # below, at and one above a gather, and three gathers and a part, each
-        # made text in one pass, with hard floats (negative, exponent-form and
-        # %-fallback cells) spread over every gather among ordinary ones
-        blocks = []
-
-        def recording(values):
-            blocks.append(len(values))
-            return real(values)
-
-        real = experiments._float_cells
-        monkeypatch.setattr(experiments, "_float_cells", recording)
+    def test_float_blocks_around_the_gather_size(self, cells):
+        # float cells are gathered _GATHER at a time: blocks one below, at and
+        # one above a gather, and three gathers and a part, with hard floats
+        # (negative, exponent-form and %-fallback cells) spread over every
+        # gather among ordinary ones
         rng = np.random.default_rng(cells)
         floats = rng.choice([-1.0, 1.0], cells) * 10.0 ** rng.uniform(-8, 15, cells)
         floats[::7] = np.resize(self.hard_floats(), len(floats[::7]))
-        # split into as few float columns as fit one pass
-        split = next(k for k in range(1, cells + 1)
-                     if cells % k == 0 and cells // k <= experiments.CHUNK_ROWS)
-        rows = cells // split
-        cols = [np.arange(rows) - rows // 2, *floats.reshape(split, rows), (["a,b", "c"] * rows)[:rows]]
-        header = tuple(f"c{i}" for i in range(len(cols)))
-        write_csv(tmp_path / "t.csv", header, cols, reproducible=True)
-        assert blocks == [cells]
-        scalar_write_csv(tmp_path / "s.csv", header, zip(*cols), reproducible=True)
-        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+        cells_of = experiments._float_cells(floats)
+        assert cells_of.shape[0] == cells
+        for row, value in zip(cells_of, floats):
+            assert row[row != experiments._PAD].tobytes() == ("%.15g" % value).encode()
 
     def test_float_cells_memory_per_cell(self):
         # from 2,048 to 6,144 floats the float path's tracemalloc peak grows
