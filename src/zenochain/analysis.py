@@ -93,16 +93,12 @@ class EnsembleSummary:
     realization_count: int
     log_mean: float
     log_std: float
-    log_mode: float
 
 
 def aggregate(realizations: Sequence[Trajectory]) -> EnsembleSummary:
-    """Log-survival statistics over an ensemble of realizations.
+    """Mean and sample standard deviation of ln P over an ensemble.
 
-    ln P is each realization's ``log_survival``.  The most-probable-value
-    estimate is the center of the tallest histogram bin of ln P, with bin
-    width std/5 (the sample mean when the ensemble is degenerate: the bins
-    would not span more than a few representable floats).  Raises
+    ln P is each realization's ``log_survival``.  Raises
     NonFiniteLogSurvivalError when any ln P is not finite, as for a Bernoulli
     ensemble with an aborted run.
     """
@@ -116,18 +112,10 @@ def aggregate(realizations: Sequence[Trajectory]) -> EnsembleSummary:
             f"ln P is not finite for {bad} of {len(logs)} realizations; "
             "log-survival statistics need every realization to survive"
         )
-    mean = float(np.mean(logs))
-    std = float(np.std(logs, ddof=1)) if len(logs) > 1 else 0.0
-    width = std / 5.0
-    if width > 16 * np.spacing(np.max(np.abs(logs))):
-        nbins = max(1, int(np.ceil((logs.max() - logs.min()) / width)))
-        counts, edges = np.histogram(logs, bins=nbins)
-        k = int(np.argmax(counts))
-        mode = float(0.5 * (edges[k] + edges[k + 1]))
-    else:
-        mode = mean
     return EnsembleSummary(
-        realization_count=len(realizations), log_mean=mean, log_std=std, log_mode=mode
+        realization_count=len(realizations),
+        log_mean=float(np.mean(logs)),
+        log_std=float(np.std(logs, ddof=1)) if len(logs) > 1 else 0.0,
     )
 
 

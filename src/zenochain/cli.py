@@ -13,8 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from .analysis import aggregate
 from .config import ExperimentConfig, ParseError, ValidationError, parse_config
 from .experiments import (
     preset_fig2,
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
                 )
             result = run_experiment(config, reproducible=args.reproducible)
             ln_pstar = result["prediction"].log_pstar  # finite where P* underflows
-            mean_ln = float(np.mean([t.log_survival for t in result["trajectories"]]))
+            mean_ln = aggregate(result["trajectories"]).log_mean
             print(f"mean ln P (simulation): {mean_ln:.6f}")
             print(f"ln P* (time-averaged theory): {ln_pstar:.6f}")
             if ln_pstar:
@@ -156,8 +155,9 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        kind = "io" if isinstance(exc, OSError) else "memory"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 1
     return 0
 

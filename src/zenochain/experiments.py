@@ -737,9 +737,13 @@ def preset_fig5(
 ) -> Path:
     """Protocol performance versus interval disorder (1 + kappa) at fixed mean, lambda = 2.
 
-    The ideal edge average and the continuous protocol depend on the mean
-    interval alone, so each is computed once per distinct mean, not once per point.
+    ``initial`` is ``"wstate"`` (the main panel, fig5_kappa.csv) or
+    ``"leftmost"`` (the inset, fig5_inset_kappa.csv).  The ideal edge average
+    and the continuous protocol depend on the mean interval alone, so each is
+    computed once per distinct mean, not once per point.
     """
+    if initial not in ("wstate", "leftmost"):
+        raise ValueError(f'initial must be "wstate" or "leftmost", got {initial!r}')
     spec = ChainSpec(n_sites=N_SITES, subspace_size=2)
     psi0 = w_state(N_SITES, 2) if initial == "wstate" else leftmost_excited(N_SITES)
 

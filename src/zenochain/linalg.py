@@ -6,8 +6,8 @@ Conventions: times in microseconds, Hamiltonians in rad/us (hbar = 1), so
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +48,19 @@ def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
     return hermiticity_defect(a) <= rtol * scale
 
 
-_eig_cache: OrderedDict[tuple, EigenDecomposition] = OrderedDict()
+@lru_cache(maxsize=EIG_CACHE_SIZE)
+def _decompose(shape: tuple, data: bytes) -> EigenDecomposition:
+    a = np.frombuffer(data, complex).reshape(shape)
+    if not is_hermitian(a):
+        raise NotHermitianError(
+            f"hermiticity defect {hermiticity_defect(a):.3e} exceeds tolerance"
+        )
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    w.flags.writeable = v.flags.writeable = False
+    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
@@ -59,31 +71,12 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     The last EIG_CACHE_SIZE decompositions are kept by the exact input (its
     shape and complex bytes), so a repeated matrix is diagonalized once; the
     returned arrays are read-only because every caller of that input shares
-    them.  Only inputs that pass the checks are kept, so a bad one raises on
-    every call.
+    them.  A raised error is never kept, so a bad input raises on every call.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    key = (a.shape, a.tobytes())
-    dec = _eig_cache.get(key)
-    if dec is None:
-        if not is_hermitian(a):
-            raise NotHermitianError(
-                f"hermiticity defect {hermiticity_defect(a):.3e} exceeds tolerance"
-            )
-        try:
-            w, v = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NoConvergenceError(str(exc)) from exc
-        w.flags.writeable = v.flags.writeable = False
-        dec = EigenDecomposition(eigenvalues=w, eigenvectors=v)
-        _eig_cache[key] = dec
-        if len(_eig_cache) > EIG_CACHE_SIZE:
-            _eig_cache.popitem(last=False)
-    else:
-        _eig_cache.move_to_end(key)
-    return dec
+    return _decompose(a.shape, a.tobytes())
 
 
 def propagators(h: np.ndarray, times) -> np.ndarray:

@@ -1,10 +1,12 @@
 import ast
 import importlib
 import inspect
+import runpy
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import zenochain
 from zenochain.chain import ChainSpec, w_state
@@ -31,7 +33,7 @@ def test_every_exported_name_resolves():
 
 
 def test_every_name_the_demos_import_resolves():
-    # read the import lines only; running the demos takes seconds
+    # read the import lines only, so a missing name is reported by name
     checked, missing = set(), []
     for path in sorted(DEMOS.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -50,6 +52,29 @@ def test_every_name_the_demos_import_resolves():
         "zenochain.experiments.scaling_sweep",
         "zenochain.experiments.kappa_family",
     } <= checked
+
+
+DEMO_CSVS = {
+    "01_three_level_confinement.py": [],
+    "02_wstate_survival.py": ["wstate_survival.csv"],
+    "03_edge_staircase.py": ["edge_staircase.csv"],
+    "04_protocol_comparison.py": ["protocol_fidelity.csv", "protocol_scaling.csv"],
+    "05_time_disorder.py": ["time_disorder.csv"],
+    "06_excitation_front.py": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs_and_writes_the_csvs_it_prints(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    printed = capsys.readouterr().out
+    written = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+    assert written == DEMO_CSVS[name]
+    for csv_name in written:
+        assert f"demo_out/{csv_name}" in printed
+        rows = (tmp_path / "demo_out" / csv_name).read_text(encoding="utf-8").splitlines()
+        assert len([r for r in rows if not r.startswith("#")]) >= 2  # header and data
 
 
 def test_run_continuous_keeps_the_parameters_the_bench_binds():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenochain import experiments, linalg, protocols
+from zenochain import cli, experiments, linalg, protocols
 from zenochain.analysis import aggregate
 from zenochain.chain import ChainSpec, leftmost_excited, w_state, zeno_hamiltonian
 from zenochain.cli import main as cli_main
@@ -808,6 +808,18 @@ class TestSweeps:
         name = "fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv"
         assert (tmp_path / "preset" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
 
+    @pytest.mark.parametrize("initial", ["Wstate", "leftmost_excited", ""])
+    def test_fig5_rejects_an_unknown_initial_state_before_any_run(
+        self, tmp_path, monkeypatch, initial
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("ran an ensemble")
+
+        monkeypatch.setattr(experiments, "run_ensemble", never)
+        with pytest.raises(ValueError, match='"wstate" or "leftmost"'):
+            preset_fig5(tmp_path, m=20, realizations=5, initial=initial)
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig5_runs_the_continuous_protocol_once_per_mean(self, tmp_path, monkeypatch):
         means = []
         run = protocols.run_continuous
@@ -996,6 +1008,22 @@ class TestCLI:
         rc = cli_main(["simulate", str(cfg)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "three-level"])
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        # the runners are stand-ins that raise, so nothing huge is allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        monkeypatch.setattr(cli, "run_three_level", exhausted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG)
+        args = [] if command == "three-level" else [str(cfg)]
+        assert cli_main([command, *args, "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "memory error: Unable to allocate 72.8 TiB\n"
 
     @pytest.mark.parametrize(
         "edits, flags",

@@ -104,8 +104,8 @@ class TestHermitianEigMemo:
     def test_cache_stays_within_its_size(self):
         for k in range(10 * EIG_CACHE_SIZE):
             hermitian_eig(np.diag([float(k), -1.0]))
-            assert len(linalg._eig_cache) <= EIG_CACHE_SIZE
-        assert len(linalg._eig_cache) == EIG_CACHE_SIZE
+            assert linalg._decompose.cache_info().currsize <= EIG_CACHE_SIZE
+        assert linalg._decompose.cache_info().currsize == EIG_CACHE_SIZE
 
 
 class TestPropagator:
