@@ -158,6 +158,8 @@ def fit_velocity(
     velocity.  The comparison bound is e * beta (operator-norm bound on the
     front speed).
     """
+    if len(subspace_sizes) == 0:
+        raise ValueError("fit_velocity needs at least one subspace size")
     peaks = []
     for lam in subspace_sizes:
         sub = replace(spec, n_sites=lam, subspace_size=lam)

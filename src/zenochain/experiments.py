@@ -46,11 +46,12 @@ CHUNK_ROWS = 6144
 OPEN_FILES = 16  # files one write_csv call keeps open at once
 EDGE_SERIES_STEPS_PER_MEAN = 20  # dt = mean(mu) / 20 for the theory integral
 
-# A chunk of rows becomes one uint8 matrix, each cell in a fixed-width slot
-# padded with _PAD, a byte UTF-8 never produces, deleted before writing.  A
-# float cell's text is read from its 32-byte source row: 16 decimal digits
-# (four 4-digit groups, one uint32 each) and then _ALPHABET, through a layout
-# row chosen by the cell's sign, exponent and digit count.
+# A pass (_pass_cells) makes all its integer cells one uint8 matrix and all
+# its float cells another, each cell in a fixed-width slot padded with _PAD,
+# a byte UTF-8 never produces, deleted before writing.  A float cell's text
+# is read from its 32-byte source row: 16 decimal digits (four 4-digit
+# groups, one uint32 each) and then _ALPHABET, through a layout row chosen
+# by the cell's sign, exponent and digit count.
 _PAD = 0xFF
 _ALPHABET = np.frombuffer(b"0123456789.-e+\xff\xff", np.uint32)  # source bytes 16..31
 _ZERO, _DOT, _MINUS, _E, _PLUS, _BLANK = 16, 26, 27, 28, 29, 30
@@ -117,27 +118,6 @@ def _groups(n, top):
     return groups + [n]
 
 
-def _cells(rows, layout, lengths, combo, fallback):
-    """(cells, width) uint8 matrix: cell k is rows[k] read through layout[combo[k]],
-    or the text fallback gives for k, and _PAD past its end.
-
-    Cells are gathered ``_GATHER`` at a time into the one matrix, each by a
-    uint16 index into its sub-block's source bytes, so the intp index take
-    widens it to spans one sub-block; the uint8 layout index spans them all."""
-    texts = {k: text.encode() for k, text in fallback}
-    width = max([lengths[combo].max(), *map(len, texts.values())])
-    index = layout.take(combo).view(np.uint8).reshape(len(combo), _WIDTH)[:, :width]
-    source, cells = rows.view(np.uint8), np.empty((len(combo), width), np.uint8)
-    for first in range(0, len(combo), _GATHER):
-        block = slice(first, first + _GATHER)
-        part = index[block]  # mode="clip": a take into out= buffers only under "raise"
-        source[block].ravel().take(part + _OFFSETS[: len(part)], out=cells[block], mode="clip")
-    for k, text in texts.items():
-        cells[k] = _PAD
-        cells[k, : len(text)] = np.frombuffer(text, np.uint8)
-    return cells
-
-
 def _int_cells(values):
     """%d cells of int64 values below 1e15 in magnitude: the sign, where one
     is negative, then each 4-digit group from the highest, the zeros before
@@ -152,9 +132,9 @@ def _int_cells(values):
     return np.stack(words, 1).view(np.uint8)
 
 
-def _digits(x, zero):
+def _digits(x):
     """(n, e, ok): |x| rounded to 15 significant digits as n * 10**(e - 14),
-    where ok; zero, where x is zero, is n = e = 0.
+    where ok; zero is n = e = 0.
 
     Each finite |x| from 1e-8 up to 1e15 is scaled by the exact double
     10**(14 - e), e = floor(log10|x|), and Dekker's two-product gives the
@@ -163,7 +143,7 @@ def _digits(x, zero):
     1e15) (log10 guessed the exponent wrong, or x is out of range), or
     when the product lies within 1e-6 of a rounding tie.
     """
-    a = np.abs(x)
+    a, zero = np.abs(x), x == 0
     ok = (a >= 1e-8) & (a < 1e15)
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
@@ -186,9 +166,12 @@ def _digits(x, zero):
 
 
 def _float_cells(x):
-    """%.15g cells of float64 values; those _digits leaves go through %."""
-    zero = x == 0
-    n, e, ok = _digits(x, zero)
+    """(cells, width) uint8 matrix of %.15g cells of float64 values, _PAD past
+    each cell's end: its source row read through its layout row, or %'s text
+    where _digits leaves it.  Cells are gathered ``_GATHER`` at a time, each
+    by a uint16 index into its sub-block's source bytes, so the intp index
+    take widens it to spans one sub-block; the uint8 layout index spans all."""
+    n, e, ok = _digits(x)
     rows = np.repeat(_SOURCE, len(n), axis=0)
     g3, g2, g1, g0 = groups = _groups(n, 10**15 - 1)
     for k, group in enumerate(groups):
@@ -197,8 +180,18 @@ def _float_cells(x):
     trailing = zeros[g3] + (g3 == 0) * (zeros[g2] + (g2 == 0) * (zeros[g1] + (g1 == 0) * zeros[g0]))
     sig = np.maximum(15 - trailing, 1)  # zero has 16 trailing zeros and is written "0"
     combo = (np.signbit(x) * len(_EXPONENTS) + e - _EXPONENTS[0]) * 15 + sig - 1
-    fallback = [(k, "%.15g" % x[k]) for k in np.flatnonzero(~ok).tolist()]
-    return _cells(rows, _FLOAT_LAYOUT, _FLOAT_LENGTHS, combo, fallback)
+    texts = {k: ("%.15g" % x[k]).encode() for k in np.flatnonzero(~ok).tolist()}
+    width = max([_FLOAT_LENGTHS[combo].max(), *map(len, texts.values())])
+    index = _FLOAT_LAYOUT.take(combo).view(np.uint8).reshape(len(combo), _WIDTH)[:, :width]
+    source, cells = rows.view(np.uint8), np.empty((len(combo), width), np.uint8)
+    for first in range(0, len(combo), _GATHER):
+        block = slice(first, first + _GATHER)
+        part = index[block]  # mode="clip": a take into out= buffers only under "raise"
+        source[block].ravel().take(part + _OFFSETS[: len(part)], out=cells[block], mode="clip")
+    for k, text in texts.items():
+        cells[k] = _PAD
+        cells[k, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells
 
 
 def _quoted(cells: Sequence[str], lone: bool) -> list[str]:
@@ -267,42 +260,29 @@ def _rows(column, files):
     return list(rows), np.float64 if np.float64 in dtypes else dtypes[0]
 
 
-def _block(columns: dict, cells_of) -> dict:
-    """Cells of same-kind column chunks (keyed by column id), made text as one block."""
-    values = list(columns.values())
-    cells = cells_of(values[0] if len(values) == 1 else np.concatenate(values))
-    ends = np.cumsum([len(v) for v in values])
-    return {key: cells[end - len(v) : end] for (key, v), end in zip(columns.items(), ends)}
-
-
-def _chunk_cells(chunk: dict, lone: bool) -> dict:
-    """Cells of each column chunk (keyed by column id): integers as one block
-    of %d cells, floats as one block of %.15g cells, text column by column."""
-    ints, floats, cells = {}, {}, {}
-    for key, c in chunk.items():
-        if not isinstance(c, np.ndarray):
-            cells[key] = _text_cells(c, lone)
-        elif c.dtype.kind == "i":
-            ints[key] = c
+def _pass_cells(prepared: dict, group: slice, start: int, stop: int, lone: bool) -> dict:
+    """Cells of rows start..stop of each prepared column (keyed by column id),
+    one file of ``group`` after the other where the column has a row per file:
+    text column by column, all integer cells in one ``_int_cells`` call and
+    all float cells in one ``_float_cells`` call, split back by column."""
+    cells, numbers = {}, {np.int64: [], np.float64: []}
+    for key, (rows, dtype) in prepared.items():
+        parts = [row[start:stop] for row in (rows[group] if len(rows) > 1 else rows)]
+        if dtype is None:
+            cells[key] = _text_cells([cell for part in parts for cell in part], lone)
         else:
-            floats[key] = c
-    if ints:
-        cells.update(_block(ints, _int_cells))
-    if floats:
-        cells.update(_block(floats, _float_cells))
+            numbers[dtype].append((key, parts))
+    for (dtype, columns), cells_of in zip(numbers.items(), (_int_cells, _float_cells)):
+        if columns:
+            block = cells_of(np.concatenate([p for _, parts in columns for p in parts],
+                                            dtype=dtype, casting="unsafe"))
+            at = np.cumsum([0] + [(stop - start) * len(parts) for _, parts in columns])
+            cells.update((key, block[a:b]) for (key, _), a, b in zip(columns, at, at[1:]))
     return cells
 
 
-def _chunk(rows: list, dtype, start: int, stop: int):
-    """Cells start..stop of each of a column's rows, one row after the other."""
-    parts = [row[start:stop] for row in rows]
-    if dtype is None:
-        return [cell for part in parts for cell in part]
-    return np.concatenate(parts, dtype=dtype, casting="unsafe")
-
-
 def write_csv(
-    path: Path | Sequence[Path],
+    path: str | Path | Sequence[str | Path],
     header: Sequence[str],
     columns: Iterable[Sequence],
     reproducible: bool = False,
@@ -315,22 +295,24 @@ def write_csv(
     Lines end in CRLF.  Unless ``reproducible``, a ``# generated
     <timestamp>`` comment comes first.
 
-    ``path`` may also be a list of paths: one file per path, all with this
-    header and the same number of rows.  Each column is then either one
-    sequence shared by every file, made text once for all of them, or one
-    row per file, as a 2-D array or a list of sequences.  At most
-    ``OPEN_FILES`` files are open at once.
+    ``path`` is a ``str`` or path-like object, or a list of them: one file
+    per path, all with this header and the same number of rows.  Each column
+    is then either one sequence shared by every file, made text once for all
+    of them, or one row per file, as a 2-D array or a list of sequences.  At
+    most ``OPEN_FILES`` files are open at once.
 
-    Each pass makes up to ``CHUNK_ROWS`` rows text, in total across the
-    open files, in one numpy byte pass: numeric cells are written digit by
-    digit from lookup tables, floats gathered ``_GATHER`` cells at a time
-    by a uint16 index, so the gather's index does not grow with the pass.
-    Only the floats the pass cannot decide (non-finite, out of its range or
-    next to a rounding tie) and the integer columns holding a value of 1e15
-    or more in magnitude go through ``%``, one cell at a time.
+    Each pass takes up to ``CHUNK_ROWS`` rows, in total across the open
+    files, and makes all their integer cells text in one numpy byte pass and
+    all their float cells in another, text columns one by one: numeric cells
+    are written digit by digit from lookup tables, floats gathered
+    ``_GATHER`` cells at a time by a uint16 index, so the gather's index does
+    not grow with the pass.  Only the floats the pass cannot decide
+    (non-finite, out of its range or next to a rounding tie) and the integer
+    columns holding a value of 1e15 or more in magnitude go through ``%``,
+    one cell at a time.
     """
     many = isinstance(path, (list, tuple))
-    paths = list(path) if many else [path]
+    paths = [Path(p) for p in path] if many else [Path(path)]
     columns = list(columns)
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
@@ -352,9 +334,7 @@ def write_csv(
             per = max(1, CHUNK_ROWS // len(handles))  # rows of each file in a pass
             for start in range(0, steps, per):
                 stop = min(start + per, steps)
-                chunk = {key: _chunk(rows[group] if len(rows) > 1 else rows, dtype, start, stop)
-                         for key, (rows, dtype) in prepared.items()}
-                cells = _chunk_cells(chunk, lone)
+                cells = _pass_cells(prepared, group, start, stop, lone)
                 fields = [cells[id(c)] for c in columns]
                 widths = np.cumsum([f.shape[1] + 1 for f in fields])
                 table = np.full((len(handles), stop - start, widths[-1] + 1), ord(","), np.uint8)

@@ -51,7 +51,8 @@ def derive_seed(seed: int, index):
 
 
 class SeededSampler:
-    """SplitMix64 stream: state advances by a fixed odd constant, output is mixed.
+    """One SplitMix64 stream's state, a Weyl sequence that each draw advances by
+    a fixed odd constant: ``uniform`` draws one, ``draw_uniforms`` blocks of many.
 
     Single-owner: do not share one instance between threads.  Independent
     per-realization streams are seeded with ``derive_seed(seed, index)``, as
@@ -63,13 +64,9 @@ class SeededSampler:
         self.seed = int(seed)
         self._state = int(seed) & _MASK64
 
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * (2.0 ** -53)
+        return float(draw_uniforms([self], 1)[0, 0])
 
     def rewind(self, k: int) -> None:
         """Step the stream back by k draws, so the next k draws repeat."""
@@ -207,6 +204,6 @@ def weak_zeno_margin(d: IntervalDistribution, m: int, c_bound: float) -> float:
     Interpretation is left to the caller; r < 0.1 is the convention used
     in this package's reports.
     """
-    if c_bound < 0:
-        raise ValueError("remainder bound must be >= 0")
+    if not 0 <= c_bound < np.inf:
+        raise ValueError(f"remainder bound must be finite and >= 0, got {c_bound}")
     return m * c_bound * moments(d).third_raw

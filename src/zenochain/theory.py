@@ -123,8 +123,8 @@ def _exponent(m: int, mom: Moments, variance: float) -> float:
 
 def pstar_weak(m: int, d: IntervalDistribution, variance: float) -> TheoryPrediction:
     """Exponential (weak-regime) typical survival."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    if not 0 <= variance < np.inf:
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     mom = moments(d)
     x = _exponent(m, mom, variance)
     return TheoryPrediction(
@@ -136,8 +136,8 @@ def pstar_weak(m: int, d: IntervalDistribution, variance: float) -> TheoryPredic
 
 def pstar_strong(m: int, d: IntervalDistribution, variance: float) -> TheoryPrediction:
     """Linearized (strong-regime) typical survival; flags exponent > 0.1."""
-    if variance < 0:
-        raise ValueError("variance must be >= 0")
+    if not 0 <= variance < np.inf:
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     mom = moments(d)
     x = _exponent(m, mom, variance)
     out = x > STRONG_REGIME_BOUND
@@ -248,6 +248,8 @@ def edge_population(
     ExceptionalPointError when that generator cannot be diagonalized
     reliably.
     """
+    if np.ndim(t_max):
+        raise ValueError("edge_population takes one t_max; edge_time_average takes an array")
     points = int(_grid_points(t_max, dt))
     t_grid = np.arange(0.0, t_max + 0.5 * dt, dt)
     values = _edge_values(spec, psi0, dt, points, distribution)

@@ -4,9 +4,10 @@ The full-space helpers work in the 2^n tensor-product space and never touch
 the package's sector-reduced representations, so the two routes stay
 independent.  Keep n <= 6.
 
-The scalar_* functions are the one-realization, one-draw-at-a-time protocol
-loops the lockstep ensemble kernel replaced, kept verbatim as its reference,
-and the cell-by-cell CSV writer the column-wise ``write_csv`` replaced.
+The scalar_* functions are references too: the SplitMix64 stream one draw
+at a time, the one-realization protocol loops the lockstep ensemble kernel
+replaced, kept verbatim but for drawing through ``scalar_uniform``, and the
+cell-by-cell CSV writer the column-wise ``write_csv`` replaced.
 ``scalar_damped_edge_values`` is the damped edge series with one exponential
 per rate and grid point, the reference for the factored grid evaluation.
 """
@@ -115,6 +116,21 @@ def survival_trace_formula(
     return float(np.real(np.vdot(phi, phi)))
 
 
+def scalar_next_uint64(sampler: SeededSampler) -> int:
+    """The sampler's next SplitMix64 output (Steele, Lea & Flood), one draw
+    at a time in Python integers, advancing its state: the reference for the
+    package's block draws."""
+    sampler._state = z = (sampler._state + 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def scalar_uniform(sampler: SeededSampler) -> float:
+    """The sampler's next uniform double in [0, 1): the top 53 output bits."""
+    return (scalar_next_uint64(sampler) >> 11) * 2.0**-53
+
+
 def scalar_sample_intervals(
     d: IntervalDistribution, sampler: SeededSampler, m: int
 ) -> np.ndarray:
@@ -126,7 +142,7 @@ def scalar_sample_intervals(
     values = d.values
     out = np.empty(m)
     for j in range(m):
-        u = sampler.uniform()
+        u = scalar_uniform(sampler)
         out[j] = values[np.searchsorted(cdf, u, side="right")]
     return out
 
@@ -160,7 +176,7 @@ def scalar_run_projective(
         if q < DEAD_BRANCH:
             raise ZeroSurvivalError(f"survival factor underflow at step {j}")
         qs.append(q)
-        if config.bernoulli and sampler.uniform() >= q:
+        if config.bernoulli and scalar_uniform(sampler) >= q:
             # failed outcome: collapse onto the complement and stop
             psi[:lam] = 0.0
             psi /= np.linalg.norm(psi)

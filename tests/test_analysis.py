@@ -279,6 +279,12 @@ class TestVelocity:
         with pytest.raises(InvalidSpecError, match="n_sites must be >= 2"):
             fit_velocity(spec, subspace_sizes=sizes)
 
+    @pytest.mark.parametrize("sizes", [(), [], np.array([], dtype=int)])
+    def test_no_sizes_is_a_named_error(self, sizes):
+        spec = ChainSpec(n_sites=12, subspace_size=2)
+        with pytest.raises(ValueError, match="at least one subspace size"):
+            fit_velocity(spec, subspace_sizes=sizes)
+
     def test_no_peak_raises(self):
         with pytest.raises(NoPeakFoundError):
             first_peak_time(np.linspace(0, 1, 50), np.zeros(50), threshold=0.05)

@@ -357,6 +357,16 @@ class TestWriteCsv:
             write_csv(tmp_path / "t.csv", ("a", "b"), ([1, 2],))
         assert not (tmp_path / "t.csv").exists()
 
+    def test_str_and_path_paths_write_the_same_bytes(self, tmp_path):
+        # a str path, a Path and a list of str paths, each into a new directory
+        header, cols = ("a", "x"), ([1, 2], [0.5, -1e-9])
+        write_csv(tmp_path / "p" / "t.csv", header, cols, reproducible=True)
+        write_csv(str(tmp_path / "s" / "t.csv"), header, cols, reproducible=True)
+        write_csv([str(tmp_path / "l" / f"{i}.csv") for i in range(2)], header, cols,
+                  reproducible=True)
+        written = [(tmp_path / name).read_bytes() for name in ("p/t.csv", "s/t.csv", "l/0.csv", "l/1.csv")]
+        assert written == [b"a,x\r\n1,0.5\r\n2,-1e-09\r\n"] * 4
+
     def test_zero_rows_write_the_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ("a", "b"), ([], np.array([])), reproducible=True)
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
@@ -661,14 +671,15 @@ class TestWriteCsv:
         # written by the byte pass, as is every integer below 1e15 in
         # magnitude; below 1e11 a double with a random 53-bit significand is
         # never on a tie
-        fallback = []
+        fallback = []  # the cells _digits marks not ok, which go through %
 
-        def counting(rows, layout, lengths, combo, texts):
-            fallback.extend(texts)
-            return real(rows, layout, lengths, combo, texts)
+        def counting(x):
+            n, e, ok = real(x)
+            fallback.extend(x[~ok].tolist())
+            return n, e, ok
 
-        real = experiments._cells
-        monkeypatch.setattr(experiments, "_cells", counting)
+        real = experiments._digits
+        monkeypatch.setattr(experiments, "_digits", counting)
         rng = np.random.default_rng(5)
         floats = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-8, 11, 20000)
         ints = rng.integers(-(10**15) + 1, 10**15, 20000)

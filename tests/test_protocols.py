@@ -24,7 +24,7 @@ from zenochain.protocols import (
 from zenochain.stochastics import IntervalDistribution, SeededSampler
 from zenochain.theory import three_level_survival
 
-from helpers import scalar_run_projective, scalar_run_pulsed, survival_trace_formula
+from helpers import scalar_next_uint64, scalar_run_projective, scalar_run_pulsed, survival_trace_formula
 
 BIMODAL = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
 
@@ -425,7 +425,7 @@ class TestLockstepKernel:
             assert_close(a.final_state, b.final_state)
             assert_close(np.array(a.states), np.array(b.states))
             # the stream continues where the scalar run left it
-            assert samplers[i].next_uint64() == own.next_uint64()
+            assert scalar_next_uint64(samplers[i]) == scalar_next_uint64(own)
 
     @pytest.mark.parametrize("bernoulli", [False, True])
     def test_full_subspace_matches_scalar_oracle(self, bernoulli):
@@ -439,7 +439,7 @@ class TestLockstepKernel:
             own = base.spawn(i)
             assert a.aborted_at is None
             assert_matches_oracle(a, scalar_run_projective(spec, psi0, config, own), config)
-            assert samplers[i].next_uint64() == own.next_uint64()
+            assert scalar_next_uint64(samplers[i]) == scalar_next_uint64(own)
 
     def test_log_survival_finite_where_product_underflows(self, monkeypatch):
         spec = ChainSpec(n_sites=12, subspace_size=1)
@@ -478,8 +478,8 @@ class TestLockstepKernel:
         trajs = run_lockstep(spec, w_state(9, 3), config, samplers)
         assert len(trajs) == 1
         assert abs(trajs[0].total_time - 40 * 3.0) <= 1e-9
-        untouched = [SeededSampler(i).next_uint64() for i in range(5)]
-        assert [s.next_uint64() for s in samplers] == untouched
+        untouched = [scalar_next_uint64(SeededSampler(i)) for i in range(5)]
+        assert [scalar_next_uint64(s) for s in samplers] == untouched
 
     @pytest.mark.parametrize("kind", list(ProtocolKind))
     def test_empty_ensemble_rejected(self, kind):
@@ -807,7 +807,7 @@ class TestCarriedProduct:
             b = scalar_run_projective(spec, psi0, config, own)
             assert a.aborted_at == step
             assert_matches_oracle(a, b, config)
-            assert sampler.next_uint64() == own.next_uint64()
+            assert scalar_next_uint64(sampler) == scalar_next_uint64(own)
 
     def test_leaky_column_stays_above_the_floor_under_the_cap(self):
         # lambda = 1: mu = 50 swaps site 1 out up to q = 2.6e-32; stream 7

@@ -16,7 +16,7 @@ from zenochain.stochastics import (
     weak_zeno_margin,
 )
 
-from helpers import scalar_sample_intervals
+from helpers import scalar_next_uint64, scalar_sample_intervals, scalar_uniform
 
 
 class TestDistribution:
@@ -141,10 +141,12 @@ class TestSampler:
         assert np.array_equal(a, b)
 
     def test_known_stream_is_stable(self):
-        # pins the documented SplitMix64 output so any generator change is loud
-        s = SeededSampler(0)
-        assert s.next_uint64() == 16294208416658607535
-        assert s.next_uint64() == 7960286522194355700
+        # pins the published SplitMix64 outputs of seed 0, through the scalar
+        # oracle and through uniform(), so any generator change is loud
+        oracle, s = SeededSampler(0), SeededSampler(0)
+        for v in (16294208416658607535, 7960286522194355700):
+            assert scalar_next_uint64(oracle) == v
+            assert s.uniform() == (v >> 11) * 2**-53
 
     def test_uniform_range(self):
         s = SeededSampler(7)
@@ -165,7 +167,7 @@ class TestSampler:
     def test_child_streams_differ(self):
         base = SeededSampler(11)
         kids = [base.spawn(i) for i in range(4)]
-        seqs = [[k.next_uint64() for _ in range(4)] for k in kids]
+        seqs = [[scalar_next_uint64(k) for _ in range(4)] for k in kids]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert seqs[i] != seqs[j]
@@ -200,10 +202,10 @@ class TestBlockDraws:
     def test_uniforms_equal_scalar_draws_and_state(self, seed, k):
         block, scalar = SeededSampler(seed), SeededSampler(seed)
         u = draw_uniforms([block], k)[0]
-        assert np.array_equal(u, [scalar.uniform() for _ in range(k)])
+        assert np.array_equal(u, [scalar_uniform(scalar) for _ in range(k)])
         # same state afterwards: the streams continue identically
-        assert block.next_uint64() == scalar.next_uint64()
-        assert block.uniform() == scalar.uniform()
+        assert scalar_next_uint64(block) == scalar_next_uint64(scalar)
+        assert block.uniform() == scalar_uniform(scalar)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -212,15 +214,15 @@ class TestBlockDraws:
     )
     def test_multi_stream_rows_equal_each_stream(self, seeds, k):
         # row r is samplers[r]'s one-stream draw bit for bit, and every state ends
-        # where k single uniform() calls leave it
+        # where k scalar oracle draws leave it
         samplers = [SeededSampler(s) for s in seeds]
         block = draw_uniforms(samplers, k)
         assert block.shape == (len(seeds), k)
         for row, s, seed in zip(block, samplers, seeds):
             one, scalar = SeededSampler(seed), SeededSampler(seed)
             assert np.array_equal(row, draw_uniforms([one], k)[0])
-            assert np.array_equal(row, [scalar.uniform() for _ in range(k)])
-            assert s.next_uint64() == one.next_uint64() == scalar.next_uint64()
+            assert np.array_equal(row, [scalar_uniform(scalar) for _ in range(k)])
+            assert scalar_next_uint64(s) == scalar_next_uint64(one) == scalar_next_uint64(scalar)
 
     def test_rewind_repeats_draws(self):
         s = SeededSampler(5)
@@ -251,7 +253,7 @@ class TestBlockDraws:
         d = IntervalDistribution.from_atoms([(1.0, 0.2), (2.5, 0.3), (7.0, 0.5)])
         a, b = SeededSampler(seed), SeededSampler(seed)
         assert np.array_equal(sample_intervals(d, a, 777), scalar_sample_intervals(d, b, 777))
-        assert a.next_uint64() == b.next_uint64()
+        assert scalar_next_uint64(a) == scalar_next_uint64(b)
 
 
 class TestWeakZenoMargin:
@@ -268,3 +270,9 @@ class TestWeakZenoMargin:
         r1 = weak_zeno_margin(d, 250, 2e-5)
         r2 = weak_zeno_margin(d, 500, 2e-5)
         assert abs(r2 - 2 * r1) <= 1e-12
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -1.0])
+    def test_bound_not_finite_and_nonnegative_is_an_error(self, bound):
+        d = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
+        with pytest.raises(ValueError, match="remainder bound must be finite and >= 0"):
+            weak_zeno_margin(d, 100, bound)

@@ -99,6 +99,16 @@ class TestWeakStrong:
         strong = pstar_strong(50, BIMODAL, v)
         assert abs((1.0 - strong.pstar) - (-np.log(weak.pstar))) <= 1e-15
 
+    @pytest.mark.parametrize("variance", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("pstar", [pstar_weak, pstar_strong])
+    def test_variance_not_finite_and_nonnegative_is_an_error(self, pstar, variance):
+        # nan passed a bare "variance < 0" check and came back as a nan or
+        # -inf prediction, inf as ln P* = -inf, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+                pstar(100, BIMODAL, variance)
+
     def test_strong_warns_out_of_regime(self):
         with pytest.warns(UserWarning):
             pred = pstar_strong(500, BIMODAL, 1e-3)
@@ -214,6 +224,12 @@ class TestEdgePopulation:
         spec = ChainSpec(n_sites=5, subspace_size=1)
         series = edge_population(spec, leftmost_excited(5), t_max=100.0, dt=0.5)
         assert np.max(np.abs(series.values - 1.0)) <= 1e-12
+
+    def test_array_t_max_is_a_named_error(self):
+        # one series per call: an array t_max is edge_time_average's
+        spec = ChainSpec(n_sites=12, subspace_size=2)
+        with pytest.raises(ValueError, match="edge_time_average takes an array"):
+            edge_population(spec, w_state(12, 2), t_max=np.array([1.0, 2.0]), dt=0.5)
 
 
 class TestDampedEdgePopulation:
