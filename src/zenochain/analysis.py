@@ -84,6 +84,8 @@ def ensemble_fidelities(
     at all end times come from one eigendecomposition; score a single run as
     ``ensemble_fidelities(spec, psi0, [traj])[0]``.
     """
+    if not realizations:
+        raise ValueError("need at least one realization")
     ref = run_exact_subspace(spec, psi0, np.array([t.total_time for t in realizations]))
     return _overlaps(np.array([t.final_state for t in realizations]), ref.states)
 

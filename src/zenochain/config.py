@@ -85,11 +85,13 @@ class ExperimentConfig:
         """Check each sweep point by building it: a config that constructs also runs."""
         if self.realizations < 1:
             raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
-        coherent = self.protocol.kind is not ProtocolKind.PROJECTIVE
+        # the coupling needs sites lambda + 1 and + 2; at lambda = n nothing can leak
+        need = 1 if self.protocol.kind is ProtocolKind.PROJECTIVE else 2
         try:
             for spec, _, _ in self.sweep_points():
-                if coherent and spec.subspace_size + 2 > spec.n_sites:
-                    raise ValueError("SubspaceTooLarge: coherent protocols need lambda + 2 <= n")
+                if spec.subspace_size + need > spec.n_sites:
+                    kind = self.protocol.kind.value
+                    raise ValueError(f"SubspaceTooLarge: {kind} protocols need lambda + {need} <= n")
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
 

@@ -422,6 +422,8 @@ def run_continuous(
     """
     if not (total_time > 0):
         raise ValueError("total_time must be positive")
+    if not np.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
     lam = spec.subspace_size
     psi = _check_initial_state(psi0, lam)
     h = hamiltonian(spec) if hamiltonian_override is None else hamiltonian_override

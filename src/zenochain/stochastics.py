@@ -189,12 +189,17 @@ def atom_indices(d: IntervalDistribution, uniforms: np.ndarray) -> np.ndarray:
     return index
 
 
+def _check_count(m) -> None:
+    """A measurement count, or each entry of an array of them, is a number >= 1."""
+    if not np.greater_equal(m, 1).all():  # nan compares False
+        raise ValueError(f"m must be a number >= 1, got {m}")
+
+
 def sample_intervals(
     d: IntervalDistribution, sampler: SeededSampler, m: int
 ) -> np.ndarray:
     """Draw m i.i.d. waiting times by inverse CDF in atom order."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_count(m)
     return d.values[atom_indices(d, draw_uniforms([sampler], m)[0])]
 
 
@@ -204,6 +209,7 @@ def weak_zeno_margin(d: IntervalDistribution, m: int, c_bound: float) -> float:
     Interpretation is left to the caller; r < 0.1 is the convention used
     in this package's reports.
     """
+    _check_count(m)
     if not 0 <= c_bound < np.inf:
         raise ValueError(f"remainder bound must be finite and >= 0, got {c_bound}")
     return m * c_bound * moments(d).third_raw

@@ -52,7 +52,7 @@ import numpy as np
 from . import linalg
 from .chain import ChainSpec, hamiltonian, projector, zeno_hamiltonian
 from .protocols import _check_initial_state
-from .stochastics import IntervalDistribution, Moments, moments
+from .stochastics import IntervalDistribution, Moments, _check_count, moments
 
 STRONG_REGIME_BOUND = 0.1
 # eigenvector-matrix condition number above which the damped edge series is
@@ -62,10 +62,6 @@ EIGVEC_COND_LIMIT = 1e6
 
 class NonPositiveQError(ValueError):
     """Exact-product prediction needs q values in (0, 1]."""
-
-
-class GridTooCoarseError(ValueError):
-    """Finite-difference remainder scan failed its step-halving check."""
 
 
 class ExceptionalPointError(ValueError):
@@ -111,33 +107,30 @@ def variance_h_pi(psi: np.ndarray, spec: ChainSpec) -> float:
     value = float(np.real(second - mean**2))
     lam = spec.subspace_size
     if np.linalg.norm(psi[lam:]) <= 1e-12:
-        closed = spec.beta**2 * float(np.abs(psi[lam - 1]) ** 2)
+        # beta^2 |c_lambda|^2 through the bond lambda -> lambda + 1; none at lambda = n
+        closed = spec.beta**2 * float(np.abs(psi[lam - 1]) ** 2) * (lam < spec.n_sites)
         if abs(value - closed) > 1e-12 * max(1.0, closed):
             raise VarianceCrossCheckError(f"variance routes disagree: {value} vs {closed}")
     return value
 
 
-def _exponent(m: int, mom: Moments, variance: float) -> float:
+def _exponent(m, mom: Moments, variance) -> float:
+    """m V (1 + kappa) mu_bar^2, once m and V (numbers or arrays) pass their checks."""
+    _check_count(m)
+    if not np.all((0 <= variance) & (variance < np.inf)):
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     return m * variance * (1.0 + mom.kappa) * mom.mean**2
 
 
 def pstar_weak(m: int, d: IntervalDistribution, variance: float) -> TheoryPrediction:
     """Exponential (weak-regime) typical survival."""
-    if not 0 <= variance < np.inf:
-        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     mom = moments(d)
     x = _exponent(m, mom, variance)
-    return TheoryPrediction(
-        pstar=float(np.exp(-x)),
-        log_pstar=-float(x),
-        interval_moments=mom,
-    )
+    return TheoryPrediction(pstar=float(np.exp(-x)), log_pstar=-float(x), interval_moments=mom)
 
 
 def pstar_strong(m: int, d: IntervalDistribution, variance: float) -> TheoryPrediction:
     """Linearized (strong-regime) typical survival; flags exponent > 0.1."""
-    if not 0 <= variance < np.inf:
-        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     mom = moments(d)
     x = _exponent(m, mom, variance)
     out = x > STRONG_REGIME_BOUND
@@ -159,17 +152,17 @@ def pstar_exact_product(
     m: int, d: IntervalDistribution, q_of_mu: Mapping[float, float]
 ) -> TheoryPrediction:
     """P* = exp(m * sum_atoms p(mu) ln q(mu)) for interval-only q."""
+    _check_count(m)
     log_term = 0.0
     for mu, p in d.atoms:
+        if mu not in q_of_mu:
+            raise ValueError(f"q_of_mu has no q for the atom mu = {mu}")
         q = q_of_mu[mu]
         if not (0 < q <= 1):
             raise NonPositiveQError(f"q({mu}) = {q} outside (0, 1]")
         log_term += p * np.log(q)
-    return TheoryPrediction(
-        pstar=float(np.exp(m * log_term)),
-        log_pstar=float(m * log_term),
-        interval_moments=moments(d),
-    )
+    x = m * log_term
+    return TheoryPrediction(pstar=float(np.exp(x)), log_pstar=float(x), interval_moments=moments(d))
 
 
 def edge_damping_rate(d: IntervalDistribution, beta: float) -> float:
@@ -198,8 +191,8 @@ def _edge_values(
         coeff = dec.eigenvectors.conj().T @ psi_sub
         edge = _grid_sums(dec.eigenvectors[-1:] * coeff, dec.eigenvalues, dt, points)
         return np.abs(edge[0]) ** 2
-    # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|
-    gen[lam - 1, lam - 1] -= 1j * edge_damping_rate(d, spec.beta)
+    # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|, Gamma = 0 at lambda = n
+    gen[lam - 1, lam - 1] -= 1j * edge_damping_rate(d, spec.beta) * (lam < spec.n_sites)
     w, v = np.linalg.eig(gen)
     cond = float(np.linalg.cond(v))
     if not cond <= EIGVEC_COND_LIMIT:
@@ -303,10 +296,8 @@ def pstar_time_averaged_curve(
     must cover that horizon for the largest m requested.
     """
     m_values = np.asarray(m_values)
-    if m_values.size == 0:
-        raise ValueError("m_values is empty")
-    if not np.all(m_values >= 1):  # nan compares False
-        raise ValueError("every entry of m_values must be a number >= 1")
+    if m_values.size == 0 or not np.all(m_values >= 1):  # nan compares False
+        raise ValueError(f"m_values must be non-empty, every entry a number >= 1, got {m_values}")
     mom = moments(d)
     t_ends = m_values * mom.mean
     if t_ends.max() > series.t_grid[-1] + 1e-9:
@@ -325,44 +316,33 @@ def one_step_survival(
     return float(np.sum(np.abs(psi[:lam]) ** 2))
 
 
-def _third_derivative_max(f, grid: np.ndarray, h: float) -> float:
-    # five-point central stencil for f'''
-    vals = []
-    for x in grid:
-        d3 = (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
-        vals.append(abs(d3) / 6.0)
-    return float(np.max(vals))
-
-
 def remainder_constant(
     spec: ChainSpec,
     psi0: np.ndarray,
     mu_max: float,
     grid_step: float,
 ) -> float:
-    """Bound C on |(1/6) d^3 ln q / d mu^3| over [0, mu_max].
+    """Bound C on |(1/6) d^3 ln q / d mu^3| over the grid mu_j = j grid_step <= mu_max.
 
-    Estimated by a finite-difference scan of the exact one-step q(mu);
-    the stencil step is halved once and the two estimates must agree to
-    10%, otherwise GridTooCoarseError.
+    Exact on the grid: with H = V diag(w) V^dagger and c = V^dagger psi0, the
+    subspace amplitudes' r-th derivatives are the mode sums a_r,i = sum_k V_ik c_k
+    (-i w_k)^r exp(-i w_k mu), i <= lambda.  Summed over i, q = sum |a_0|^2 and its
+    derivatives q_1 = 2 Re sum a_0* a_1, q_2 = 2 Re sum (|a_1|^2 + a_0* a_2) and
+    q_3 = 2 Re sum (3 a_1* a_2 + a_0* a_3) give (ln q)_3 = q_3/q - 3 q_1 q_2/q^2 + 2 (q_1/q)^3.
     """
-    if not (mu_max > 0 and grid_step > 0):
-        raise ValueError("mu_max and grid_step must be positive")
-
-    def lnq(mu: float) -> float:
-        return float(np.log(one_step_survival(spec, psi0, mu)))
-
-    grid = np.arange(0.0, mu_max + 0.5 * grid_step, grid_step)
-    c_coarse = _third_derivative_max(lnq, grid, grid_step)
-    c_fine = _third_derivative_max(lnq, grid, grid_step / 2.0)
-    # rounding on ln q propagates into the stencil as ~eps / h^3; below that
-    # floor the scan can only certify "C is numerically zero"
-    noise_floor = 64.0 * np.finfo(float).eps / grid_step**3
-    if abs(c_coarse - c_fine) > 0.1 * c_fine + noise_floor:
-        raise GridTooCoarseError(
-            f"remainder scan unstable: {c_coarse:.4e} vs {c_fine:.4e} at step/2"
-        )
-    return c_fine
+    if not (0 < mu_max < np.inf and 0 < grid_step < np.inf):
+        raise ValueError(f"mu_max = {mu_max} and grid_step = {grid_step} must be finite and positive")
+    lam = spec.subspace_size
+    dec = linalg.hermitian_eig(hamiltonian(spec))
+    w, v = dec.eigenvalues, dec.eigenvectors
+    modes = v[:lam] * (v.conj().T @ _check_initial_state(psi0, lam))  # V_ik c_k, i <= lambda
+    phases = np.exp(-1j * np.outer(w, np.arange(0.0, mu_max + 0.5 * grid_step, grid_step)))
+    a0, a1, a2, a3 = ((modes * (-1j * w) ** r) @ phases for r in range(4))
+    q = np.sum(np.abs(a0) ** 2, axis=0)
+    q1 = 2 * np.sum(np.real(a0.conj() * a1), axis=0)
+    q2 = 2 * np.sum(np.abs(a1) ** 2 + np.real(a0.conj() * a2), axis=0)
+    q3 = 2 * np.sum(np.real(3 * a1.conj() * a2 + a0.conj() * a3), axis=0)
+    return float(np.max(np.abs(q3 / q - 3 * q1 * q2 / q**2 + 2 * (q1 / q) ** 3))) / 6.0
 
 
 def three_level_hamiltonian(omega: float, g: float) -> np.ndarray:

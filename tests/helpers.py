@@ -267,11 +267,13 @@ def scalar_damped_edge_values(
     t_grid: np.ndarray,
     d: IntervalDistribution,
 ) -> np.ndarray:
-    # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|
+    # renormalized |c_lambda(t)|^2 under H_Z - i Gamma |lambda><lambda|; at
+    # lambda = n no bond leaves the subspace, so nothing damps the edge
     lam = spec.subspace_size
     psi_sub = _check_initial_state(psi0, lam)[:lam]
     gen = zeno_hamiltonian(spec)
-    gen[lam - 1, lam - 1] -= 1j * edge_damping_rate(d, spec.beta)
+    if lam < spec.n_sites:
+        gen[lam - 1, lam - 1] -= 1j * edge_damping_rate(d, spec.beta)
     w, v = np.linalg.eig(gen)
     cond = float(np.linalg.cond(v))
     if not cond <= EIGVEC_COND_LIMIT:

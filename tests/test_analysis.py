@@ -108,6 +108,12 @@ class TestEnsembleFidelities:
         assert abs(ensemble_fidelities(spec, w_state(8, 3), [traj])[0] - 1.0) <= 1e-9
         assert abs(traj.final_survival - 1.0) <= 1e-12
 
+    def test_no_realizations_is_a_named_error(self):
+        # ended in numpy's AxisError: axis 1 is out of bounds
+        spec = ChainSpec(n_sites=6, subspace_size=2)
+        with pytest.raises(ValueError, match="need at least one realization"):
+            ensemble_fidelities(spec, w_state(6, 2), [])
+
     def test_trivial_projector(self):
         spec = ChainSpec(n_sites=4, subspace_size=4)
         config = ProtocolConfig(ProtocolKind.PROJECTIVE, 25, BIMODAL)

@@ -173,6 +173,18 @@ class TestParse:
             dataclasses.replace(pulsed, kappa_sweep=((1.5, 3.0, 3.0),))
         assert dataclasses.replace(pulsed, lambda_sweep=(6,)).lambda_sweep == (6,)
 
+    @pytest.mark.parametrize("change", [("lambda = 5", "lambda = 12"),
+                                        ("seed = 77", "seed = 77\nlambda_sweep = 3,12")])
+    def test_lambda_equal_to_n_is_a_config_error(self, tmp_path, capsys, change):
+        # at lambda = n nothing can leak, yet compare read a relative deviation of
+        # 1.0 against ln P* = -1.38 and theory.csv a pstar_time_avg of 0.25
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text(MINIMAL.replace(*change))
+        for command in ("simulate", "theory", "compare"):
+            assert cli_main([command, str(cfg), "--out-dir", str(tmp_path / command)]) == 2
+            assert "projective protocols need lambda + 1 <= n" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
+
     @pytest.mark.parametrize(
         "sweep", ["lambda_sweep = 2,13", "lambda_sweep = 0", "kappa_sweep = (1.5, 3.0, 3.0)",
                   "kappa_sweep = (1.0, 3.0, -1.0)"],

@@ -245,6 +245,13 @@ class TestContinuous:
         want = abs(np.vdot(ideal, traj.final_state[:4]))
         assert abs(ensemble_fidelities(spec, psi0, [traj])[0] - want) <= 1e-12
 
+    @pytest.mark.parametrize("coupling", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_is_a_named_error(self, coupling):
+        # ended in NotHermitianError (defect nan), after two RuntimeWarnings for inf
+        spec = ChainSpec(n_sites=6, subspace_size=2)
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            run_continuous(spec, w_state(6, 2), total_time=10.0, coupling=coupling)
+
     def test_empty_sample_times_rejected(self):
         spec = ChainSpec(n_sites=12, subspace_size=3)
         with pytest.raises(ValueError, match="sample_times is empty"):

@@ -276,3 +276,10 @@ class TestWeakZenoMargin:
         d = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
         with pytest.raises(ValueError, match="remainder bound must be finite and >= 0"):
             weak_zeno_margin(d, 100, bound)
+
+    @pytest.mark.parametrize("m", [-5, 0, np.nan])
+    def test_m_below_one_is_an_error(self, m):
+        # weak_zeno_margin(d, -5, 0.1) read -31.5
+        d = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
+        with pytest.raises(ValueError, match="m must be a number >= 1"):
+            weak_zeno_margin(d, m, 0.1)

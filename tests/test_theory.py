@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from zenochain.chain import ChainSpec, basis_state, leftmost_excited, w_state, zeno_hamiltonian
 from zenochain.linalg import evolve, propagator
-from zenochain.protocols import ProtocolConfig, ProtocolKind, run_lockstep, run_projective
+from zenochain.protocols import (
+    InitialStateOutsideSubspaceError,
+    ProtocolConfig,
+    ProtocolKind,
+    run_lockstep,
+    run_projective,
+)
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments, weak_zeno_margin
 from zenochain import theory
 from zenochain.theory import (
     ExceptionalPointError,
-    GridTooCoarseError,
     NonPositiveQError,
     edge_damping_rate,
     edge_population,
@@ -75,6 +80,12 @@ class TestVarianceHPi:
         with pytest.raises(VarianceCrossCheckError, match="disagree"):
             variance_h_pi(w_state(6, 2), spec)
 
+    def test_full_chain_has_no_leakage(self):
+        # at lambda = n no bond leaves the subspace, so both routes read 0; the
+        # closed route read beta^2 |c_lambda|^2 and failed its own cross-check
+        spec = ChainSpec(n_sites=4, subspace_size=4)
+        assert variance_h_pi(w_state(4, 4), spec) == 0.0
+
 
 class TestWeakStrong:
     def test_zero_variance(self):
@@ -108,6 +119,25 @@ class TestWeakStrong:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="variance must be finite and >= 0"):
                 pstar(100, BIMODAL, variance)
+
+    @pytest.mark.parametrize("m", [-5, -1, 0, 0.5, np.nan])
+    def test_m_below_one_is_an_error(self, m):
+        # pstar_weak(-5, ...) read 665.14, pstar_strong 7.5, pstar_time_averaged(-1, ...)
+        # 1.0064 and weak_zeno_margin(d, -5, 0.1) -31.5; a nan m gave a nan prediction
+        spec = ChainSpec(n_sites=12, subspace_size=2)
+        series = edge_population(spec, w_state(12, 2), t_max=30.0, dt=0.15)
+        calls = (
+            lambda: pstar_weak(m, BIMODAL, 1e-4),
+            lambda: pstar_strong(m, BIMODAL, 1e-4),
+            lambda: pstar_time_averaged(m, BIMODAL, series, spec.beta),
+            lambda: pstar_exact_product(m, BIMODAL, {1.0: 0.9, 5.0: 0.5}),
+            lambda: weak_zeno_margin(BIMODAL, m, 0.1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="m must be a number >= 1"):
+                    call()
 
     def test_strong_warns_out_of_regime(self):
         with pytest.warns(UserWarning):
@@ -206,6 +236,11 @@ class TestExactProduct:
         with pytest.raises(NonPositiveQError):
             pstar_exact_product(10, BIMODAL, {1.0: 0.0, 5.0: 0.5})
 
+    def test_missing_atom_is_a_named_error(self):
+        # the lookup ended in a bare KeyError: 5.0
+        with pytest.raises(ValueError, match="atom mu = 5.0"):
+            pstar_exact_product(10, BIMODAL, {1.0: 0.9})
+
 
 class TestEdgePopulation:
     def test_w_two_sites_constant(self):
@@ -259,6 +294,15 @@ class TestDampedEdgePopulation:
             spec, leftmost_excited(5), t_max=3000.0, dt=0.5, distribution=BIMODAL
         )
         assert np.max(np.abs(series.values - 1.0)) <= 1e-12
+
+    def test_full_chain_is_not_damped(self):
+        # at lambda = n no bond leaves the subspace, so Gamma = 0 and the damped
+        # series is the ideal one; it damped a missing bond (average 0.13897, not 0.14149)
+        spec = ChainSpec(n_sites=4, subspace_size=4)
+        ideal = edge_population(spec, w_state(4, 4), t_max=150.0, dt=0.15)
+        damped = edge_population(spec, w_state(4, 4), t_max=150.0, dt=0.15, distribution=BIMODAL)
+        assert np.max(np.abs(damped.values - ideal.values)) <= 1e-12
+        assert abs(damped.time_average - ideal.time_average) <= 1e-12
 
     def test_vanishing_intervals_give_ideal_series(self):
         spec = ChainSpec(n_sites=12, subspace_size=9)
@@ -506,20 +550,40 @@ class TestLogQExpansionConsistency:
 
 
 class TestRemainderConstant:
-    def test_two_level_symbolic_oracle(self):
+    # five couplings, three grids each, all below beta mu = pi/2; the
+    # finite-difference scan this replaced refused every grid at beta 0.5 and
+    # (3.0, 1.4) at beta 0.2, and missed the others by 1.2e-6 to 3.7e-3
+    @pytest.mark.parametrize("beta", [0.01, 2 * np.pi * 0.005, 0.06, 0.2, 0.5])
+    @pytest.mark.parametrize("mu_max, grid_step", [(3.0, 0.05), (2.0, 0.25), (3.0, 1.4)])
+    def test_two_level_symbolic_oracle(self, beta, mu_max, grid_step):
         # ln q = 2 ln cos(beta mu): (1/6)|d^3| = (2/3) beta^3 tan sec^2
-        spec = ChainSpec(n_sites=2, subspace_size=1)
-        got = remainder_constant(spec, leftmost_excited(2), mu_max=5.0, grid_step=0.05)
-        b = spec.beta
-        grid = np.arange(0.0, 5.0 + 0.025, 0.05)
+        spec = ChainSpec(n_sites=2, subspace_size=1, beta=beta)
+        got = remainder_constant(spec, leftmost_excited(2), mu_max=mu_max, grid_step=grid_step)
+        grid = np.arange(0.0, mu_max + 0.5 * grid_step, grid_step)
         analytic = np.max(
-            (2.0 / 3.0) * b**3 * np.abs(np.tan(b * grid)) / np.cos(b * grid) ** 2
+            (2.0 / 3.0) * beta**3 * np.abs(np.tan(beta * grid)) / np.cos(beta * grid) ** 2
         )
-        assert abs(got - analytic) <= 0.01 * analytic
+        assert abs(got - analytic) <= 1e-12 * analytic
+
+    def test_matches_a_stencil_of_one_step_survival(self):
+        # lambda = 2: a five-point stencil of ln q, step h = grid_step, at each
+        # grid point; its O(h^2) error is ~2e-7 relative here
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=2), w_state(12, 2)
+        h = 0.05
+        grid = np.arange(0.0, 6.0 + 0.5 * h, h)
+
+        def lnq(mu):
+            return np.log(one_step_survival(spec, psi0, mu))
+
+        stencil = [(lnq(x + 2 * h) - 2 * lnq(x + h) + 2 * lnq(x - h) - lnq(x - 2 * h)) / (2 * h**3)
+                   for x in grid]
+        want = np.max(np.abs(stencil)) / 6.0
+        got = remainder_constant(spec, psi0, mu_max=6.0, grid_step=h)
+        assert abs(got - want) <= 1e-5 * want
 
     def test_vanishes_with_coupling(self):
-        # C scales as beta^3, so it dies fast as the dynamics freezes; at
-        # beta ~ 1e-4 the scan bottoms out at the finite-difference noise floor
+        # C scales as beta^3, so it dies fast as the dynamics freezes; exact on
+        # its grid, at beta = 1e-4 it reads ~(2/3) beta^4 mu_max ~ 3e-16
         specs = {
             b: ChainSpec(n_sites=2, subspace_size=1, beta=b)
             for b in (0.06, 0.03, 1e-4)
@@ -540,10 +604,19 @@ class TestRemainderConstant:
         r = weak_zeno_margin(BIMODAL, 500, c)
         assert 0.0 < r < 0.1  # comfortably inside the weak regime
 
-    def test_grid_too_coarse(self):
-        spec = ChainSpec(n_sites=2, subspace_size=1, beta=0.5)
-        with pytest.raises(GridTooCoarseError):
-            remainder_constant(spec, leftmost_excited(2), mu_max=3.0, grid_step=1.4)
+    def test_state_outside_the_subspace_is_an_error(self):
+        # a uniform 12-site state at lambda = 2 was scored silently (C = 4.5e-6)
+        spec = ChainSpec(n_sites=12, subspace_size=2)
+        with pytest.raises(InitialStateOutsideSubspaceError):
+            remainder_constant(spec, w_state(12, 12), mu_max=6.0, grid_step=0.05)
+
+    @pytest.mark.parametrize("mu_max, grid_step", [(np.inf, 0.05), (np.nan, 0.05), (5.0, np.inf),
+                                                   (5.0, np.nan), (0.0, 0.05), (5.0, -0.05)])
+    def test_grid_not_finite_and_positive_is_a_named_error(self, mu_max, grid_step):
+        # mu_max = inf ended in numpy's "Maximum allowed size exceeded"
+        spec = ChainSpec(n_sites=2, subspace_size=1)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            remainder_constant(spec, leftmost_excited(2), mu_max=mu_max, grid_step=grid_step)
 
     def test_one_step_survival_matches_propagator(self):
         spec = ChainSpec(n_sites=6, subspace_size=2)
