@@ -31,12 +31,12 @@ for lam in (2, 3, 4, 5, 6, 7, 8):
     fids = {}
     survival = None
     for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
-        trajs, f = run_ensemble(
+        finals, f = run_ensemble(
             spec, psi0, ProtocolConfig(kind, m, d), realizations, seed=600 + lam
         )
         fids[kind.value] = float(np.mean(f))
         if kind is ProtocolKind.PROJECTIVE:
-            survival = float(np.mean([t.final_survival for t in trajs]))
+            survival = float(np.mean(finals.final_survival))
         rows.append((lam, kind.value, fids[kind.value]))
     print(
         f"{lam:4d}     {fids['projective']:.6f}   {fids['pulsed']:.6f}   "

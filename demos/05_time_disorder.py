@@ -37,8 +37,8 @@ for p1, mu1, mu2 in kappa_family():
     series = edge_population(spec, psi0, t_max=m * mom.mean, dt=mom.mean / 20)
     pred = pstar_time_averaged(m, d, series, spec.beta)
     protocol = ProtocolConfig(ProtocolKind.PROJECTIVE, m, d)
-    trajs, _ = run_ensemble(spec, psi0, protocol, realizations, seed=77)
-    summary = aggregate(trajs)
+    finals, _ = run_ensemble(spec, psi0, protocol, realizations, seed=77)
+    summary = aggregate(finals)
     print(
         f"{1 + mom.kappa:7.3f}   {mu1:4.2f}, {mu2:5.2f}      "
         f"{pred.log_pstar:10.4f}    {summary.log_mean:10.4f}"

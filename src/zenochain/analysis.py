@@ -10,7 +10,7 @@ import numpy as np
 
 from . import linalg
 from .chain import ChainSpec, leftmost_excited
-from .protocols import Trajectory, run_exact_subspace
+from .protocols import EnsembleFinals, Trajectory, run_exact_subspace
 from .theory import edge_population
 
 DM_TOL = 1e-10
@@ -74,20 +74,22 @@ def _overlaps(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     return np.clip(np.abs((ideal.conj() * states[:, : ideal.shape[1]]).sum(1)), 0.0, 1.0)
 
 
+def final_fidelities(spec: ChainSpec, psi0: np.ndarray, final_states: np.ndarray,
+                     total_times: np.ndarray) -> np.ndarray:
+    """Each final state's (a row's) overlap with the ideal confined state
+    (``run_exact_subspace``, one eigendecomposition) at its own total time."""
+    if not len(total_times):
+        raise ValueError("need at least one realization")
+    return _overlaps(final_states, run_exact_subspace(spec, psi0, total_times).states)
+
+
 def ensemble_fidelities(
     spec: ChainSpec, psi0: np.ndarray, realizations: Sequence[Trajectory]
 ) -> np.ndarray:
-    """Fidelity of each realization's final state against the ideal confined
-    evolution (``run_exact_subspace``) at the realization's own end time.
-
-    Both states are pure, so the fidelity is their overlap.  The ideal states
-    at all end times come from one eigendecomposition; score a single run as
-    ``ensemble_fidelities(spec, psi0, [traj])[0]``.
-    """
-    if not realizations:
-        raise ValueError("need at least one realization")
-    ref = run_exact_subspace(spec, psi0, np.array([t.total_time for t in realizations]))
-    return _overlaps(np.array([t.final_state for t in realizations]), ref.states)
+    """``final_fidelities`` of each realization's final state at its own end
+    time; score a single run as ``ensemble_fidelities(spec, psi0, [traj])[0]``."""
+    states = np.array([t.final_state for t in realizations])
+    return final_fidelities(spec, psi0, states, np.array([t.total_time for t in realizations]))
 
 
 @dataclass(frozen=True)
@@ -97,17 +99,19 @@ class EnsembleSummary:
     log_std: float
 
 
-def aggregate(realizations: Sequence[Trajectory]) -> EnsembleSummary:
-    """Mean and sample standard deviation of ln P over an ensemble.
+def aggregate(realizations: Sequence[Trajectory] | EnsembleFinals) -> EnsembleSummary:
+    """Mean and sample standard deviation of ln P over an ensemble, given as
+    its runs or as their ``EnsembleFinals``.
 
     ln P is each realization's ``log_survival``.  Raises
     NonFiniteLogSurvivalError when any ln P is not finite, as for a Bernoulli
     ensemble with an aborted run.
     """
-    if not realizations:
+    finals = isinstance(realizations, EnsembleFinals)
+    logs = realizations.log_survival if finals else [t.log_survival for t in realizations]
+    if not len(logs):
         raise ValueError("need at least one realization")
-    # sorted, so no statistic depends on the order of the realizations
-    logs = np.sort([t.log_survival for t in realizations])
+    logs = np.sort(logs)  # so no statistic depends on the order of the realizations
     bad = int(np.count_nonzero(~np.isfinite(logs)))
     if bad:
         raise NonFiniteLogSurvivalError(
@@ -115,7 +119,7 @@ def aggregate(realizations: Sequence[Trajectory]) -> EnsembleSummary:
             "log-survival statistics need every realization to survive"
         )
     return EnsembleSummary(
-        realization_count=len(realizations),
+        realization_count=len(logs),
         log_mean=float(np.mean(logs)),
         log_std=float(np.std(logs, ddof=1)) if len(logs) > 1 else 0.0,
     )

@@ -17,15 +17,17 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import aggregate, ensemble_fidelities
+from .analysis import aggregate, ensemble_fidelities, final_fidelities
 from .chain import ChainSpec, leftmost_excited, w_state, zeno_hamiltonian
 from .config import ExperimentConfig
 from .protocols import (
+    EnsembleFinals,
     ProtocolConfig,
     ProtocolKind,
     Trajectory,
     run_continuous,
     run_exact_subspace,
+    run_finals,
     run_lockstep,
     run_projective,
     run_pulsed,
@@ -430,26 +432,29 @@ SUMMARY_HEADER = (
 )
 
 
+def _samplers(protocol: ProtocolConfig, realizations: int, seed: int) -> list[SeededSampler]:
+    """Realization i's sampler, on the child stream derive_seed(seed, i)."""
+    runs = realizations if protocol.stochastic else min(realizations, 1)
+    return [SeededSampler(s) for s in derive_seed(seed, np.arange(runs, dtype=np.uint64)).tolist()]
+
+
 def run_ensemble(
     spec: ChainSpec,
     psi0: np.ndarray,
     protocol: ProtocolConfig,
     realizations: int,
     seed: int,
-):
-    """All realizations for one chain geometry; returns (trajectories, fidelities).
+) -> tuple[EnsembleFinals, list[float]]:
+    """All realizations for one chain geometry; returns (finals, fidelities).
 
-    Realization i draws its intervals from the child stream
-    derive_seed(seed, i); all advance together in one lockstep kernel and
-    are scored against the ideal confined evolution at their own realized
-    total times.  A deterministic ensemble (the continuous protocol, or a
-    one-atom post-selected or pulsed one) is one run, not ``realizations``,
-    and draws from child stream 0 only.
+    Realization i draws from the child stream derive_seed(seed, i); all
+    advance together in one kernel that keeps no per-step series
+    (``run_finals``) and are scored against the ideal confined evolution at
+    their own total times.  A deterministic ensemble (the continuous
+    protocol, or a one-atom post-selected or pulsed one) is one run.
     """
-    runs = realizations if protocol.stochastic else min(realizations, 1)
-    children = derive_seed(seed, np.arange(runs, dtype=np.uint64))
-    trajs = run_lockstep(spec, psi0, protocol, [SeededSampler(s) for s in children.tolist()])
-    return trajs, ensemble_fidelities(spec, psi0, trajs).tolist()
+    finals = run_finals(spec, psi0, protocol, _samplers(protocol, realizations, seed))
+    return finals, final_fidelities(spec, psi0, finals.final_states, finals.total_times).tolist()
 
 
 def run_experiment(
@@ -469,14 +474,17 @@ def run_experiment(
 
     summary_rows, theory_rows, runs = [], [], {}
     for k, (spec, psi0, protocol) in enumerate(config.sweep_points()):
-        if protocol.kind is not ProtocolKind.CONTINUOUS:
-            trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
-        else:  # reads the interval law through its mean alone: one run per distinct mean
+        key = k  # the continuous protocol reads the law through its mean alone: one run per mean
+        if protocol.kind is ProtocolKind.CONTINUOUS:
             key = (spec, psi0.tobytes(), moments(protocol.distribution).mean,
                    protocol.num_intervals, protocol.effective_coupling())
-            if key not in runs:
-                runs[key] = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
-            trajs, fids = runs[key]
+        if k == 0:  # the base point's runs, step by step
+            samplers = _samplers(protocol, config.realizations, config.seed)
+            trajs = run_lockstep(spec, psi0, protocol, samplers)
+            runs[key] = EnsembleFinals.of(trajs), ensemble_fidelities(spec, psi0, trajs)
+        elif key not in runs:
+            runs[key] = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
+        finals, fids = runs[key]
         trow, pred = _theory_row(spec, psi0, protocol)
         if k == 0:
             base_trajs, base_pred = trajs, pred
@@ -492,7 +500,7 @@ def run_experiment(
                 spec.subspace_size,
                 protocol.kind.value,
                 float(np.mean(fids)),
-                float(np.mean([t.final_survival for t in trajs])),
+                float(np.mean(finals.final_survival)),
                 pred.pstar,
                 pred.interval_moments.kappa,
                 protocol.num_intervals,
@@ -635,8 +643,8 @@ def preset_fig4(
         psi0 = w_state(N_SITES, lam)
         for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
             proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
-            trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed + lam)
-            survival = float(np.mean([t.final_survival for t in trajs]))
+            finals, fids = run_ensemble(spec, psi0, proto, realizations, seed + lam)
+            survival = float(np.mean(finals.final_survival))
             rows.append((lam, kind.value, float(np.mean(fids)), survival, len(fids)))
     path = out / "fig4_fidelity.csv"
     header = ("lambda", "protocol", "F_mean", "P_final_mean", "R")
@@ -697,6 +705,10 @@ def kappa_family(p1: float = 0.8, mean: float = 3.0, points: int = 7) -> list[tu
     exact up to rounding: at the defaults the last triple's mean is
     3.0000000000000004, so preset_fig5 sees two distinct means.
     """
+    integer = isinstance(points, (int, np.integer)) and not isinstance(points, bool)
+    if not (0 < p1 < 1 and 1 <= mean < np.inf and integer and points >= 1):
+        raise ValueError("kappa_family needs 0 < p1 < 1, 1 <= mean < inf (mu1 runs from the mean "
+                         f"down to 1) and an integer points >= 1, got {p1=}, {mean=}, {points=}")
     triples = []
     for mu1 in np.linspace(mean, 1.0, points):
         if abs(mu1 - mean) < 1e-12:
@@ -728,8 +740,8 @@ def preset_fig5(
     psi0 = w_state(N_SITES, 2) if initial == "wstate" else leftmost_excited(N_SITES)
 
     def ensemble(kind: ProtocolKind, d: IntervalDistribution):
-        trajs, fids = run_ensemble(spec, psi0, ProtocolConfig(kind, m, d), realizations, seed)
-        return trajs, float(np.mean(fids))
+        finals, fids = run_ensemble(spec, psi0, ProtocolConfig(kind, m, d), realizations, seed)
+        return finals, float(np.mean(fids))
 
     per_mean = {}  # exact mean -> (ideal edge time average, F_cc)
     rows = []
@@ -740,11 +752,11 @@ def preset_fig5(
             _, f_cc = ensemble(ProtocolKind.CONTINUOUS, d)
             per_mean[mom.mean] = edge_time_average(spec, psi0, *_edge_grid(d, m)), f_cc
         c2_avg, f_cc = per_mean[mom.mean]
-        trajs, f_pm = ensemble(ProtocolKind.PROJECTIVE, d)
+        finals, f_pm = ensemble(ProtocolKind.PROJECTIVE, d)
         _, f_pc = ensemble(ProtocolKind.PULSED, d)
         pred = pstar_weak(m, d, spec.beta**2 * c2_avg)
         rows.append(
-            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, aggregate(trajs).log_mean, pred.log_pstar,
+            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, aggregate(finals).log_mean, pred.log_pstar,
              f_pm, f_pc, f_cc)
         )
     path = Path(out_dir) / ("fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv")

@@ -142,6 +142,23 @@ class Trajectory:
         return -np.inf if p == 0 else float(np.log(p))  # P = 0: an aborted Bernoulli run
 
 
+@dataclass(frozen=True)
+class EnsembleFinals:
+    """The end values each run's Trajectory reads, one entry (final_states: a
+    row) per run of an ensemble; aborted_at is 0 for a run that never aborted."""
+
+    final_states: np.ndarray
+    total_times: np.ndarray
+    final_survival: np.ndarray
+    log_survival: np.ndarray
+    aborted_at: np.ndarray
+
+    @classmethod
+    def of(cls, trajs: list[Trajectory]) -> EnsembleFinals:
+        return cls(*map(np.array, zip(*[(t.final_state, t.total_time, t.final_survival,
+                                         t.log_survival, t.aborted_at or 0) for t in trajs])))
+
+
 def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > NORM_TOL:
@@ -240,7 +257,8 @@ def _lockstep(
     psi0: np.ndarray,
     config: ProtocolConfig,
     samplers: list[SeededSampler],
-) -> list[Trajectory]:
+    series: bool = True,
+) -> list[Trajectory] | EnsembleFinals:
     """Advance every realization of a projective or pulsed ensemble together.
 
     One multi-stream draw gives every column its intervals (and Bernoulli
@@ -266,9 +284,9 @@ def _lockstep(
       complement is built only for a column whose Bernoulli outcome fails,
       and states are zero-padded back to n sites.
 
-    Factors (projective), populations (pulsed) and states are written a
-    slice at a time into whole (width x steps) arrays, and each Trajectory
-    holds row slices of them.
+    With series, factors (projective), populations (pulsed) and states fill
+    whole (width x steps) arrays a slice at a time and each Trajectory holds
+    row slices of them; without, a pulsed word holds its whole product alone.
     """
     n, lam, m, width = spec.n_sites, spec.subspace_size, config.num_intervals, len(samplers)
     psi0 = _check_initial_state(psi0, lam)
@@ -282,7 +300,7 @@ def _lockstep(
         dim, mats = n, linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
     cap = _steps_above_floor(mats) if projective else BLOCK
     length = _word_length(len(mats), dim, m, cap)
-    head = dim if config.record_states else lam  # rows kept per step; projective: lam = dim
+    head = (dim if config.record_states else lam) if series or projective else 0  # rows kept per step
     tables = _word_tables(mats, length, head, m % length)
     rows, powers = tables[0].shape[1], len(mats) ** np.arange(length)
     span = max(BLOCK, SLICE_BYTES // (width * dim * 16) // length * length)
@@ -295,9 +313,10 @@ def _lockstep(
     state = psi[..., 0]  # the normalized state after the last step
     buf = np.empty((width, -(-min(span, m) // length) * rows, 1), dtype=complex)
 
-    factors = np.empty((width, m)) if projective else None
-    cum = None if projective else np.empty((width, m))  # pulsed: the subspace population
-    states = np.zeros((width, m, n), dtype=complex) if config.record_states else None
+    factors = np.empty((width, m)) if projective and series else None
+    cum = None if projective or not series else np.empty((width, m))  # pulsed: the population
+    states = np.zeros((width, m, n), dtype=complex) if config.record_states and series else None
+    log_p = np.zeros((width, 1))  # finals: the sum of ln q_j so far, -inf once aborted
     aborted_at = np.zeros(width, dtype=int)  # 0 = never
     collapsed: dict[int, np.ndarray] = {}
     carry = np.ones((width, 1))  # projective: the squared norm of psi, n_(-1)
@@ -313,7 +332,8 @@ def _lockstep(
             # aborted column): finite placeholders, never read
             norms = np.maximum(np.concatenate([carry, sq], 1), DEAD_BRANCH)  # from n_(-1)
             q = sq / norms[:, :-1]
-            out /= np.sqrt(norms[:, 1:])[..., None, None]
+            lo = 0 if bernoulli or states is not None else b - 1  # else only the last is read
+            out[:, lo:] /= np.sqrt(norms[:, lo + 1 :])[..., None, None]
             live = aborted_at == 0
             dead = (q < DEAD_BRANCH) & live[:, None]
             if bernoulli:
@@ -324,7 +344,10 @@ def _lockstep(
                 raise ZeroSurvivalError(
                     f"survival factor underflow at step {j + dead.any(0).argmax() + 1}"
                 )
-            factors[:, j : j + b] = q
+            if series:
+                factors[:, j : j + b] = q
+            elif not bernoulli:  # the cumsum of the series, one slice at a time
+                log_p = np.cumsum(np.concatenate([log_p, np.log(q)], 1), 1)[:, -1:]
             if bernoulli:
                 for r in np.flatnonzero(first < b):
                     # failed outcome: collapse the state before it onto the complement
@@ -333,14 +356,14 @@ def _lockstep(
                     collapse = steps[atoms[r, j + k], :, :lam] @ prev
                     collapse[:lam] = 0.0
                     collapsed[r] = collapse / np.linalg.norm(collapse)
-                    aborted_at[r] = j + k + 1
+                    aborted_at[r], log_p[r] = j + k + 1, -np.inf
                     samplers[r].rewind(m - j - k - 1)  # outcome draws never made
             # a power of two scales exactly, so every later q and state
             # rounds as it would without the scaling
             shift = np.frexp(norms[:, -1:])[1] // 2
             np.ldexp(last.view(float), -shift[..., None], out=last.view(float))
             carry = np.ldexp(norms[:, -1:], -2 * shift)
-        else:  # the first L * head rows of a sub-block are its steps' leading rows
+        elif series:  # the first L * head rows of a sub-block are its steps' leading rows
             heads = buf[:, : -(-b // length) * rows].reshape(width, -1, rows)[:, :, : length * head]
             cum[:, j : j + b] = _row_sums(np.abs(heads.reshape(width, -1, head)[:, :b, :lam]) ** 2)
         if states is not None:
@@ -352,18 +375,20 @@ def _lockstep(
     times = np.cumsum(intervals, axis=1)
     final = np.zeros((width, n), dtype=complex)
     final[:, :dim] = state
+    for r, collapse in collapsed.items():
+        final[r] = collapse
+        if states is not None:
+            states[r, aborted_at[r] - 1] = collapse
+    if not series:  # a run ends at step m, or at the step its outcome failed
+        p = np.exp(log_p[:, 0]) if projective else _row_sums(np.abs(state[:, :lam]) ** 2)
+        log_p = log_p[:, 0] if projective else np.log(p, out=np.full(width, -np.inf), where=p > 0)
+        return EnsembleFinals(final, times[np.arange(width), aborted_at - 1], p, log_p, aborted_at)
     log_cum = None
-    if bernoulli:
-        cum = np.ones((width, m))
+    if bernoulli:  # the survival indicator, 0 at a failed outcome
+        cum = np.where(np.arange(1, m + 1) == aborted_at[:, None], 0.0, 1.0)
     elif projective:
         log_cum = np.cumsum(np.log(factors), axis=1)
         cum = np.exp(log_cum)
-    for r, collapse in collapsed.items():
-        k = aborted_at[r] - 1
-        cum[r, k] = 0.0
-        final[r] = collapse
-        if states is not None:
-            states[r, k] = collapse
     trajs = []
     for r in range(width):
         k = aborted_at[r] or m
@@ -503,3 +528,12 @@ def run_lockstep(
         record_states=config.record_states,
     )
     return [traj]
+
+
+def run_finals(spec: ChainSpec, psi0: np.ndarray, config: ProtocolConfig,
+               samplers: list[SeededSampler]) -> EnsembleFinals:
+    """run_lockstep's end values, bit for bit from the same draws, without per-step
+    series: a projective or pulsed ensemble builds no Trajectory, records no states."""
+    if config.kind is ProtocolKind.CONTINUOUS or not samplers:  # its one run, or its error
+        return EnsembleFinals.of(run_lockstep(spec, psi0, config, samplers))
+    return _lockstep(spec, psi0, config, samplers if config.stochastic else samplers[:1], False)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenochain import cli, experiments, linalg, protocols
-from zenochain.analysis import aggregate
+from zenochain.analysis import aggregate, ensemble_fidelities
 from zenochain.chain import ChainSpec, leftmost_excited, w_state, zeno_hamiltonian
 from zenochain.cli import main as cli_main
 from zenochain.config import parse_config
@@ -28,7 +28,14 @@ from zenochain.experiments import (
     write_csv,
     write_theory_csv,
 )
-from zenochain.protocols import ProtocolConfig, ProtocolKind, run_projective, run_pulsed
+from zenochain.protocols import (
+    ProtocolConfig,
+    ProtocolKind,
+    Trajectory,
+    run_lockstep,
+    run_projective,
+    run_pulsed,
+)
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments
 from zenochain.theory import edge_time_average, pstar_weak
 
@@ -169,8 +176,8 @@ class TestRunExperiment:
         config = parse_config(text)
         alone = []
         for spec, psi0, protocol in config.sweep_points():
-            trajs, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
-            alone.append(["%.15g" % fids[0], "%.15g" % trajs[0].final_survival])
+            finals, fids = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
+            alone.append(["%.15g" % fids[0], "%.15g" % finals.final_survival[0]])
         total_times = []
         run = protocols.run_continuous
 
@@ -240,8 +247,8 @@ class TestRunExperiment:
         spec, psi0 = ChainSpec(n_sites=12, subspace_size=3), w_state(12, 3)
         d = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
         config = ProtocolConfig(ProtocolKind.CONTINUOUS, 40, d)
-        trajs, fids = run_ensemble(spec, psi0, config, 20, seed=4242)
-        assert len(trajs) == len(fids) == 1
+        finals, fids = run_ensemble(spec, psi0, config, 20, seed=4242)
+        assert len(finals.final_states) == len(finals.total_times) == len(fids) == 1
 
     @pytest.mark.parametrize(
         "kind, run_one", [(ProtocolKind.PROJECTIVE, run_projective), (ProtocolKind.PULSED, run_pulsed)]
@@ -251,7 +258,7 @@ class TestRunExperiment:
         spec = ChainSpec(n_sites=12, subspace_size=3)
         psi0 = w_state(12, 3)
         config = ProtocolConfig(kind, 120, IntervalDistribution.bimodal(1.0, 5.0, 0.5))
-        trajs, _ = run_ensemble(spec, psi0, config, 50, seed=4242)
+        trajs = run_lockstep(spec, psi0, config, [SeededSampler(4242).spawn(i) for i in range(50)])
         for i in (0, 1, 23, 49):
             alone = run_one(spec, psi0, config, SeededSampler(4242).spawn(i))
             inside = trajs[i]
@@ -261,6 +268,23 @@ class TestRunExperiment:
             if kind is ProtocolKind.PROJECTIVE:
                 assert np.array_equal(alone.survival_factors, inside.survival_factors)
                 assert alone.log_survival == inside.log_survival
+
+    @pytest.mark.parametrize(
+        "kind, bernoulli",
+        [(ProtocolKind.PROJECTIVE, False), (ProtocolKind.PROJECTIVE, True),
+         (ProtocolKind.PULSED, False), (ProtocolKind.CONTINUOUS, False)],
+    )
+    def test_run_ensemble_scores_as_the_series_path(self, kind, bernoulli):
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=3), leftmost_excited(12)
+        config = ProtocolConfig(kind, 90, IntervalDistribution.bimodal(1.0, 5.0, 0.5),
+                                bernoulli=bernoulli)
+        finals, fids = run_ensemble(spec, psi0, config, 30, seed=17)
+        runs = 30 if config.stochastic else 1
+        trajs = run_lockstep(spec, psi0, config, [SeededSampler(17).spawn(i) for i in range(runs)])
+        assert np.array_equal(fids, ensemble_fidelities(spec, psi0, trajs))
+        assert len(fids) == runs and len(finals.final_states) == runs
+        if bernoulli:  # the law aborts some runs, not all
+            assert 0 < np.count_nonzero(finals.aborted_at) < runs
 
 
 # any text UTF-8 can encode, as both writers write UTF-8 under any locale; it
@@ -541,7 +565,7 @@ class TestWriteCsv:
         # the benchmark's simulate_long ensemble: ten pulsed runs of 10,000 steps
         spec, psi0 = ChainSpec(n_sites=12, subspace_size=4), leftmost_excited(12)
         config = ProtocolConfig(ProtocolKind.PULSED, 10000, IntervalDistribution.bimodal(1.0, 5.0, 0.5))
-        trajs, _ = run_ensemble(spec, psi0, config, 10, 0)
+        trajs = run_lockstep(spec, psi0, config, [SeededSampler(0).spawn(i) for i in range(10)])
         paths = [tmp_path / f"trajectory_r{i}.csv" for i in range(10)]
 
         def peak(write):
@@ -767,9 +791,10 @@ class TestThreeLevelRunner:
 
 
 def loop_fig5(out_dir, seed=5001, m=500, realizations=50, initial="wstate"):
-    """preset_fig5 as one edge time average and three ensembles per kappa point:
-    the reference for the preset, which runs once per distinct mean what
-    depends on the mean alone."""
+    """preset_fig5 as one edge time average and three ensembles per kappa point,
+    each run step by step (run_lockstep) and scored run by run: the reference
+    for the preset, which keeps end values alone and runs once per distinct
+    mean what depends on the mean alone."""
     spec = ChainSpec(n_sites=12, subspace_size=2)
     psi0 = w_state(12, 2) if initial == "wstate" else leftmost_excited(12)
     rows = []
@@ -781,8 +806,9 @@ def loop_fig5(out_dir, seed=5001, m=500, realizations=50, initial="wstate"):
         mean_fids = []  # F_pm, F_pc, F_cc
         for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
             proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
-            trajs, fids = run_ensemble(spec, psi0, proto, realizations, seed)
-            mean_fids.append(float(np.mean(fids)))
+            runs = realizations if proto.stochastic else 1
+            trajs = run_lockstep(spec, psi0, proto, [SeededSampler(seed).spawn(i) for i in range(runs)])
+            mean_fids.append(float(np.mean(ensemble_fidelities(spec, psi0, trajs))))
             if kind is ProtocolKind.PROJECTIVE:
                 surv = aggregate(trajs)
         rows.append(
@@ -856,6 +882,39 @@ class TestSweeps:
         monkeypatch.setattr(protocols, "_products", counted)
         preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)
         assert calls == [(1, 2), (1, 12)] + [(5, 2), (5, 12)] * 6
+
+    def test_fig5_and_fig4_build_a_trajectory_for_continuous_runs_alone(self, tmp_path, monkeypatch):
+        # the projective and pulsed ensembles keep end values, no per-step series
+        built, continuous = [], []
+        init, run = Trajectory.__init__, protocols.run_continuous
+        monkeypatch.setattr(Trajectory, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        monkeypatch.setattr(protocols, "run_continuous",
+                            lambda *a, **k: continuous.append(1) or run(*a, **k))
+        preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)
+        assert len(built) == len(continuous) == 2  # one continuous run per distinct mean
+        # fig4's ensemble loop, without its deterministic scaling sweep
+        monkeypatch.setattr(experiments, "scaling_sweep", lambda: [(1.0, 1, 0.0, 0.0, 0.0)])
+        experiments.preset_fig4(tmp_path, m=20, realizations=3, reproducible=True)
+        assert len(built) == len(continuous) == 2 + 9  # one continuous run per lambda
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"mean": 0.5}, {"mean": 0.999}, {"mean": np.inf}, {"mean": np.nan}, {"p1": 1.0},
+         {"p1": 0.0}, {"p1": -0.2}, {"p1": np.nan}, {"points": 0}, {"points": 2.5},
+         {"points": 3.0}, {"points": True}],
+    )
+    def test_kappa_family_rejects_an_invalid_law(self, kwargs):
+        with pytest.raises(ValueError, match=r"0 < p1 < 1, 1 <= mean < inf .* integer points >= 1"):
+            kappa_family(**kwargs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kappa_family_edges_of_the_rule(self):
+        assert kappa_family(points=1) == [(1.0, 3.0, 3.0)]
+        assert kappa_family(mean=1.0, points=2) == [(1.0, 1.0, 1.0)] * 2
+        p1, mu1, mu2 = kappa_family(p1=0.999, points=np.int64(2))[-1]
+        assert (p1, mu1) == (0.999, 1.0) and abs(mu2 - 2001.0) <= 1e-9
 
     def test_scaling_sweep_small(self):
         rows = scaling_sweep(lam=5, total_time=300.0, mu_min=1.0, mu_max=3.0, points=3)

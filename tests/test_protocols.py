@@ -17,6 +17,7 @@ from zenochain.protocols import (
     ZeroSurvivalError,
     run_continuous,
     run_exact_subspace,
+    run_finals,
     run_lockstep,
     run_projective,
     run_pulsed,
@@ -894,3 +895,74 @@ class TestSlices:
         assert np.array_equal(aborted.final_state, [0, -1j])  # collapsed onto the complement
         assert np.array_equal(alive.survival_factors, np.ones(2 * BLOCK + 3))
         assert np.array_equal(alive.final_state, [1, 0])
+
+
+# streams of SeededSampler(0) whose first Bernoulli outcome under FINALS_CASES'
+# bimodal(4, 9) law fails at steps 1, 65 and 129 (slice starts when sliced), never
+# and at step 64 (a slice's last step when sliced)
+ABORTING = [SeededSampler(0).spawn(i)._state for i in (3, 61, 868, 7, 100)]
+FINALS_CASES = {
+    "post-selected": (6, 2, pm_config(2 * BLOCK + 3, IntervalDistribution.bimodal(4.0, 9.0, 0.5))),
+    "bernoulli": (6, 2, pm_config(2 * BLOCK + 3, IntervalDistribution.bimodal(4.0, 9.0, 0.5),
+                                  bernoulli=True)),
+    "pulsed": (12, 4, ProtocolConfig(ProtocolKind.PULSED, 300, BIMODAL)),
+    "continuous": (12, 4, ProtocolConfig(ProtocolKind.CONTINUOUS, 300, BIMODAL)),
+    "one-atom projective": (12, 3, pm_config(77, IntervalDistribution.deterministic(2.0))),
+    "one-atom pulsed": (12, 3, ProtocolConfig(ProtocolKind.PULSED, 77,
+                                              IntervalDistribution.deterministic(2.0))),
+}
+
+
+class TestFinals:
+    """run_finals gives run_lockstep's end values bit for bit, from the same draws."""
+
+    @pytest.mark.parametrize("width", [1, 5, 50])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["one-slice", "sliced"])
+    @pytest.mark.parametrize("case", list(FINALS_CASES))
+    def test_finals_equal_the_series_end_values(self, monkeypatch, case, sliced, width):
+        n, lam, config = FINALS_CASES[case]
+        spec, psi0 = ChainSpec(n_sites=n, subspace_size=lam), w_state(n, lam)
+        seeds = (ABORTING * 10)[:width] if width <= 5 else [SeededSampler(9).spawn(i)._state
+                                                            for i in range(width)]
+        if sliced:  # a slice per word, as TestSlices forces them
+            dim = lam if config.kind is ProtocolKind.PROJECTIVE else n
+            monkeypatch.setattr(protocols, "SLICE_BYTES", 0)
+            monkeypatch.setattr(protocols, "BLOCK", protocols._word_length(2, dim, config.num_intervals))
+        series, finals = [SeededSampler(s) for s in seeds], [SeededSampler(s) for s in seeds]
+        trajs, got = run_lockstep(spec, psi0, config, series), run_finals(spec, psi0, config, finals)
+        assert [s._state for s in series] == [s._state for s in finals]  # the same draws
+        want = {
+            "final_states": [t.final_state for t in trajs],
+            "total_times": [t.total_time for t in trajs],
+            "final_survival": [t.final_survival for t in trajs],
+            "log_survival": [t.log_survival for t in trajs],
+            "aborted_at": [t.aborted_at or 0 for t in trajs],
+        }
+        for name, values in want.items():
+            assert np.array_equal(getattr(got, name), values), name
+        if case == "bernoulli" and width == 5:
+            assert list(got.aborted_at) == [1, BLOCK + 1, 2 * BLOCK + 1, 0, BLOCK]
+            assert list(got.final_survival) == [0, 0, 0, 1, 0]
+            assert list(got.log_survival) == [-np.inf] * 3 + [0, -np.inf]
+
+    @pytest.mark.parametrize("kind", [ProtocolKind.PROJECTIVE, ProtocolKind.PULSED])
+    def test_finals_record_no_states(self, monkeypatch, kind):
+        # a run that records (so normalizes) every state ends where one that
+        # normalizes each slice's last state alone does: here slices of BLOCK steps
+        monkeypatch.setattr(protocols, "SLICE_BYTES", 0)
+        spec, psi0, m = ChainSpec(n_sites=12, subspace_size=4), w_state(12, 4), 2 * BLOCK + 3
+        seeds = [SeededSampler(1).spawn(i)._state for i in range(3)]
+        recorded = run_lockstep(spec, psi0, ProtocolConfig(kind, m, BIMODAL, record_states=True),
+                                [SeededSampler(s) for s in seeds])
+        plain = run_lockstep(spec, psi0, ProtocolConfig(kind, m, BIMODAL),
+                             [SeededSampler(s) for s in seeds])
+        finals = run_finals(spec, psi0, ProtocolConfig(kind, m, BIMODAL, record_states=True),
+                            [SeededSampler(s) for s in seeds])
+        assert recorded[0].states.shape == (m, 12) and plain[0].states is None
+        for runs in (recorded, plain):
+            assert np.array_equal(finals.final_states, [t.final_state for t in runs])
+            assert np.array_equal(finals.log_survival, [t.log_survival for t in runs])
+
+    def test_finals_need_a_realization(self):
+        with pytest.raises(ValueError, match="at least one realization"):
+            run_finals(ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2), pm_config(5), [])
