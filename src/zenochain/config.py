@@ -34,7 +34,7 @@ import numpy as np
 
 from .chain import DEFAULT_RATE, ChainSpec, leftmost_excited, w_state
 from .protocols import ProtocolConfig, ProtocolKind, _check_initial_state
-from .stochastics import IntervalDistribution
+from .stochastics import IntervalDistribution, check_ensemble
 
 
 class ParseError(ValueError):
@@ -83,11 +83,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Check each sweep point by building it: a config that constructs also runs."""
-        if self.realizations < 1:
-            raise ValidationError(f"realizations must be >= 1, got {self.realizations}")
         # the coupling needs sites lambda + 1 and + 2; at lambda = n nothing can leak
         need = 1 if self.protocol.kind is ProtocolKind.PROJECTIVE else 2
         try:
+            check_ensemble(self.realizations, self.seed)
             for spec, _, _ in self.sweep_points():
                 if spec.subspace_size + need > spec.n_sites:
                     kind = self.protocol.kind.value

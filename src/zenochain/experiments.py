@@ -3,9 +3,10 @@
 All outputs are CSV (RFC-4180 commas, 15 significant digits); plotting is
 left to external tools.  Runs are deterministic for a fixed seed: each
 realization gets a child stream derived from the master seed, and all
-realizations of an ensemble advance together in one lockstep kernel
-(``protocols.run_lockstep``) whose columns do not interact, so a
-realization's numbers are bit-identical however many run beside it.
+realizations of an ensemble, and of the ensembles of a sweep's laws that
+can share a pass, advance together in one lockstep kernel whose columns do
+not interact, so a realization's numbers are bit-identical however many
+run beside it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,19 @@ from .protocols import (
     Trajectory,
     run_continuous,
     run_exact_subspace,
-    run_finals,
+    run_finals_many,
     run_lockstep,
     run_projective,
     run_pulsed,
 )
-from .stochastics import IntervalDistribution, SeededSampler, derive_seed, moments
+from .stochastics import (
+    IntervalDistribution,
+    SeededSampler,
+    check_ensemble,
+    derive_seed,
+    is_integer,
+    moments,
+)
 from .theory import (
     _exponent,
     edge_time_average,
@@ -438,6 +446,48 @@ def _samplers(protocol: ProtocolConfig, realizations: int, seed: int) -> list[Se
     return [SeededSampler(s) for s in derive_seed(seed, np.arange(runs, dtype=np.uint64)).tolist()]
 
 
+def _run_key(index: int, spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
+    """What a point's runs depend on: the continuous protocol reads the law
+    through its mean alone, so points that share its key share one run;
+    every other point is its own (its index)."""
+    if protocol.kind is not ProtocolKind.CONTINUOUS:
+        return index
+    return (spec, psi0.tobytes(), moments(protocol.distribution).mean, protocol.num_intervals,
+            protocol.effective_coupling())
+
+
+def run_ensembles(
+    points: Sequence[tuple[ChainSpec, np.ndarray, ProtocolConfig]],
+    realizations: int,
+    seed: int,
+) -> list[tuple[EnsembleFinals, list[float]]]:
+    """``run_ensemble`` of each (spec, psi0, protocol) point, bit for bit.
+
+    Points that share the chain and psi0 run together (``run_finals_many``):
+    projective and pulsed laws in one kernel pass per group of laws with the
+    same settings, atom count and word length, the continuous protocol once
+    per distinct run (``_run_key``).  Each point is scored apart, since one
+    evolution over several points' total times rounds some of them
+    differently.
+    """
+    check_ensemble(realizations, seed)
+    keys = [_run_key(i, *point) for i, point in enumerate(points)]
+    first: dict = {}  # a key's first point, which runs it
+    chains: dict[tuple, list[int]] = {}
+    for i, (spec, psi0, _) in enumerate(points):
+        if first.setdefault(keys[i], i) == i:
+            chains.setdefault((spec, psi0.tobytes()), []).append(i)
+    results = {}
+    for members in chains.values():
+        spec, psi0, _ = points[members[0]]
+        configs = [points[i][2] for i in members]
+        samplers = [_samplers(c, realizations, seed) for c in configs]
+        for i, finals in zip(members, run_finals_many(spec, psi0, configs, samplers)):
+            fids = final_fidelities(spec, psi0, finals.final_states, finals.total_times)
+            results[i] = finals, fids.tolist()
+    return [results[first[key]] for key in keys]
+
+
 def run_ensemble(
     spec: ChainSpec,
     psi0: np.ndarray,
@@ -451,10 +501,11 @@ def run_ensemble(
     advance together in one kernel that keeps no per-step series
     (``run_finals``) and are scored against the ideal confined evolution at
     their own total times.  A deterministic ensemble (the continuous
-    protocol, or a one-atom post-selected or pulsed one) is one run.
+    protocol, or a one-atom post-selected or pulsed one) is one run.  It is
+    ``run_ensembles`` of one point.  ``realizations`` is an integer >= 1
+    and ``seed`` an integer.
     """
-    finals = run_finals(spec, psi0, protocol, _samplers(protocol, realizations, seed))
-    return finals, final_fidelities(spec, psi0, finals.final_states, finals.total_times).tolist()
+    return run_ensembles([(spec, psi0, protocol)], realizations, seed)[0]
 
 
 def run_experiment(
@@ -468,32 +519,34 @@ def run_experiment(
     per-step trajectory files, one per run, are written for the base
     configuration only, and its runs and predicted P* are returned, with the
     names of the files this run wrote (other files in the directory stay).
+    The base point runs step by step; the points after it keep end values
+    (``run_ensembles``), and a continuous point that shares the base
+    point's run reads it.
     """
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows, theory_rows, runs = [], [], {}
-    for k, (spec, psi0, protocol) in enumerate(config.sweep_points()):
-        key = k  # the continuous protocol reads the law through its mean alone: one run per mean
-        if protocol.kind is ProtocolKind.CONTINUOUS:
-            key = (spec, psi0.tobytes(), moments(protocol.distribution).mean,
-                   protocol.num_intervals, protocol.effective_coupling())
-        if k == 0:  # the base point's runs, step by step
-            samplers = _samplers(protocol, config.realizations, config.seed)
-            trajs = run_lockstep(spec, psi0, protocol, samplers)
-            runs[key] = EnsembleFinals.of(trajs), ensemble_fidelities(spec, psi0, trajs)
-        elif key not in runs:
-            runs[key] = run_ensemble(spec, psi0, protocol, config.realizations, config.seed)
-        finals, fids = runs[key]
+    points = list(config.sweep_points())
+    spec, psi0, protocol = points[0]
+    r, seed = config.realizations, config.seed
+    trajs = run_lockstep(spec, psi0, protocol, _samplers(protocol, r, seed))
+    base = EnsembleFinals.of(trajs), ensemble_fidelities(spec, psi0, trajs)
+    paths = [out / f"trajectory_r{i}.csv" for i in range(len(trajs))]
+    runs_of = {}  # runs by length: each aborted Bernoulli run is shorter
+    for i, traj in enumerate(trajs):
+        runs_of.setdefault(len(traj.times), []).append(i)
+    for group in runs_of.values():
+        write_trajectory_csv([trajs[i] for i in group], [paths[i] for i in group], reproducible)
+    shared = _run_key(0, *points[0])
+    rest = [k for k in range(1, len(points)) if _run_key(k, *points[k]) != shared]
+    runs = dict(zip(rest, run_ensembles([points[k] for k in rest], r, seed)))
+
+    summary_rows, theory_rows = [], []
+    for k, (spec, psi0, protocol) in enumerate(points):
+        finals, fids = runs.get(k, base)
         trow, pred = _theory_row(spec, psi0, protocol)
         if k == 0:
-            base_trajs, base_pred = trajs, pred
-            paths = [out / f"trajectory_r{i}.csv" for i in range(len(trajs))]
-            runs_of = {}  # runs by length: each aborted Bernoulli run is shorter
-            for i, traj in enumerate(trajs):
-                runs_of.setdefault(len(traj.times), []).append(i)
-            for group in runs_of.values():
-                write_trajectory_csv([trajs[i] for i in group], [paths[i] for i in group], reproducible)
+            base_pred = pred
         theory_rows.append(trow)
         summary_rows.append(
             (
@@ -512,7 +565,7 @@ def run_experiment(
     write_csv(out / "theory.csv", THEORY_HEADER, zip(*theory_rows), reproducible)
     return {
         "out_dir": out,
-        "trajectories": base_trajs,
+        "trajectories": trajs,
         "prediction": base_pred,
         "files": sorted([p.name for p in paths] + ["summary.csv", "theory.csv"]),
     }
@@ -705,8 +758,7 @@ def kappa_family(p1: float = 0.8, mean: float = 3.0, points: int = 7) -> list[tu
     exact up to rounding: at the defaults the last triple's mean is
     3.0000000000000004, so preset_fig5 sees two distinct means.
     """
-    integer = isinstance(points, (int, np.integer)) and not isinstance(points, bool)
-    if not (0 < p1 < 1 and 1 <= mean < np.inf and integer and points >= 1):
+    if not (0 < p1 < 1 and 1 <= mean < np.inf and is_integer(points) and points >= 1):
         raise ValueError("kappa_family needs 0 < p1 < 1, 1 <= mean < inf (mu1 runs from the mean "
                          f"down to 1) and an integer points >= 1, got {p1=}, {mean=}, {points=}")
     triples = []
@@ -732,32 +784,31 @@ def preset_fig5(
     ``initial`` is ``"wstate"`` (the main panel, fig5_kappa.csv) or
     ``"leftmost"`` (the inset, fig5_inset_kappa.csv).  The ideal edge average
     and the continuous protocol depend on the mean interval alone, so each is
-    computed once per distinct mean, not once per point.
+    computed once per distinct mean, not once per point.  The ensembles run
+    through ``run_ensembles``: the six disordered laws of each stochastic
+    protocol in one kernel pass, the one-atom kappa = 0 law in its own.
     """
     if initial not in ("wstate", "leftmost"):
         raise ValueError(f'initial must be "wstate" or "leftmost", got {initial!r}')
     spec = ChainSpec(n_sites=N_SITES, subspace_size=2)
     psi0 = w_state(N_SITES, 2) if initial == "wstate" else leftmost_excited(N_SITES)
 
-    def ensemble(kind: ProtocolKind, d: IntervalDistribution):
-        finals, fids = run_ensemble(spec, psi0, ProtocolConfig(kind, m, d), realizations, seed)
-        return finals, float(np.mean(fids))
-
-    per_mean = {}  # exact mean -> (ideal edge time average, F_cc)
+    family = kappa_family()
+    laws = [IntervalDistribution.bimodal(mu1, mu2, p1) for p1, mu1, mu2 in family]
+    kinds = (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS)
+    runs = run_ensembles([(spec, psi0, ProtocolConfig(kind, m, d)) for kind in kinds for d in laws],
+                         realizations, seed)
+    per_mean = {}  # exact mean -> ideal edge time average
     rows = []
-    for p1, mu1, mu2 in kappa_family():
-        d = IntervalDistribution.bimodal(mu1, mu2, p1)
+    for i, ((p1, mu1, mu2), d) in enumerate(zip(family, laws)):
         mom = moments(d)
         if mom.mean not in per_mean:
-            _, f_cc = ensemble(ProtocolKind.CONTINUOUS, d)
-            per_mean[mom.mean] = edge_time_average(spec, psi0, *_edge_grid(d, m)), f_cc
-        c2_avg, f_cc = per_mean[mom.mean]
-        finals, f_pm = ensemble(ProtocolKind.PROJECTIVE, d)
-        _, f_pc = ensemble(ProtocolKind.PULSED, d)
-        pred = pstar_weak(m, d, spec.beta**2 * c2_avg)
+            per_mean[mom.mean] = edge_time_average(spec, psi0, *_edge_grid(d, m))
+        (finals, f_pm), (_, f_pc), (_, f_cc) = runs[i :: len(laws)]
+        pred = pstar_weak(m, d, spec.beta**2 * per_mean[mom.mean])
         rows.append(
             (mom.kappa, 1.0 + mom.kappa, mu1, mu2, aggregate(finals).log_mean, pred.log_pstar,
-             f_pm, f_pc, f_cc)
+             *(float(np.mean(f)) for f in (f_pm, f_pc, f_cc)))
         )
     path = Path(out_dir) / ("fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv")
     header = ("kappa", "one_plus_kappa", "mu1_us", "mu2_us", "ln_P_sim_mean", "ln_pstar_theory",

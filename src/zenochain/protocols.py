@@ -21,6 +21,7 @@ chains (for instance a severed boundary bond).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -34,6 +35,7 @@ from .stochastics import (
     SeededSampler,
     atom_indices,
     draw_uniforms,
+    is_integer,
     moments,
 )
 
@@ -71,7 +73,7 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         m = self.num_intervals
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        if not is_integer(m):
             raise ValueError(f"num_intervals must be an integer, got {m!r}")
         if m < 1:
             raise ValueError("num_intervals must be >= 1")
@@ -217,24 +219,29 @@ def _products(
     """Advance every column from psi through block's steps (width x steps atom
     indices), L = len(powers) per sub-block: one gather of the stacked word
     of code sum_p a_p k^p (powers[p] = k^p; the tail table for a short last
-    sub-block) and one batched product, whose rows follow the sub-block
-    before's in out (width x rows x 1), returning the rows written.  Chunks
-    of columns keep a gather within TABLE_BYTES and change no number."""
+    sub-block) and one batched product.  Sub-block s writes its rows (rows x
+    1 per column) to slot s mod slots of out: its own slot where out holds
+    every sub-block, two that alternate where only the carried state is
+    read.  Returns the row after the last product's.  Chunks of columns keep
+    a gather within TABLE_BYTES and change no number."""
     (table, tail), (width, steps), length = tables, block.shape, len(powers)
     codes = np.add.reduceat(block * powers[np.arange(steps) % length], np.arange(0, steps, length), 1)
     whole, (rows, dim) = steps // length, table.shape[1:]
-    used = whole * rows + (tail.shape[1] if whole < codes.shape[1] else 0)
+    tailed = whole < codes.shape[1]  # a short last sub-block, from the tail table
+    slots = out.shape[1] // rows
+    last = whole if tailed else whole - 1  # the last sub-block
+    end = last % slots * rows + (tail.shape[1] if tailed else rows)
     chunk = min(width, max(1, TABLE_BYTES // table[0].nbytes))
     gathered = np.empty((chunk, rows, dim), dtype=complex)  # fresh gathers page-fault
     for c in range(0, width, chunk):
         state, cols, part = psi[c : c + chunk], codes[c : c + chunk].T.copy(), out[c : c + chunk]
-        subs = part[:, : whole * rows].reshape(len(state), whole, rows, 1)
+        subs = part[:, : slots * rows].reshape(len(state), slots, rows, 1)
         for s in range(whole):
             w = table.take(cols[s], 0, gathered[: len(state)], "clip")
-            state = np.matmul(w, state, subs[:, s])[:, -dim:]
-        if used > whole * rows:
-            np.matmul(tail[cols[-1]], state, part[:, whole * rows : used])
-    return used
+            state = np.matmul(w, state, subs[:, s % slots])[:, -dim:]
+        if tailed:
+            np.matmul(tail[cols[-1]], state, part[:, end - tail.shape[1] : end])
+    return end
 
 
 def _row_sums(p: np.ndarray) -> np.ndarray:
@@ -252,23 +259,45 @@ def _row_sums(p: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, terms + [p[..., k] for k in range(full, lam)])
 
 
+def _law(spec: ChainSpec, config: ProtocolConfig) -> tuple:
+    """A projective or pulsed config with its operators: the free evolution
+    of each atom, the blocks a column advances by, the slice cap K and the
+    word length L."""
+    steps = linalg.propagators(hamiltonian(spec), config.distribution.values)
+    if config.kind is ProtocolKind.PROJECTIVE:
+        lam = spec.subspace_size
+        mats = steps[:, :lam, :lam]
+        cap = _steps_above_floor(mats)
+    else:
+        mats = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
+        cap = BLOCK
+    length = _word_length(len(mats), mats.shape[-1], config.num_intervals, cap)
+    return config, steps, mats, cap, length
+
+
 def _lockstep(
     spec: ChainSpec,
     psi0: np.ndarray,
-    config: ProtocolConfig,
-    samplers: list[SeededSampler],
+    laws: list[tuple],
+    samplers: list[list[SeededSampler]],
     series: bool = True,
 ) -> list[Trajectory] | EnsembleFinals:
-    """Advance every realization of a projective or pulsed ensemble together.
+    """Advance every realization of projective or pulsed ensembles together:
+    one pass over the laws (_law) that share every setting but their
+    distribution, their atom count k and their word length L, samplers[i]
+    the columns of laws[i], law after law in the result.
 
     One multi-stream draw gives every column its intervals (and Bernoulli
-    outcomes) from samplers[r], exactly as a lone run would.  A column
+    outcomes) from its own sampler, exactly as a lone run would.  A column
     advances L steps per gather of one stacked word and batched product,
-    and L depends on the law, the state dimension and m only.  A sub-block
-    computes head rows per step, all dim of its last step's, which carry on:
-    lambda for a pulsed run that records no states, dim otherwise.  Steps
-    run in slices: the most multiples of L whose states fit SLICE_BYTES, at
-    least BLOCK steps; m mod L steps at the end read a tail table.
+    and L depends on the law, the state dimension and m only.  The laws'
+    word tables stack, law after law, and a column's codes are offset into
+    its law's block.  A sub-block computes head rows per step, all dim of
+    its last step's, which carry on: none but those for a pulsed run that
+    keeps no series, whose sub-blocks alternate between two slots; lambda
+    for a pulsed run that records no states; dim otherwise.  Steps run in
+    slices: the most multiples of L whose states fit SLICE_BYTES, at least
+    BLOCK steps; m mod L steps at the end read a tail table.
 
     - pulsed: the fused kick @ U(mu) on the n-site state, unitary, so never
       renormalized;
@@ -278,40 +307,61 @@ def _lockstep(
       and one division the normalized state after each step.  At a slice
       end the product and its squared norm are scaled by an exact power of
       two, which becomes the next slice's n_(-1) (1 before the first step).
-      So no column's numbers depend on the slicing, or on the width of the
-      ensemble.  Slices and L are capped at K steps, over which no product
-      can fall below NORM_FLOOR times its start (_steps_above_floor).  The
-      complement is built only for a column whose Bernoulli outcome fails,
-      and states are zero-padded back to n sites.
+      So no column's numbers depend on the slicing, on the width of the
+      ensemble or on the laws beside it.  Slices and L are capped at K
+      steps, the least K of the laws, over which no product can fall below
+      NORM_FLOOR times its start (_steps_above_floor).  The complement is
+      built only for a column whose Bernoulli outcome fails, and states are
+      zero-padded back to n sites.
 
     With series, factors (projective), populations (pulsed) and states fill
     whole (width x steps) arrays a slice at a time and each Trajectory holds
     row slices of them; without, a pulsed word holds its whole product alone.
     """
-    n, lam, m, width = spec.n_sites, spec.subspace_size, config.num_intervals, len(samplers)
+    config, length = laws[0][0], laws[0][4]  # the settings every law shares
+    n, lam, m = spec.n_sites, spec.subspace_size, config.num_intervals
     psi0 = _check_initial_state(psi0, lam)
-    d = config.distribution
+    cols = [s for runs in samplers for s in runs]
+    widths = [len(runs) for runs in samplers]
+    width, bounds = len(cols), [0, *itertools.accumulate(widths)]
     projective = config.kind is ProtocolKind.PROJECTIVE
     bernoulli = projective and config.bernoulli
-    steps = linalg.propagators(hamiltonian(spec), d.values)  # one free evolution per atom
-    if projective:
-        dim, mats = lam, steps[:, :lam, :lam]
-    else:
-        dim, mats = n, linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
-    cap = _steps_above_floor(mats) if projective else BLOCK
-    length = _word_length(len(mats), dim, m, cap)
+    steps = np.concatenate([law[1] for law in laws])  # one free evolution per atom, law after law
+    k, dim = laws[0][2].shape[:2]
+    cap = min(law[3] for law in laws)
     head = (dim if config.record_states else lam) if series or projective else 0  # rows kept per step
-    tables = _word_tables(mats, length, head, m % length)
-    rows, powers = tables[0].shape[1], len(mats) ** np.arange(length)
+    tables = [_word_tables(law[2], length, head, m % length) for law in laws]
+    if len(tables) > 1:  # law after law; a lone law's tables as built
+        tables = [tuple(None if t[0] is None else np.concatenate(t) for t in zip(*tables))]
+    tables = tables[0]
+    rows, powers = tables[0].shape[1], k ** np.arange(length)
+    base = np.repeat(k * np.arange(len(laws)), widths)  # a column's law's first atom in steps
     span = max(BLOCK, SLICE_BYTES // (width * dim * 16) // length * length)
     if projective:
         span = min(span, cap // length * length)
-    draws = draw_uniforms(samplers, 2 * m if bernoulli else m)  # intervals, then outcomes
-    atoms = atom_indices(d, draws[:, :m])  # width x m
-    intervals = d.values[atoms]
+    draws = draw_uniforms(cols, 2 * m if bernoulli else m)  # intervals, then outcomes
+    atoms = np.empty((width, m), np.min_scalar_type(len(laws) * k - 1))
+    for (law, *_), a, b in zip(laws, bounds, bounds[1:]):
+        atoms[a:b] = atom_indices(law.distribution, draws[a:b, :m])
+    if not bernoulli:
+        del draws  # only Bernoulli outcomes are read later
+    intervals = np.empty((width, m))  # after the draws: in pages they used
+    for (law, *_), a, b in zip(laws, bounds, bounds[1:]):
+        law.distribution.values.take(atoms[a:b], out=intervals[a:b], mode="clip")
+    # a column's codes start at its law's block of words: law k^L (law k^t in
+    # the tail table of t steps) = (law k) k^(L-1), so the last atom of each
+    # sub-block carries base = law k, and a step's own atom is its index mod k
+    shift = base.astype(atoms.dtype)[:, None]
+    atoms[:, length - 1 :: length] += shift
+    if m % length:
+        atoms[:, -1:] += shift
+    times = np.cumsum(intervals, 1, out=None if series else intervals)  # finals: in place
+    if not (series or bernoulli):  # every run ends at step m: keep its end time alone
+        intervals = times = times[:, -1:].copy()
     psi = np.repeat(psi0[None, :dim, None], width, axis=0)  # projective: unnormalized
     state = psi[..., 0]  # the normalized state after the last step
-    buf = np.empty((width, -(-min(span, m) // length) * rows, 1), dtype=complex)
+    slots = -(-min(span, m) // length)
+    buf = np.empty((width, (slots if head else min(slots, 2)) * rows, 1), dtype=complex)
 
     factors = np.empty((width, m)) if projective and series else None
     cum = None if projective or not series else np.empty((width, m))  # pulsed: the population
@@ -327,11 +377,14 @@ def _lockstep(
         out = buf[:, :used].reshape(width, b, dim, 1) if head == dim else None  # every state
         if projective:
             vec = out[..., 0].view(float)
-            sq = np.vecdot(vec, vec)  # n_0, ..., n_(b-1)
+            norms = np.empty((width, b + 1))
+            norms[:, :1] = carry  # n_(-1)
+            np.vecdot(vec, vec, out=norms[:, 1:])  # n_0, ..., n_(b-1)
             # the max only acts after a zero product (a dead step, or an
             # aborted column): finite placeholders, never read
-            norms = np.maximum(np.concatenate([carry, sq], 1), DEAD_BRANCH)  # from n_(-1)
-            q = sq / norms[:, :-1]
+            q = np.maximum(norms[:, :-1], DEAD_BRANCH)
+            q = np.divide(norms[:, 1:], q, out=q)
+            np.maximum(norms, DEAD_BRANCH, out=norms)
             lo = 0 if bernoulli or states is not None else b - 1  # else only the last is read
             out[:, lo:] /= np.sqrt(norms[:, lo + 1 :])[..., None, None]
             live = aborted_at == 0
@@ -347,17 +400,18 @@ def _lockstep(
             if series:
                 factors[:, j : j + b] = q
             elif not bernoulli:  # the cumsum of the series, one slice at a time
-                log_p = np.cumsum(np.concatenate([log_p, np.log(q)], 1), 1)[:, -1:]
+                sums = np.concatenate([log_p, np.log(q, out=q)], 1)
+                log_p = np.cumsum(sums, 1, out=sums)[:, -1:].copy()
             if bernoulli:
                 for r in np.flatnonzero(first < b):
                     # failed outcome: collapse the state before it onto the complement
-                    k = int(first[r])
-                    prev = out[r, k - 1, :, 0] if k else state[r]
-                    collapse = steps[atoms[r, j + k], :, :lam] @ prev
+                    i = int(first[r])
+                    prev = out[r, i - 1, :, 0] if i else state[r]
+                    collapse = steps[base[r] + atoms[r, j + i] % k, :, :lam] @ prev
                     collapse[:lam] = 0.0
                     collapsed[r] = collapse / np.linalg.norm(collapse)
-                    aborted_at[r], log_p[r] = j + k + 1, -np.inf
-                    samplers[r].rewind(m - j - k - 1)  # outcome draws never made
+                    aborted_at[r], log_p[r] = j + i + 1, -np.inf
+                    cols[r].rewind(m - j - i - 1)  # outcome draws never made
             # a power of two scales exactly, so every later q and state
             # rounds as it would without the scaling
             shift = np.frexp(norms[:, -1:])[1] // 2
@@ -372,7 +426,6 @@ def _lockstep(
         if bernoulli and np.all(aborted_at):
             break
 
-    times = np.cumsum(intervals, axis=1)
     final = np.zeros((width, n), dtype=complex)
     final[:, :dim] = state
     for r, collapse in collapsed.items():
@@ -391,16 +444,16 @@ def _lockstep(
         cum = np.exp(log_cum)
     trajs = []
     for r in range(width):
-        k = aborted_at[r] or m
+        i = aborted_at[r] or m
         trajs.append(
             Trajectory(
-                intervals=intervals[r, :k],
-                times=times[r, :k],
-                cumulative_survival=cum[r, :k],
+                intervals=intervals[r, :i],
+                times=times[r, :i],
+                cumulative_survival=cum[r, :i],
                 final_state=final[r],
-                survival_factors=factors[r, :k] if projective else None,
+                survival_factors=factors[r, :i] if projective else None,
                 log_cumulative_survival=None if log_cum is None else log_cum[r],
-                states=None if states is None else states[r, :k],
+                states=None if states is None else states[r, :i],
                 aborted_at=int(aborted_at[r]) or None,
             )
         )
@@ -416,7 +469,7 @@ def run_projective(
     """Random-interval projective protocol (post-selected by default)."""
     if config.kind is not ProtocolKind.PROJECTIVE:
         raise ValueError(f"run_projective needs a projective config, not {config.kind.value}")
-    return _lockstep(spec, psi0, config, [sampler])[0]
+    return _lockstep(spec, psi0, [_law(spec, config)], [[sampler]])[0]
 
 
 def run_pulsed(
@@ -428,7 +481,7 @@ def run_pulsed(
     """Random-interval kick protocol: psi <- exp(-i H_c s) U(mu_j) psi."""
     if config.kind is not ProtocolKind.PULSED:
         raise ValueError(f"run_pulsed needs a pulsed config, not {config.kind.value}")
-    return _lockstep(spec, psi0, config, [sampler])[0]
+    return _lockstep(spec, psi0, [_law(spec, config)], [[sampler]])[0]
 
 
 def run_continuous(
@@ -517,7 +570,8 @@ def run_lockstep(
     if not samplers:
         raise ValueError("need at least one realization")
     if config.kind is not ProtocolKind.CONTINUOUS:
-        return _lockstep(spec, psi0, config, samplers if config.stochastic else samplers[:1])
+        runs = samplers if config.stochastic else samplers[:1]
+        return _lockstep(spec, psi0, [_law(spec, config)], [runs])
     mean = moments(config.distribution).mean
     traj = run_continuous(
         spec,
@@ -534,6 +588,32 @@ def run_finals(spec: ChainSpec, psi0: np.ndarray, config: ProtocolConfig,
                samplers: list[SeededSampler]) -> EnsembleFinals:
     """run_lockstep's end values, bit for bit from the same draws, without per-step
     series: a projective or pulsed ensemble builds no Trajectory, records no states."""
-    if config.kind is ProtocolKind.CONTINUOUS or not samplers:  # its one run, or its error
-        return EnsembleFinals.of(run_lockstep(spec, psi0, config, samplers))
-    return _lockstep(spec, psi0, config, samplers if config.stochastic else samplers[:1], False)
+    return run_finals_many(spec, psi0, [config], [samplers])[0]
+
+
+def run_finals_many(spec: ChainSpec, psi0: np.ndarray, configs: list[ProtocolConfig],
+                    samplers: list[list[SeededSampler]]) -> list[EnsembleFinals]:
+    """run_finals of each config with its samplers[i], each bit for bit its lone run.
+
+    Projective and pulsed laws that share every setting but their
+    distribution, and also their atom count k and word length L, advance
+    in one _lockstep pass, each column from its own sampler; the passes run
+    in the order of their first law.  A continuous config is its one run.
+    """
+    results: list = [None] * len(configs)
+    passes: dict[tuple, list] = {}
+    for i, (config, runs) in enumerate(zip(configs, samplers)):
+        if config.kind is ProtocolKind.CONTINUOUS or not runs:  # its one run, or its error
+            results[i] = EnsembleFinals.of(run_lockstep(spec, psi0, config, runs))
+            continue
+        law = _law(spec, config)
+        key = (config.kind, config.num_intervals, config.pulse_area, config.bernoulli,
+               len(law[2]), law[4])
+        passes.setdefault(key, []).append((i, law, runs if config.stochastic else runs[:1]))
+    for members in passes.values():
+        index, laws, runs = zip(*members)
+        finals = _lockstep(spec, psi0, list(laws), list(runs), False)
+        bounds = [0, *itertools.accumulate(map(len, runs))]
+        for i, a, b in zip(index, bounds, bounds[1:]):
+            results[i] = EnsembleFinals(*(v[a:b] for v in vars(finals).values()))
+    return results

@@ -47,7 +47,7 @@ def derive_seed(seed: int, index):
 
     index may be a ``uint64`` array; the child seeds are then one array.
     """
-    return _mix64((seed & _MASK64) ^ _mix64((index + 1) & _MASK64))
+    return _mix64((int(seed) & _MASK64) ^ _mix64((index + 1) & _MASK64))
 
 
 class SeededSampler:
@@ -187,6 +187,20 @@ def atom_indices(d: IntervalDistribution, uniforms: np.ndarray) -> np.ndarray:
     for c in np.cumsum(d.probabilities)[:-1]:  # the last, 1 > u, counts none
         index += uniforms >= c
     return index
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_ensemble(realizations, seed) -> None:
+    """An ensemble's realization count is an integer >= 1 and its master seed
+    an integer (any, taken modulo 2**64)."""
+    if not (is_integer(realizations) and realizations >= 1):
+        raise ValueError(f"realizations must be an integer >= 1, got {realizations!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def _check_count(m) -> None:

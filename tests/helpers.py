@@ -10,6 +10,8 @@ replaced, kept verbatim but for drawing through ``scalar_uniform``, and the
 cell-by-cell CSV writer the column-wise ``write_csv`` replaced.
 ``scalar_damped_edge_values`` is the damped edge series with one exponential
 per rate and grid point, the reference for the factored grid evaluation.
+``lone_runs`` and ``loop_fig5`` run one law at a time, step by step: the
+references for kernel passes over several laws and for ``preset_fig5``.
 """
 
 from __future__ import annotations
@@ -23,16 +25,34 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from zenochain import linalg
-from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, zeno_hamiltonian
+from zenochain.analysis import aggregate, ensemble_fidelities
+from zenochain.chain import (
+    ChainSpec,
+    coupling_hamiltonian,
+    hamiltonian,
+    leftmost_excited,
+    w_state,
+    zeno_hamiltonian,
+)
+from zenochain.experiments import kappa_family, write_csv
 from zenochain.protocols import (
     DEAD_BRANCH,
+    EnsembleFinals,
     ProtocolConfig,
+    ProtocolKind,
     Trajectory,
     ZeroSurvivalError,
     _check_initial_state,
+    run_lockstep,
 )
-from zenochain.stochastics import IntervalDistribution, SeededSampler
-from zenochain.theory import EIGVEC_COND_LIMIT, ExceptionalPointError, edge_damping_rate
+from zenochain.stochastics import IntervalDistribution, SeededSampler, moments
+from zenochain.theory import (
+    EIGVEC_COND_LIMIT,
+    ExceptionalPointError,
+    edge_damping_rate,
+    edge_time_average,
+    pstar_weak,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -287,3 +307,49 @@ def scalar_damped_edge_values(
     amps = v @ (np.exp(-1j * np.outer(rates, t_grid)) * coeff[:, None])
     pops = np.abs(amps) ** 2
     return pops[-1] / np.sum(pops, axis=0)
+
+
+def lone_runs(
+    spec: ChainSpec,
+    psi0: np.ndarray,
+    configs: Sequence[ProtocolConfig],
+    seeds: Sequence[Sequence[int]],
+) -> list[tuple[EnsembleFinals, list[int]]]:
+    """Each config's ensemble alone, step by step (run_lockstep), one sampler per
+    seed of seeds[i]: its end values and its samplers' states after the run."""
+    runs = []
+    for config, group in zip(configs, seeds):
+        samplers = [SeededSampler(s) for s in group]
+        trajs = run_lockstep(spec, psi0, config, samplers)
+        runs.append((EnsembleFinals.of(trajs), [s._state for s in samplers]))
+    return runs
+
+
+def loop_fig5(out_dir, seed=5001, m=500, realizations=50, initial="wstate"):
+    """preset_fig5 as one edge time average and three ensembles per kappa point,
+    each run step by step (run_lockstep) and scored run by run: the reference
+    for the preset, which keeps end values alone and runs once per distinct
+    mean what depends on the mean alone."""
+    spec = ChainSpec(n_sites=12, subspace_size=2)
+    psi0 = w_state(12, 2) if initial == "wstate" else leftmost_excited(12)
+    rows = []
+    for p1, mu1, mu2 in kappa_family():
+        d = IntervalDistribution.bimodal(mu1, mu2, p1)
+        mom = moments(d)
+        c2_avg = edge_time_average(spec, psi0, t_max=m * mom.mean, dt=mom.mean / 20)
+        pred = pstar_weak(m, d, spec.beta**2 * c2_avg)
+        mean_fids = []  # F_pm, F_pc, F_cc
+        for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
+            proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
+            runs = realizations if proto.stochastic else 1
+            trajs = run_lockstep(spec, psi0, proto, [SeededSampler(seed).spawn(i) for i in range(runs)])
+            mean_fids.append(float(np.mean(ensemble_fidelities(spec, psi0, trajs))))
+            if kind is ProtocolKind.PROJECTIVE:
+                surv = aggregate(trajs)
+        rows.append(
+            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, surv.log_mean, pred.log_pstar, *mean_fids)
+        )
+    name = "fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv"
+    header = ("kappa", "one_plus_kappa", "mu1_us", "mu2_us", "ln_P_sim_mean",
+              "ln_pstar_theory", "F_pm", "F_pc", "F_cc")
+    write_csv(out_dir / name, header, zip(*rows), reproducible=True)

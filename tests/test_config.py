@@ -194,6 +194,19 @@ class TestParse:
             parse_config(MINIMAL.replace("seed = 77", "seed = 77\n" + sweep))
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("realizations", 2.5, "realizations must be an integer >= 1, got 2.5"),
+    ("realizations", True, "realizations must be an integer >= 1, got True"),
+    ("realizations", 0, "realizations must be an integer >= 1, got 0"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", False, "seed must be an integer, got False"),
+])
+def test_experiment_config_rejects_a_count_or_seed_that_is_not_an_integer(field, value, rule):
+    config = parse_config(MINIMAL)
+    with pytest.raises(ValidationError, match=rule):
+        dataclasses.replace(config, **{field: value})
+
+
 def test_readme_config_block_sets_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = readme.index("```\n[chain]") + 4

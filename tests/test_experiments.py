@@ -39,7 +39,7 @@ from zenochain.protocols import (
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments
 from zenochain.theory import edge_time_average, pstar_weak
 
-from helpers import scalar_write_csv
+from helpers import loop_fig5, scalar_write_csv
 
 CONFIG = """
 [chain]
@@ -191,6 +191,30 @@ class TestRunExperiment:
         header, rows = read_csv(tmp_path / "summary.csv")
         assert [r[header.index("F") : header.index("F") + 2] for r in rows] == alone
         assert len({r[header.index("kappa")] for r in rows}) == 3
+
+    def test_sweep_points_after_the_first_run_one_kernel_pass_per_group(self, tmp_path, monkeypatch):
+        # the base point runs alone, step by step.  The lambda = 3 point has a
+        # chain of its own, so a pass of its own; the kappa points share the
+        # base chain: the one-atom law (1.0, 3.0, 3.0) is one pass and the
+        # two bimodal laws, of one atom count and word length, one more
+        text = CONFIG.replace("seed = 4242", "seed = 4242\nlambda_sweep = 3\n"
+                              "kappa_sweep = (1.0, 3.0, 3.0); (0.8, 2.0, 7.0); (0.5, 0.5, 5.5)")
+        config = parse_config(text)
+        alone = [run_ensemble(*point, config.realizations, config.seed)
+                 for point in list(config.sweep_points())[1:]]
+        passes = []  # (laws, columns) of each pass
+        lockstep = protocols._lockstep
+        monkeypatch.setattr(protocols, "_lockstep", lambda spec, psi0, laws, samplers, *a:
+                            passes.append((len(laws), sum(map(len, samplers))))
+                            or lockstep(spec, psi0, laws, samplers, *a))
+        run_experiment(config, out_dir=tmp_path, reproducible=True)
+        assert passes == [(1, 3), (1, 3), (1, 1), (2, 6)]
+        header, rows = read_csv(tmp_path / "summary.csv")
+        at = header.index("F")
+        assert [r[at : at + 2] for r in rows[1:]] == [
+            ["%.15g" % np.mean(fids), "%.15g" % np.mean(finals.final_survival)]
+            for finals, fids in alone
+        ]
 
     @pytest.mark.parametrize(
         "text",
@@ -790,34 +814,38 @@ class TestThreeLevelRunner:
         assert worst[8.0] < worst[2.0]
 
 
-def loop_fig5(out_dir, seed=5001, m=500, realizations=50, initial="wstate"):
-    """preset_fig5 as one edge time average and three ensembles per kappa point,
-    each run step by step (run_lockstep) and scored run by run: the reference
-    for the preset, which keeps end values alone and runs once per distinct
-    mean what depends on the mean alone."""
-    spec = ChainSpec(n_sites=12, subspace_size=2)
-    psi0 = w_state(12, 2) if initial == "wstate" else leftmost_excited(12)
-    rows = []
-    for p1, mu1, mu2 in kappa_family():
-        d = IntervalDistribution.bimodal(mu1, mu2, p1)
-        mom = moments(d)
-        c2_avg = edge_time_average(spec, psi0, t_max=m * mom.mean, dt=mom.mean / 20)
-        pred = pstar_weak(m, d, spec.beta**2 * c2_avg)
-        mean_fids = []  # F_pm, F_pc, F_cc
-        for kind in (ProtocolKind.PROJECTIVE, ProtocolKind.PULSED, ProtocolKind.CONTINUOUS):
-            proto = ProtocolConfig(kind=kind, num_intervals=m, distribution=d)
-            runs = realizations if proto.stochastic else 1
-            trajs = run_lockstep(spec, psi0, proto, [SeededSampler(seed).spawn(i) for i in range(runs)])
-            mean_fids.append(float(np.mean(ensemble_fidelities(spec, psi0, trajs))))
-            if kind is ProtocolKind.PROJECTIVE:
-                surv = aggregate(trajs)
-        rows.append(
-            (mom.kappa, 1.0 + mom.kappa, mu1, mu2, surv.log_mean, pred.log_pstar, *mean_fids)
-        )
-    name = "fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv"
-    header = ("kappa", "one_plus_kappa", "mu1_us", "mu2_us", "ln_P_sim_mean",
-              "ln_pstar_theory", "F_pm", "F_pc", "F_cc")
-    write_csv(out_dir / name, header, zip(*rows), reproducible=True)
+class TestEnsembleInputs:
+    """A realization count is an integer >= 1 and a seed an integer, no bool:
+    anything else is a named ValueError before any run, not a silently
+    rounded count or a raw TypeError."""
+
+    POINT = (ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2),
+             ProtocolConfig(ProtocolKind.PROJECTIVE, 10, IntervalDistribution.bimodal(1.0, 5.0, 0.5)))
+
+    @pytest.mark.parametrize("realizations", [2.5, 3.0, 0, -1, True, "3", None])
+    def test_run_ensemble_rejects_a_count_that_is_not_an_integer_from_one(self, realizations):
+        with pytest.raises(ValueError, match=r"realizations must be an integer >= 1, got "):
+            run_ensemble(*self.POINT, realizations, 7)
+
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, "7", None])
+    def test_run_ensemble_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer, got "):
+            run_ensemble(*self.POINT, 3, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_integers_are_integers(self, seed):
+        finals, fids = run_ensemble(*self.POINT, np.int64(3), seed)
+        assert np.array_equal(finals.final_states, run_ensemble(*self.POINT, 3, 7)[0].final_states)
+
+    def test_fig4_rejects_a_fractional_count_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match=r"realizations must be an integer >= 1, got 2.5"):
+            experiments.preset_fig4(tmp_path, m=10, realizations=2.5, reproducible=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fig5_rejects_a_float_seed_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match=r"seed must be an integer, got 1.5"):
+            preset_fig5(tmp_path, seed=1.5, m=10, realizations=2, reproducible=True)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweeps:
@@ -853,6 +881,7 @@ class TestSweeps:
             raise AssertionError("ran an ensemble")
 
         monkeypatch.setattr(experiments, "run_ensemble", never)
+        monkeypatch.setattr(experiments, "run_ensembles", never)
         with pytest.raises(ValueError, match='"wstate" or "leftmost"'):
             preset_fig5(tmp_path, m=20, realizations=5, initial=initial)
         assert list(tmp_path.iterdir()) == []
@@ -871,7 +900,8 @@ class TestSweeps:
 
     def test_fig5_runs_one_column_at_kappa_zero(self, tmp_path, monkeypatch):
         # kappa = 0 is a one-atom law: its projective (dim 2) and pulsed (dim 12)
-        # ensembles advance one column; every other point advances R = 5
+        # ensembles advance one column, each in a pass of its own; the six
+        # other points' R = 5 columns of each protocol advance in one pass of 30
         calls = []  # (width, state dimension) of each batched advance
         products = protocols._products
 
@@ -881,7 +911,23 @@ class TestSweeps:
 
         monkeypatch.setattr(protocols, "_products", counted)
         preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)
-        assert calls == [(1, 2), (1, 12)] + [(5, 2), (5, 12)] * 6
+        assert calls == [(1, 2), (30, 2), (1, 12), (30, 12)]
+
+    @pytest.mark.parametrize("m", [20, 100])
+    def test_fig5_makes_four_kernel_passes(self, tmp_path, monkeypatch, m):
+        # one pass per protocol for the six disordered laws, one per protocol
+        # for the one-atom kappa = 0 law; a lone ensemble is a pass of one law
+        passes = []  # (kind, laws, columns) of each pass
+        lockstep = protocols._lockstep
+
+        def counted(spec, psi0, laws, samplers, *args):
+            passes.append((laws[0][0].kind, len(laws), sum(map(len, samplers))))
+            return lockstep(spec, psi0, laws, samplers, *args)
+
+        monkeypatch.setattr(protocols, "_lockstep", counted)
+        preset_fig5(tmp_path, m=m, realizations=5, reproducible=True)
+        pm, pc = ProtocolKind.PROJECTIVE, ProtocolKind.PULSED
+        assert passes == [(pm, 1, 1), (pm, 6, 30), (pc, 1, 1), (pc, 6, 30)]
 
     def test_fig5_and_fig4_build_a_trajectory_for_continuous_runs_alone(self, tmp_path, monkeypatch):
         # the projective and pulsed ensembles keep end values, no per-step series

@@ -18,6 +18,7 @@ from zenochain.protocols import (
     run_continuous,
     run_exact_subspace,
     run_finals,
+    run_finals_many,
     run_lockstep,
     run_projective,
     run_pulsed,
@@ -25,7 +26,13 @@ from zenochain.protocols import (
 from zenochain.stochastics import IntervalDistribution, SeededSampler
 from zenochain.theory import three_level_survival
 
-from helpers import scalar_next_uint64, scalar_run_projective, scalar_run_pulsed, survival_trace_formula
+from helpers import (
+    lone_runs,
+    scalar_next_uint64,
+    scalar_run_projective,
+    scalar_run_pulsed,
+    survival_trace_formula,
+)
 
 BIMODAL = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
 
@@ -966,3 +973,137 @@ class TestFinals:
     def test_finals_need_a_realization(self):
         with pytest.raises(ValueError, match="at least one realization"):
             run_finals(ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2), pm_config(5), [])
+
+
+# three bimodal laws of one word length in each PASS_SETTINGS setting; the
+# first is FINALS_CASES' bimodal(4, 9), under which ABORTING's streams fail
+PASS_LAWS = [IntervalDistribution.bimodal(4.0, 9.0, 0.5), IntervalDistribution.bimodal(3.0, 8.0, 0.3),
+             IntervalDistribution.bimodal(2.0, 11.0, 0.8)]
+PASS_SETTINGS = {  # case -> (n, lambda, kind, m, bernoulli)
+    "post-selected": (6, 2, ProtocolKind.PROJECTIVE, 2 * BLOCK + 3, False),
+    "bernoulli": (6, 2, ProtocolKind.PROJECTIVE, 2 * BLOCK + 3, True),
+    "pulsed": (12, 4, ProtocolKind.PULSED, 300, False),
+}
+
+
+def counted_passes(monkeypatch) -> list:
+    """(laws, columns) of each _lockstep pass from now on."""
+    passes = []
+    lockstep = protocols._lockstep
+    monkeypatch.setattr(protocols, "_lockstep", lambda spec, psi0, laws, samplers, *a:
+                        passes.append((len(laws), sum(map(len, samplers))))
+                        or lockstep(spec, psi0, laws, samplers, *a))
+    return passes
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning, e.g. 0/0 on a zero-norm column
+class TestPasses:
+    """One kernel pass over several laws gives each law the end values, draws
+    and sampler states of its lone run_lockstep and run_finals, bit for bit."""
+
+    def run_pass(self, monkeypatch, spec, psi0, configs, seeds):
+        """run_finals_many of configs, seeds[i] the streams of configs[i], checked
+        against each config alone; returns its results and its passes."""
+        with monkeypatch.context() as patch:
+            passes = counted_passes(patch)
+            samplers = [[SeededSampler(s) for s in group] for group in seeds]
+            got = run_finals_many(spec, psi0, configs, samplers)
+        for config, group, finals, used, (want, states) in zip(
+            configs, seeds, got, samplers, lone_runs(spec, psi0, configs, seeds), strict=True
+        ):
+            alone = run_finals(spec, psi0, config, [SeededSampler(s) for s in group])
+            for name in ("final_states", "total_times", "final_survival", "log_survival", "aborted_at"):
+                assert np.array_equal(getattr(finals, name), getattr(want, name)), name
+                assert np.array_equal(getattr(finals, name), getattr(alone, name)), name
+            assert [s._state for s in used] == states  # the same draws, rewinds included
+        return got, passes
+
+    @pytest.mark.parametrize("width", [1, 5, 50])
+    @pytest.mark.parametrize("sliced", [False, True], ids=["one-slice", "sliced"])
+    @pytest.mark.parametrize("case", list(PASS_SETTINGS))
+    def test_a_pass_gives_each_law_its_lone_run(self, monkeypatch, case, sliced, width):
+        n, lam, kind, m, bernoulli = PASS_SETTINGS[case]
+        spec, psi0 = ChainSpec(n_sites=n, subspace_size=lam), w_state(n, lam)
+        configs = [ProtocolConfig(kind, m, d, bernoulli=bernoulli) for d in PASS_LAWS]
+        seeds = (ABORTING * 10)[:width] if width <= 5 else [SeededSampler(9).spawn(i)._state
+                                                            for i in range(width)]
+        if sliced:  # a slice per word, as TestSlices forces them
+            dim = lam if kind is ProtocolKind.PROJECTIVE else n
+            monkeypatch.setattr(protocols, "SLICE_BYTES", 0)
+            monkeypatch.setattr(protocols, "BLOCK", protocols._word_length(2, dim, m))
+        got, passes = self.run_pass(monkeypatch, spec, psi0, configs, [seeds] * 3)
+        assert passes == [(3, 3 * width)]
+        if case == "bernoulli" and width == 5:
+            # the first law's streams fail at step 1, at slice starts, never and
+            # at a slice's last step (when sliced); the other laws fail elsewhere
+            assert list(got[0].aborted_at) == [1, BLOCK + 1, 2 * BLOCK + 1, 0, BLOCK]
+            assert [list(f.aborted_at) for f in got[1:]] != [list(got[0].aborted_at)] * 2
+
+    def test_laws_of_other_atom_counts_run_in_passes_of_their_own(self, monkeypatch):
+        # one-atom laws (one column each, as post-selected runs they are
+        # deterministic) beside two- and three-atom laws, and a pulsed and a
+        # continuous law beside the projective ones
+        spec, psi0, m = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2), 2 * BLOCK + 3
+        three = IntervalDistribution.from_atoms([(1.0, 0.2), (2.0, 0.3), (6.0, 0.5)])
+        laws = [IntervalDistribution.deterministic(3.0), PASS_LAWS[0], three, PASS_LAWS[1],
+                IntervalDistribution.deterministic(5.0)]
+        configs = [pm_config(m, d) for d in laws]
+        configs += [ProtocolConfig(ProtocolKind.PULSED, m, PASS_LAWS[2]),
+                    ProtocolConfig(ProtocolKind.CONTINUOUS, m, PASS_LAWS[2])]
+        seeds = [[SeededSampler(5).spawn(i)._state for i in range(4)]] * len(configs)
+        got, passes = self.run_pass(monkeypatch, spec, psi0, configs, seeds)
+        assert passes == [(2, 2), (2, 8), (1, 4), (1, 4)]  # one-atom, two-atom, three-atom, pulsed
+        assert [len(f.final_states) for f in got] == [1, 4, 4, 4, 1, 4, 1]
+
+    def test_laws_whose_caps_give_different_word_lengths(self, monkeypatch):
+        # lambda = 1: the leaky law's K = 7 caps its words at L = 4.  At m = 131
+        # the plain law's L is 4 too: one pass, sliced every 4 steps by the
+        # least K, where the plain law alone runs in one slice.  At m = 600 the
+        # plain law's L is 8: a pass of its own
+        spec, psi0 = ChainSpec(n_sites=2, subspace_size=1), leftmost_excited(2)
+        leaky = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
+        for m, lengths, want in ((2 * BLOCK + 3, [4, 4], [(2, 4)]), (600, [4, 8], [(1, 2), (1, 2)])):
+            configs = [pm_config(m, leaky), pm_config(m, BIMODAL)]
+            assert [protocols._law(spec, c)[3:] for c in configs] == [(7, lengths[0]),
+                                                                     (23233, lengths[1])]
+            _, passes = self.run_pass(monkeypatch, spec, psi0, configs, [[7, 1]] * 2)
+            assert passes == want
+
+    @pytest.mark.parametrize("m, slot", [(100, 1), (101, 0), (102, 0), (103, 1)],
+                             ids=["whole-slot-1", "tail-slot-0", "whole-slot-0", "tail-slot-1"])
+    def test_a_carried_only_pass_alternates_two_slots(self, monkeypatch, m, slot):
+        # pulsed end values read the carried state alone: L = 2 here, so m
+        # whole sub-blocks end in slot (m / 2 - 1) mod 2, and a tail step (m
+        # odd) lands in slot (m // 2) mod 2 of a two-slot buffer
+        spec, psi0 = ChainSpec(n_sites=12, subspace_size=4), w_state(12, 4)
+        configs = [ProtocolConfig(ProtocolKind.PULSED, m, d) for d in PASS_LAWS]
+        ends = []  # (slots out holds, the slot of the last product) of each slice
+        products = protocols._products
+
+        def recorded(tables, block, powers, psi, out):
+            used = products(tables, block, powers, psi, out)
+            rows = tables[0].shape[1]
+            ends.append((out.shape[1] // rows, (used - 1) // rows))
+            return used
+
+        monkeypatch.setattr(protocols, "_products", recorded)
+        _, passes = self.run_pass(monkeypatch, spec, psi0, configs,
+                                  [[SeededSampler(2).spawn(i)._state for i in range(5)]] * 3)
+        assert passes == [(3, 15)] and ends[0] == (2, slot)
+
+    def test_a_dead_branch_in_a_pass_names_its_step(self, monkeypatch):
+        # identity steps, then one swap of site 1 out of the subspace at step
+        # BLOCK + 5, in every column of both laws
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(linalg, "propagators", lambda h, times: np.array([np.eye(2), swap]))
+        pattern = np.arange(2 * BLOCK + 3) == BLOCK + 4
+        monkeypatch.setattr(
+            protocols, "atom_indices", lambda d, u: np.broadcast_to(pattern, u.shape) * 1
+        )
+        spec = ChainSpec(n_sites=2, subspace_size=1)
+        configs = [pm_config(2 * BLOCK + 3, d) for d in PASS_LAWS[:2]]
+        passes = counted_passes(monkeypatch)
+        with pytest.raises(ZeroSurvivalError, match=f"at step {BLOCK + 5}$"):
+            run_finals_many(spec, leftmost_excited(2), configs,
+                            [[SeededSampler(0), SeededSampler(1)], [SeededSampler(2)]])
+        assert passes == [(2, 3)]
