@@ -389,10 +389,16 @@ def _edge_grid(d: IntervalDistribution, m):
     return m * mean, mean / EDGE_SERIES_STEPS_PER_MEAN
 
 
+def _edge_variance(spec: ChainSpec, c2):
+    """The variance beta^2 c2 of an edge weight c2 (one or an array), 0 at
+    lambda = n, where no boundary bond leaks (as theory.variance_h_pi)."""
+    return spec.beta**2 * c2 * (spec.subspace_size < spec.n_sites)
+
+
 def _predicted_staircase(spec: ChainSpec, psi0: np.ndarray, d: IntervalDistribution, m_values):
     """The time-averaged P* after each of m_values intervals, from the closed-form edge average."""
     avg = edge_time_average(spec, psi0, *_edge_grid(d, m_values))
-    return np.exp(-_exponent(m_values, moments(d), spec.beta**2 * avg))
+    return np.exp(-_exponent(m_values, moments(d), _edge_variance(spec, avg)))
 
 
 def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
@@ -401,8 +407,8 @@ def _theory_row(spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
     mom = moments(d)
     c2_eigen = _eigenstate_edge_weight(spec, psi0)
     c2_avg = edge_time_average(spec, psi0, *_edge_grid(d, m))
-    pred_avg = pstar_weak(m, d, spec.beta**2 * c2_avg)  # pstar_time_averaged, from the average
-    pstar_const = pstar_weak(m, d, spec.beta**2 * c2_eigen).pstar
+    pred_avg = pstar_weak(m, d, _edge_variance(spec, c2_avg))  # pstar_time_averaged, from the average
+    pstar_const = pstar_weak(m, d, _edge_variance(spec, c2_eigen)).pstar
     return (
         spec.subspace_size,
         m,
@@ -640,7 +646,7 @@ def preset_fig2(
         traj = run_projective(spec, psi0, proto, SeededSampler(seed + lam))
         curve_avg = _predicted_staircase(spec, psi0, d, m_axis)
         c2_eigen = _eigenstate_edge_weight(spec, psi0)
-        curve_const = np.exp(-_exponent(m_axis, mom, spec.beta**2 * c2_eigen))
+        curve_const = np.exp(-_exponent(m_axis, mom, _edge_variance(spec, c2_eigen)))
         per_lambda.append(
             (np.full(m, lam), m_axis, traj.times, traj.cumulative_survival, curve_avg, curve_const)
         )
@@ -805,7 +811,7 @@ def preset_fig5(
         if mom.mean not in per_mean:
             per_mean[mom.mean] = edge_time_average(spec, psi0, *_edge_grid(d, m))
         (finals, f_pm), (_, f_pc), (_, f_cc) = runs[i :: len(laws)]
-        pred = pstar_weak(m, d, spec.beta**2 * per_mean[mom.mean])
+        pred = pstar_weak(m, d, _edge_variance(spec, per_mean[mom.mean]))
         rows.append(
             (mom.kappa, 1.0 + mom.kappa, mu1, mu2, aggregate(finals).log_mean, pred.log_pstar,
              *(float(np.mean(f)) for f in (f_pm, f_pc, f_cc)))

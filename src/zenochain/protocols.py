@@ -174,15 +174,16 @@ def _check_initial_state(psi0: np.ndarray, subspace_size: int) -> np.ndarray:
 
 def _word_length(atoms: int, dim: int, m: int, longest: int = BLOCK) -> int:
     """Steps per word, L: the largest power of two <= min(BLOCK, longest) whose
-    k + k^2 + ... + k^L prefix products (k atoms) fit in TABLE_BYTES and take
-    no more matrix-vector products to build (dim per matrix product) than
-    one column's m steps.  L is never a function of the ensemble width, so
-    no column's arithmetic is either.  The stacked table holds k^L words of
-    at most L * dim rows, so it takes at most L * TABLE_BYTES."""
-    def fits(length: int) -> bool:
-        # k + k^2 + ... + k^L products; all but the k atoms are built
+    k + k^2 + ... + k^L prefix products (k atoms) fit in TABLE_BYTES and with
+    3 L^2 <= m.  At these sizes numpy's per-call cost outweighs the
+    arithmetic: a table level costs about three sub-blocks' calls, so one
+    column's L levels and m / L sub-blocks cost least near L = sqrt(m / 3).
+    L is never a function of the ensemble width, so no column's arithmetic
+    is either.  The stacked table holds k^L words of at most L * dim rows,
+    so it takes at most L * TABLE_BYTES."""
+    def fits(length: int) -> bool:  # k + k^2 + ... + k^L products
         words = length if atoms == 1 else (atoms ** (length + 1) - atoms) // (atoms - 1)
-        return words * 16 * dim * dim <= TABLE_BYTES and (words - atoms) * dim <= m
+        return words * 16 * dim * dim <= TABLE_BYTES and 3 * length * length <= m
 
     return max((2**p for p in range(1, min(BLOCK, longest).bit_length()) if fits(2**p)), default=1)
 
@@ -200,15 +201,21 @@ def _word_tables(mats: np.ndarray, length: int, head: int, tail: int) -> tuple:
     """The stacked words of length steps, and of tail steps if tail > 0: the
     word of atoms a_0..a_(l-1), at code sum_p a_p k^p, holds the first head
     rows of each proper prefix product mats[a_(i-1)] @ ... @ mats[a_0], i <
-    l, then all rows of the whole product.  One batched product per level."""
-    k, levels = len(mats), [mats]
-    for _ in range(1, length):  # contiguous stacks: a broadcast matmul holds more memory
-        prev = levels[-1]
-        levels.append(np.repeat(mats, len(prev), axis=0) @ np.tile(prev, (k, 1, 1)))
+    l, then all rows of the whole product.  One broadcast product per level,
+    and one broadcast copy per prefix into a table."""
+    mats = np.ascontiguousarray(mats)  # a projective block is a view into n x n steps
+    k, dim = mats.shape[:2]
+    levels = [mats]
+    for _ in range(1, length):  # word a k^i + c of level i: mats[a] @ word c of level i - 1
+        levels.append(np.matmul(mats[:, None], levels[-1][None]).reshape(-1, dim, dim))
 
-    def stacked(steps: int) -> np.ndarray:  # word c's prefix of i atoms: word c mod k^i of its level
-        heads = [np.tile(levels[i][:, :head], (k ** (steps - 1 - i), 1, 1)) for i in range(steps - 1)]
-        return np.concatenate([*heads, levels[steps - 1]], axis=1)
+    def stacked(steps: int) -> np.ndarray:
+        out = np.empty((k**steps, (steps - 1) * head + dim, dim), mats.dtype)
+        for i in range(steps - 1):  # word c's prefix of i + 1 atoms: word c mod k^(i+1) of level i
+            words = out.reshape(k ** (steps - 1 - i), k ** (i + 1), -1, dim)
+            words[:, :, i * head : (i + 1) * head] = levels[i][:, :head]
+        out[:, (steps - 1) * head :] = levels[steps - 1]
+        return out
 
     return stacked(length), stacked(tail) if tail else None
 

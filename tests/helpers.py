@@ -12,6 +12,8 @@ cell-by-cell CSV writer the column-wise ``write_csv`` replaced.
 per rate and grid point, the reference for the factored grid evaluation.
 ``lone_runs`` and ``loop_fig5`` run one law at a time, step by step: the
 references for kernel passes over several laws and for ``preset_fig5``.
+``tiled_word_tables`` builds the kernel's stacked word tables with
+repeat, tile and concatenate, the reference for their broadcast build.
 """
 
 from __future__ import annotations
@@ -307,6 +309,22 @@ def scalar_damped_edge_values(
     amps = v @ (np.exp(-1j * np.outer(rates, t_grid)) * coeff[:, None])
     pops = np.abs(amps) ** 2
     return pops[-1] / np.sum(pops, axis=0)
+
+
+def tiled_word_tables(mats: np.ndarray, length: int, head: int, tail: int) -> tuple:
+    """protocols._word_tables as built before the broadcast build: one batched
+    product of repeated and tiled stacks per level, each table one
+    concatenate of tiled prefix rows and the whole products."""
+    k, levels = len(mats), [mats]
+    for _ in range(1, length):
+        prev = levels[-1]
+        levels.append(np.repeat(mats, len(prev), axis=0) @ np.tile(prev, (k, 1, 1)))
+
+    def stacked(steps: int) -> np.ndarray:  # word c's prefix of i atoms: word c mod k^i of its level
+        heads = [np.tile(levels[i][:, :head], (k ** (steps - 1 - i), 1, 1)) for i in range(steps - 1)]
+        return np.concatenate([*heads, levels[steps - 1]], axis=1)
+
+    return stacked(length), stacked(tail) if tail else None
 
 
 def lone_runs(

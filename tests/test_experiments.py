@@ -167,6 +167,17 @@ class TestRunExperiment:
                         pstar_weak(m, d, spec.beta**2 * c2_avg).pstar)
             assert row[header.index("c2_eigen"):] == ["%.15g" % v for v in expected]
 
+    @pytest.mark.parametrize("psi0", [w_state(6, 6), leftmost_excited(6)], ids=["wstate", "leftmost"])
+    def test_no_leak_predicted_at_lambda_equal_to_n(self, psi0):
+        # lambda = n has no boundary bond: the variance is 0, as
+        # theory.variance_h_pi reads, though the edge weights are not
+        spec, d = ChainSpec(6, 6), IntervalDistribution.bimodal(1.0, 5.0, 0.5)
+        row, pred = experiments._theory_row(spec, psi0, ProtocolConfig(ProtocolKind.PROJECTIVE, 500, d))
+        cells = dict(zip(experiments.THEORY_HEADER, row))
+        assert cells["c2_eigen"] > 0 and cells["c2_time_avg"] > 0
+        assert cells["pstar_const"] == cells["pstar_time_avg"] == pred.pstar == 1
+        assert np.all(experiments._predicted_staircase(spec, psi0, d, np.arange(1, 50)) == 1)
+
     def test_continuous_protocol_runs_once_per_distinct_mean(self, tmp_path, monkeypatch):
         # the base law and two kappa_sweep triples share the mean 3.0: one
         # continuous run serves all three summary rows, as each would alone

@@ -32,6 +32,7 @@ from helpers import (
     scalar_run_projective,
     scalar_run_pulsed,
     survival_trace_formula,
+    tiled_word_tables,
 )
 
 BIMODAL = IntervalDistribution.bimodal(1.0, 5.0, 0.5)
@@ -565,8 +566,8 @@ class TestWordKernel:
 
     # (atoms, dim, m) -> L: the theory_fig3 staircase, simulate_long, fig5's
     # pulsed and projective runs, one-atom laws, three atoms
-    LENGTHS = {(2, 9, 2000): 4, (2, 12, 10000): 4, (2, 12, 100): 2, (2, 2, 100): 4,
-               (1, 12, 100): 8, (1, 2, 100): 32, (1, 1, 2000): 64, (3, 12, 1000): 2}
+    LENGTHS = {(2, 9, 2000): 4, (2, 12, 10000): 4, (2, 12, 100): 4, (2, 2, 100): 4,
+               (1, 12, 100): 4, (1, 2, 100): 4, (1, 1, 2000): 16, (3, 12, 1000): 2}
 
     def test_word_length_rule(self):
         for (atoms, dim, m), length in self.LENGTHS.items():
@@ -576,7 +577,7 @@ class TestWordKernel:
         def summed(atoms, dim, m):  # the rule with the word count as an explicit sum
             def fits(length):
                 words = sum(atoms**i for i in range(1, length + 1))
-                return words * 16 * dim * dim <= protocols.TABLE_BYTES and (words - atoms) * dim <= m
+                return words * 16 * dim * dim <= protocols.TABLE_BYTES and 3 * length**2 <= m
 
             return max((2**p for p in range(1, BLOCK.bit_length()) if fits(2**p)), default=1)
 
@@ -618,9 +619,10 @@ class TestWordKernel:
         assert np.max(np.abs(traj.cumulative_survival - population)) <= 1e-11
 
     def test_gather_stays_within_the_table_cap_at_any_width(self, monkeypatch):
-        # R = 1000 columns of 16 x 12 stacked words (L = 2: lambda = 4 rows of
-        # the first step, all 12 of the second) would gather 3.1 MB in one
-        # piece; chunks of columns keep every gather within TABLE_BYTES
+        # R = 1000 columns of 24 x 12 stacked words (L = 4: lambda = 4 rows of
+        # each of the first three steps, all 12 of the fourth) would gather
+        # 4.6 MB in one piece; chunks of columns keep every gather within
+        # TABLE_BYTES
         gathers = []
 
         class Table(np.ndarray):  # the word table, recording each gather from it
@@ -635,7 +637,7 @@ class TestWordKernel:
         config = ProtocolConfig(ProtocolKind.PULSED, 100, BIMODAL)
         run_lockstep(spec, leftmost_excited(12), config, [SeededSampler(i) for i in range(1000)])
         assert max(gathers) <= protocols.TABLE_BYTES
-        assert sum(gathers) == 1000 * 50 * 16 * 12 * 16  # every sub-block of every column, once
+        assert sum(gathers) == 1000 * 25 * 24 * 12 * 16  # every sub-block of every column, once
 
 
     def test_stacked_table_within_the_bound_of_word_length(self):
@@ -649,6 +651,22 @@ class TestWordKernel:
             assert table.shape == (atoms**length, length * dim, dim)
             assert table.nbytes <= length * protocols.TABLE_BYTES
             assert tail is None or tail.nbytes < table.nbytes
+
+    @pytest.mark.parametrize("head", [0, 2, 3], ids=["no-head", "head-lambda", "head-dim"])
+    @pytest.mark.parametrize("length", [1, 2, 4, 8])
+    @pytest.mark.parametrize("atoms", [1, 2, 3])
+    def test_broadcast_tables_equal_the_tiled_build(self, atoms, length, head):
+        # lambda = 2 of dim = 3 rows per prefix, the blocks a view into
+        # larger matrices as a projective law's are; with and without a tail
+        rng = np.random.default_rng(10 * atoms + length)
+        full = rng.standard_normal((atoms, 4, 4)) + 1j * rng.standard_normal((atoms, 4, 4))
+        mats = full[:, :3, :3]
+        for tail in sorted({0, length - 1}):
+            got = protocols._word_tables(mats, length, head, tail)
+            want = tiled_word_tables(mats, length, head, tail)
+            assert (got[1] is None) == (want[1] is None) == (tail == 0)
+            for a, b in zip(got, want):
+                assert b is None or np.array_equal(a, b)
 
     @pytest.mark.parametrize("atoms, length, head, tail", [(1, 4, 2, 3), (2, 3, 1, 2), (3, 2, 3, 1)])
     def test_stacked_word_rows_are_the_prefix_products(self, atoms, length, head, tail):
@@ -1069,12 +1087,12 @@ class TestPasses:
             _, passes = self.run_pass(monkeypatch, spec, psi0, configs, [[7, 1]] * 2)
             assert passes == want
 
-    @pytest.mark.parametrize("m, slot", [(100, 1), (101, 0), (102, 0), (103, 1)],
+    @pytest.mark.parametrize("m, slot", [(40, 1), (41, 0), (42, 0), (43, 1)],
                              ids=["whole-slot-1", "tail-slot-0", "whole-slot-0", "tail-slot-1"])
     def test_a_carried_only_pass_alternates_two_slots(self, monkeypatch, m, slot):
-        # pulsed end values read the carried state alone: L = 2 here, so m
-        # whole sub-blocks end in slot (m / 2 - 1) mod 2, and a tail step (m
-        # odd) lands in slot (m // 2) mod 2 of a two-slot buffer
+        # pulsed end values read the carried state alone: L = 2 here (12 <= m
+        # < 48), so m whole sub-blocks end in slot (m / 2 - 1) mod 2, and a
+        # tail step (m odd) lands in slot (m // 2) mod 2 of a two-slot buffer
         spec, psi0 = ChainSpec(n_sites=12, subspace_size=4), w_state(12, 4)
         configs = [ProtocolConfig(ProtocolKind.PULSED, m, d) for d in PASS_LAWS]
         ends = []  # (slots out holds, the slot of the last product) of each slice

@@ -94,6 +94,27 @@ class TestGoldenDiff:
         assert "differs    stdout.txt" in lines
         assert lines[-1] == "3 files, 3 with an unexpected difference"
 
+    def test_a_failing_job_keeps_its_exit_code_and_stderr(self, tmp_path, monkeypatch):
+        # a job that fails naming its directory, and a preset-like job that
+        # succeeds: the first keeps exit.txt and stderr.txt with the side's
+        # paths made neutral, the second leaves its outputs alone
+        fail = "import os, sys; sys.exit('{} in ' + os.getcwd())"
+        outputs = {}
+        for side, message in (("base", "bad m"), ("same", "bad m"), ("head", "bad kappa")):
+            monkeypatch.setattr(golden, "JOBS", {"fails": (["-c", fail.format(message)], None),
+                                                 "works": (["-c", "open('t.csv', 'w')"], None)})
+            outputs[side] = tmp_path / side / "out"
+            golden.run_jobs(tmp_path / side / "tree", outputs[side])
+        fails = outputs["base"] / "fails"
+        assert sorted(p.name for p in fails.iterdir()) == ["exit.txt", "stderr.txt"]
+        assert (fails / "exit.txt").read_text() == "1\n"
+        assert (fails / "stderr.txt").read_text().strip() == "bad m in <out>/fails"
+        assert [p.name for p in (outputs["base"] / "works").iterdir()] == ["t.csv"]
+        assert golden.compare(outputs["base"], outputs["same"], set(), print) == 0
+        lines = []
+        assert golden.compare(outputs["base"], outputs["head"], set(), lines.append) == 1
+        assert "differs    fails/stderr.txt" in lines and "identical  fails/exit.txt" in lines
+
     def test_the_job_list_covers_every_preset_config_and_demo(self):
         names = set(golden.JOBS)
         fig5 = {f"fig5_{i}_{m}" for i in ("wstate", "leftmost") for m in ("default", 100, 20)}

@@ -16,6 +16,10 @@ fresh process per job with one BLAS thread:
   command's stdout and exit code;
 - the six demos, with their stdout.
 
+A job that exits with an error also keeps its exit code and its stderr,
+with the side's temporary paths written as ``<tree>`` and ``<out>``, so
+both are diffed like any output.
+
 Every output file is compared with its counterpart, the ``# generated``
 timestamp line dropped.  Each file is reported identical or differs; a
 differing file shows its first differing line and, per numeric column, the
@@ -101,7 +105,8 @@ def extract(rev: str, into: Path) -> None:
 
 
 def run_jobs(tree: Path, out: Path) -> None:
-    """Every job against tree's package, its outputs under out/<job>."""
+    """Every job against tree's package, its outputs under out/<job>; a job
+    that fails leaves exit.txt and stderr.txt there."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for name, (argv, config) in JOBS.items():
@@ -111,11 +116,14 @@ def run_jobs(tree: Path, out: Path) -> None:
             (where / "config.txt").write_text(config, encoding="utf-8")
         argv = [a.replace("DEMOS", str(tree / "demos")) for a in argv]
         done = subprocess.run([sys.executable, *argv], cwd=where, env=env, capture_output=True)
-        if config is not None or argv[0].endswith(".py"):
+        kept = config is not None or argv[0].endswith(".py")
+        if kept:
             (where / "stdout.txt").write_bytes(done.stdout)
+        if kept or done.returncode:
             (where / "exit.txt").write_text(f"{done.returncode}\n")
-        elif done.returncode:
-            raise RuntimeError(f"{name} failed in {tree}:\n{done.stderr.decode()}")
+        if done.returncode:
+            stderr = done.stderr.replace(bytes(tree), b"<tree>").replace(bytes(out), b"<out>")
+            (where / "stderr.txt").write_bytes(stderr)
 
 
 def _lines(path: Path) -> list[str]:
