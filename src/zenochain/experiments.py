@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import aggregate, ensemble_fidelities, final_fidelities
+from .analysis import _overlaps, aggregate, ensemble_fidelities
 from .chain import ChainSpec, leftmost_excited, w_state, zeno_hamiltonian
 from .config import ExperimentConfig
 from .protocols import (
@@ -449,7 +449,7 @@ SUMMARY_HEADER = (
 def _samplers(protocol: ProtocolConfig, realizations: int, seed: int) -> list[SeededSampler]:
     """Realization i's sampler, on the child stream derive_seed(seed, i)."""
     runs = realizations if protocol.stochastic else min(realizations, 1)
-    return [SeededSampler(s) for s in derive_seed(seed, np.arange(runs, dtype=np.uint64)).tolist()]
+    return SeededSampler.many(derive_seed(seed, np.arange(runs, dtype=np.uint64)))
 
 
 def _run_key(index: int, spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):
@@ -471,8 +471,9 @@ def run_ensembles(
 
     Points that share the chain and psi0 run together (``run_finals_many``):
     projective and pulsed laws in one kernel pass per group of laws with the
-    same settings, atom count and word length, the continuous protocol once
-    per distinct run (``_run_key``).  Each point is scored apart, since one
+    same settings and word length, the continuous protocol once per distinct
+    run (``_run_key``).  A group's points are scored by one overlap over all
+    their runs, each point's ideal states from its own evolution, since one
     evolution over several points' total times rounds some of them
     differently.
     """
@@ -488,9 +489,12 @@ def run_ensembles(
         spec, psi0, _ = points[members[0]]
         configs = [points[i][2] for i in members]
         samplers = [_samplers(c, realizations, seed) for c in configs]
-        for i, finals in zip(members, run_finals_many(spec, psi0, configs, samplers)):
-            fids = final_fidelities(spec, psi0, finals.final_states, finals.total_times)
-            results[i] = finals, fids.tolist()
+        runs = run_finals_many(spec, psi0, configs, samplers)
+        ideal = [run_exact_subspace(spec, psi0, finals.total_times).states for finals in runs]
+        fids = iter(_overlaps(np.concatenate([finals.final_states for finals in runs]),
+                              np.concatenate(ideal)).tolist())
+        for i, finals in zip(members, runs):
+            results[i] = finals, [next(fids) for _ in finals.total_times]
     return [results[first[key]] for key in keys]
 
 
@@ -791,8 +795,8 @@ def preset_fig5(
     ``"leftmost"`` (the inset, fig5_inset_kappa.csv).  The ideal edge average
     and the continuous protocol depend on the mean interval alone, so each is
     computed once per distinct mean, not once per point.  The ensembles run
-    through ``run_ensembles``: the six disordered laws of each stochastic
-    protocol in one kernel pass, the one-atom kappa = 0 law in its own.
+    through ``run_ensembles``: the seven laws of each stochastic protocol
+    (the one-atom kappa = 0 law as its one run) in one kernel pass.
     """
     if initial not in ("wstate", "leftmost"):
         raise ValueError(f'initial must be "wstate" or "leftmost", got {initial!r}')

@@ -42,9 +42,9 @@ from .stochastics import (
 NORM_TOL = 1e-10
 DEAD_BRANCH = 1e-300
 NORM_FLOOR = 1e-250  # no projective product falls below this times its slice's start
-BLOCK = 64  # the longest word, and the shortest slice where K allows it
+BLOCK = 64  # the longest word, and the shortest slice of a pulsed carry where K allows it
 TABLE_BYTES = 1 << 18  # cap on a word table, and on one gather of its words
-SLICE_BYTES = 1 << 19  # cap on the states of one slice, unless BLOCK steps exceed it
+SLICE_BYTES = 1 << 19  # cap on the states of one slice, unless its shortest slice exceeds it
 
 
 class InitialStateOutsideSubspaceError(ValueError):
@@ -188,53 +188,59 @@ def _word_length(atoms: int, dim: int, m: int, longest: int = BLOCK) -> int:
     return max((2**p for p in range(1, min(BLOCK, longest).bit_length()) if fits(2**p)), default=1)
 
 
-def _steps_above_floor(mats: np.ndarray) -> int:
-    """K = floor(ln NORM_FLOOR / ln s^2), at least 1, s the smallest singular
-    value of the projective blocks: no product of K of them takes a state's
-    squared norm below NORM_FLOOR times its start.  Unitary blocks (lambda =
-    n) have s^2 = 1 to rounding, which the clip makes K ~ 5e18: no cap."""
-    s2 = np.clip(np.linalg.svd(mats, compute_uv=False).min() ** 2, DEAD_BRANCH, np.nextafter(1, 0))
-    return max(1, int(np.log(NORM_FLOOR) / np.log(s2)))
-
-
-def _word_tables(mats: np.ndarray, length: int, head: int, tail: int) -> tuple:
-    """The stacked words of length steps, and of tail steps if tail > 0: the
-    word of atoms a_0..a_(l-1), at code sum_p a_p k^p, holds the first head
-    rows of each proper prefix product mats[a_(i-1)] @ ... @ mats[a_0], i <
-    l, then all rows of the whole product.  One broadcast product per level,
-    and one broadcast copy per prefix into a table."""
-    mats = np.ascontiguousarray(mats)  # a projective block is a view into n x n steps
-    k, dim = mats.shape[:2]
-    levels = [mats]
-    for _ in range(1, length):  # word a k^i + c of level i: mats[a] @ word c of level i - 1
-        levels.append(np.matmul(mats[:, None], levels[-1][None]).reshape(-1, dim, dim))
+def _word_tables(stacks: list, length: int, head: int, tail: int) -> tuple:
+    """The stacked words of length steps, and of tail steps if tail > 0, of
+    each (laws x k x dim x dim) stack of the blocks of laws of one atom count
+    k: stack after stack, law after law, a law's word of atoms a_0..a_(l-1)
+    at code sum_p a_p k^p in its block.  A word holds the first head rows of
+    each proper prefix product mats[a_(i-1)] @ ... @ mats[a_0], i < l, then
+    all rows of the whole product.  One broadcast product per level of each
+    stack, and one broadcast copy per prefix into a table."""
+    dim, levels = stacks[0].shape[-1], []
+    for mats in map(np.ascontiguousarray, stacks):  # a projective block is a view into n x n steps
+        levels.append([mats])
+        for _ in range(1, length):  # word a k^i + c of level i: mats[a] @ word c of level i - 1
+            words = np.matmul(mats[:, :, None], levels[-1][-1][:, None])
+            levels[-1].append(words.reshape(len(mats), -1, dim, dim))
 
     def stacked(steps: int) -> np.ndarray:
-        out = np.empty((k**steps, (steps - 1) * head + dim, dim), mats.dtype)
-        for i in range(steps - 1):  # word c's prefix of i + 1 atoms: word c mod k^(i+1) of level i
-            words = out.reshape(k ** (steps - 1 - i), k ** (i + 1), -1, dim)
-            words[:, :, i * head : (i + 1) * head] = levels[i][:, :head]
-        out[:, (steps - 1) * head :] = levels[steps - 1]
+        rows, start = (steps - 1) * head + dim, 0
+        out = np.empty((sum(len(m) * m.shape[1] ** steps for m in stacks), rows, dim), complex)
+        for level in levels:
+            laws, k = level[0].shape[:2]
+            block, start = out[start : start + laws * k**steps], start + laws * k**steps
+            for i in range(steps - 1):  # word c's prefix of i + 1 atoms: word c mod k^(i+1)
+                words = block.reshape(laws, k ** (steps - 1 - i), k ** (i + 1), -1, dim)
+                words[..., i * head : (i + 1) * head, :] = level[i][:, None, :, :head]
+            block.reshape(laws, k**steps, -1, dim)[:, :, (steps - 1) * head :] = level[steps - 1]
         return out
 
     return stacked(length), stacked(tail) if tail else None
 
 
 def _products(
-    tables: tuple, block: np.ndarray, powers: np.ndarray, psi: np.ndarray, out: np.ndarray
+    tables: tuple, block: np.ndarray, powers: np.ndarray, offsets: np.ndarray, psi: np.ndarray,
+    out: np.ndarray,
 ) -> int:
-    """Advance every column from psi through block's steps (width x steps atom
-    indices), L = len(powers) per sub-block: one gather of the stacked word
-    of code sum_p a_p k^p (powers[p] = k^p; the tail table for a short last
-    sub-block) and one batched product.  Sub-block s writes its rows (rows x
-    1 per column) to slot s mod slots of out: its own slot where out holds
-    every sub-block, two that alternate where only the carried state is
-    read.  Returns the row after the last product's.  Chunks of columns keep
-    a gather within TABLE_BYTES and change no number."""
-    (table, tail), (width, steps), length = tables, block.shape, len(powers)
-    codes = np.add.reduceat(block * powers[np.arange(steps) % length], np.arange(0, steps, length), 1)
+    """Advance every column c from psi through block's steps (width x steps
+    atom indices), L = powers.shape[1] per sub-block: one gather of the
+    stacked word of code sum_p a_p powers[c, p] plus offsets[c, 0] (offsets[c,
+    1] in the tail table, for a short last sub-block) and one batched
+    product.  Sub-block s writes its rows (rows x 1 per column) to slot s
+    mod slots of out: its own slot where out holds every sub-block, two that
+    alternate where only the carried state is read.  Returns the row after
+    the last product's.  Chunks of columns keep a gather within TABLE_BYTES
+    and change no number."""
+    (table, tail), (width, steps), length = tables, block.shape, powers.shape[1]
+
+    def coded(words: np.ndarray, offset: np.ndarray) -> np.ndarray:  # width x sub-blocks x l atoms
+        return np.matmul(words, powers[:, : words.shape[-1], None])[..., 0] + offset
+
     whole, (rows, dim) = steps // length, table.shape[1:]
-    tailed = whole < codes.shape[1]  # a short last sub-block, from the tail table
+    codes = coded(block[:, : whole * length].reshape(width, whole, length), offsets[:, :1])
+    tailed = whole * length < steps  # a short last sub-block, from the tail table
+    if tailed:
+        codes = np.concatenate([codes, coded(block[:, None, whole * length :], offsets[:, 1:])], 1)
     slots = out.shape[1] // rows
     last = whole if tailed else whole - 1  # the last sub-block
     end = last % slots * rows + (tail.shape[1] if tailed else rows)
@@ -266,20 +272,42 @@ def _row_sums(p: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, terms + [p[..., k] for k in range(full, lam)])
 
 
-def _law(spec: ChainSpec, config: ProtocolConfig) -> tuple:
-    """A projective or pulsed config with its operators: the free evolution
+def _laws(spec: ChainSpec, configs: list[ProtocolConfig]) -> list[tuple]:
+    """Each projective or pulsed config with its operators: the free evolution
     of each atom, the blocks a column advances by, the slice cap K and the
-    word length L."""
-    steps = linalg.propagators(hamiltonian(spec), config.distribution.values)
-    if config.kind is ProtocolKind.PROJECTIVE:
-        lam = spec.subspace_size
-        mats = steps[:, :lam, :lam]
-        cap = _steps_above_floor(mats)
-    else:
-        mats = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
-        cap = BLOCK
-    length = _word_length(len(mats), mats.shape[-1], config.num_intervals, cap)
-    return config, steps, mats, cap, length
+    word length L.  One propagators call covers every config's atoms, one
+    stacked SVD their lambda x lambda blocks (if a config is projective),
+    and one kick each pulse area.
+
+    A projective law's K = floor(ln NORM_FLOOR / ln s^2), at least 1, s the
+    smallest singular value of its blocks: no product of K of them takes a
+    state's squared norm below NORM_FLOOR times its start.  Unitary blocks
+    (lambda = n) have s^2 = 1 to rounding, which the clip makes K ~ 5e18:
+    no cap.  A pulsed law's cap is BLOCK."""
+    lam, sizes = spec.subspace_size, [len(c.distribution.atoms) for c in configs]
+    bounds = [0, *itertools.accumulate(sizes)]
+    mus = np.concatenate([c.distribution.values for c in configs])
+    steps = linalg.propagators(hamiltonian(spec), mus)
+    if any(c.kind is ProtocolKind.PROJECTIVE for c in configs):  # each atom's least singular value
+        least = np.linalg.svd(steps[:, :lam, :lam], compute_uv=False).min(-1)
+    kicks = {area: linalg.propagator(coupling_hamiltonian(spec), area)
+             for area in {c.pulse_area for c in configs if c.kind is ProtocolKind.PULSED}}
+    laws = []
+    for config, a, b in zip(configs, bounds, bounds[1:]):
+        if config.kind is ProtocolKind.PROJECTIVE:
+            mats = steps[a:b, :lam, :lam]
+            s2 = np.clip(least[a:b].min() ** 2, DEAD_BRANCH, np.nextafter(1, 0))
+            cap = max(1, int(np.log(NORM_FLOOR) / np.log(s2)))
+        else:
+            mats, cap = kicks[config.pulse_area] @ steps[a:b], BLOCK
+        length = _word_length(len(mats), mats.shape[-1], config.num_intervals, cap)
+        laws.append((config, steps[a:b], mats, cap, length))
+    return laws
+
+
+def _law(spec: ChainSpec, config: ProtocolConfig) -> tuple:
+    """_laws of one config."""
+    return _laws(spec, [config])[0]
 
 
 def _lockstep(
@@ -290,21 +318,22 @@ def _lockstep(
     series: bool = True,
 ) -> list[Trajectory] | EnsembleFinals:
     """Advance every realization of projective or pulsed ensembles together:
-    one pass over the laws (_law) that share every setting but their
-    distribution, their atom count k and their word length L, samplers[i]
-    the columns of laws[i], law after law in the result.
+    one pass over the laws (_laws) that share every setting but their
+    distribution and their word length L, whatever their atom counts k,
+    samplers[i] the columns of laws[i], law after law in the result.
 
     One multi-stream draw gives every column its intervals (and Bernoulli
     outcomes) from its own sampler, exactly as a lone run would.  A column
     advances L steps per gather of one stacked word and batched product,
-    and L depends on the law, the state dimension and m only.  The laws'
-    word tables stack, law after law, and a column's codes are offset into
-    its law's block.  A sub-block computes head rows per step, all dim of
-    its last step's, which carry on: none but those for a pulsed run that
-    keeps no series, whose sub-blocks alternate between two slots; lambda
-    for a pulsed run that records no states; dim otherwise.  Steps run in
-    slices: the most multiples of L whose states fit SLICE_BYTES, at least
-    BLOCK steps; m mod L steps at the end read a tail table.
+    and L depends on the law, the state dimension and m only.  The word
+    tables of adjacent laws of one k are built together, law after law, and
+    a column's code takes its law's powers k^p and offset.  A sub-block
+    computes head rows per step, all dim of its last step's, which carry
+    on: none but those for a pulsed run that keeps no series, whose
+    sub-blocks alternate between two slots; lambda for a pulsed run that
+    records no states; dim otherwise.  Steps run in slices: the most
+    multiples of L whose states fit SLICE_BYTES, at least L steps (BLOCK
+    for the two-slot carry); m mod L steps at the end read a tail table.
 
     - pulsed: the fused kick @ U(mu) on the n-site state, unitary, so never
       renormalized;
@@ -317,7 +346,7 @@ def _lockstep(
       So no column's numbers depend on the slicing, on the width of the
       ensemble or on the laws beside it.  Slices and L are capped at K
       steps, the least K of the laws, over which no product can fall below
-      NORM_FLOOR times its start (_steps_above_floor).  The complement is
+      NORM_FLOOR times its start (_laws).  The complement is
       built only for a column whose Bernoulli outcome fails, and states are
       zero-padded back to n sites.
 
@@ -334,20 +363,22 @@ def _lockstep(
     projective = config.kind is ProtocolKind.PROJECTIVE
     bernoulli = projective and config.bernoulli
     steps = np.concatenate([law[1] for law in laws])  # one free evolution per atom, law after law
-    k, dim = laws[0][2].shape[:2]
+    ks, dim = [len(law[2]) for law in laws], laws[0][2].shape[1]
     cap = min(law[3] for law in laws)
     head = (dim if config.record_states else lam) if series or projective else 0  # rows kept per step
-    tables = [_word_tables(law[2], length, head, m % length) for law in laws]
-    if len(tables) > 1:  # law after law; a lone law's tables as built
-        tables = [tuple(None if t[0] is None else np.concatenate(t) for t in zip(*tables))]
-    tables = tables[0]
-    rows, powers = tables[0].shape[1], k ** np.arange(length)
-    base = np.repeat(k * np.arange(len(laws)), widths)  # a column's law's first atom in steps
-    span = max(BLOCK, SLICE_BYTES // (width * dim * 16) // length * length)
+    # the tables hold law after law, built a stack per run of laws of one k
+    same_k = itertools.groupby((law[2] for law in laws), len)
+    tables = _word_tables([np.stack(list(run)) for _, run in same_k], length, head, m % length)
+    # per column, from its law: the first words in each table (after the laws
+    # before it, k^L and k^t words each), the first atom in steps, and k^p
+    starts = [[0, *itertools.accumulate(k**e for k in ks[:-1])] for e in (length, m % length, 1)]
+    columns = np.repeat([[*s, *(k**p for p in range(length))] for *s, k in zip(*starts, ks)], widths, 0)
+    offsets, base, powers, rows = columns[:, :2], columns[:, 2], columns[:, 3:], tables[0].shape[1]
+    span = max(length if head else BLOCK, SLICE_BYTES // (width * dim * 16) // length * length)
     if projective:
         span = min(span, cap // length * length)
     draws = draw_uniforms(cols, 2 * m if bernoulli else m)  # intervals, then outcomes
-    atoms = np.empty((width, m), np.min_scalar_type(len(laws) * k - 1))
+    atoms = np.empty((width, m), np.min_scalar_type(max(ks) - 1))
     for (law, *_), a, b in zip(laws, bounds, bounds[1:]):
         atoms[a:b] = atom_indices(law.distribution, draws[a:b, :m])
     if not bernoulli:
@@ -355,13 +386,6 @@ def _lockstep(
     intervals = np.empty((width, m))  # after the draws: in pages they used
     for (law, *_), a, b in zip(laws, bounds, bounds[1:]):
         law.distribution.values.take(atoms[a:b], out=intervals[a:b], mode="clip")
-    # a column's codes start at its law's block of words: law k^L (law k^t in
-    # the tail table of t steps) = (law k) k^(L-1), so the last atom of each
-    # sub-block carries base = law k, and a step's own atom is its index mod k
-    shift = base.astype(atoms.dtype)[:, None]
-    atoms[:, length - 1 :: length] += shift
-    if m % length:
-        atoms[:, -1:] += shift
     times = np.cumsum(intervals, 1, out=None if series else intervals)  # finals: in place
     if not (series or bernoulli):  # every run ends at step m: keep its end time alone
         intervals = times = times[:, -1:].copy()
@@ -379,7 +403,7 @@ def _lockstep(
     carry = np.ones((width, 1))  # projective: the squared norm of psi, n_(-1)
     for j in range(0, m, span):
         b = min(span, m - j)
-        used = _products(tables, atoms[:, j : j + b], powers, psi, buf)
+        used = _products(tables, atoms[:, j : j + b], powers, offsets, psi, buf)
         last = buf[:, used - dim : used].copy()  # the next slice overwrites buf
         out = buf[:, :used].reshape(width, b, dim, 1) if head == dim else None  # every state
         if projective:
@@ -414,7 +438,7 @@ def _lockstep(
                     # failed outcome: collapse the state before it onto the complement
                     i = int(first[r])
                     prev = out[r, i - 1, :, 0] if i else state[r]
-                    collapse = steps[base[r] + atoms[r, j + i] % k, :, :lam] @ prev
+                    collapse = steps[base[r] + atoms[r, j + i], :, :lam] @ prev
                     collapse[:lam] = 0.0
                     collapsed[r] = collapse / np.linalg.norm(collapse)
                     aborted_at[r], log_p[r] = j + i + 1, -np.inf
@@ -449,22 +473,19 @@ def _lockstep(
     elif projective:
         log_cum = np.cumsum(np.log(factors), axis=1)
         cum = np.exp(log_cum)
-    trajs = []
-    for r in range(width):
-        i = aborted_at[r] or m
-        trajs.append(
-            Trajectory(
-                intervals=intervals[r, :i],
-                times=times[r, :i],
-                cumulative_survival=cum[r, :i],
-                final_state=final[r],
-                survival_factors=factors[r, :i] if projective else None,
-                log_cumulative_survival=None if log_cum is None else log_cum[r],
-                states=None if states is None else states[r, :i],
-                aborted_at=int(aborted_at[r]) or None,
-            )
+    return [
+        Trajectory(
+            intervals=intervals[r, :i],
+            times=times[r, :i],
+            cumulative_survival=cum[r, :i],
+            final_state=final[r],
+            survival_factors=factors[r, :i] if projective else None,
+            log_cumulative_survival=None if log_cum is None else log_cum[r],
+            states=None if states is None else states[r, :i],
+            aborted_at=int(aborted_at[r]) or None,
         )
-    return trajs
+        for r, i in enumerate(np.where(aborted_at > 0, aborted_at, m).tolist())
+    ]
 
 
 def run_projective(
@@ -603,22 +624,26 @@ def run_finals_many(spec: ChainSpec, psi0: np.ndarray, configs: list[ProtocolCon
     """run_finals of each config with its samplers[i], each bit for bit its lone run.
 
     Projective and pulsed laws that share every setting but their
-    distribution, and also their atom count k and word length L, advance
-    in one _lockstep pass, each column from its own sampler; the passes run
-    in the order of their first law.  A continuous config is its one run.
+    distribution, and also their word length L, advance in one _lockstep
+    pass whatever their atom counts, each column from its own sampler; all
+    their laws are built together (_laws), and the passes run in the order
+    of their first law.  A continuous config is its one run.
     """
     results: list = [None] * len(configs)
-    passes: dict[tuple, list] = {}
+    members = []
     for i, (config, runs) in enumerate(zip(configs, samplers)):
         if config.kind is ProtocolKind.CONTINUOUS or not runs:  # its one run, or its error
             results[i] = EnsembleFinals.of(run_lockstep(spec, psi0, config, runs))
-            continue
-        law = _law(spec, config)
-        key = (config.kind, config.num_intervals, config.pulse_area, config.bernoulli,
-               len(law[2]), law[4])
-        passes.setdefault(key, []).append((i, law, runs if config.stochastic else runs[:1]))
-    for members in passes.values():
-        index, laws, runs = zip(*members)
+        else:
+            members.append((i, runs if config.stochastic else runs[:1]))
+    built = _laws(spec, [configs[i] for i, _ in members]) if members else []
+    passes: dict[tuple, list] = {}
+    for (i, runs), law in zip(members, built):
+        config = law[0]
+        key = (config.kind, config.num_intervals, config.pulse_area, config.bernoulli, law[4])
+        passes.setdefault(key, []).append((i, law, runs))
+    for group in passes.values():  # laws of one atom count adjacent: one table build each
+        index, laws, runs = zip(*sorted(group, key=lambda member: len(member[1][2])))
         finals = _lockstep(spec, psi0, list(laws), list(runs), False)
         bounds = [0, *itertools.accumulate(map(len, runs))]
         for i, a, b in zip(index, bounds, bounds[1:]):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,6 +76,14 @@ class SeededSampler:
     def spawn(self, index: int) -> "SeededSampler":
         return SeededSampler(derive_seed(self.seed, index))
 
+    @classmethod
+    def many(cls, seeds) -> list["SeededSampler"]:
+        """SeededSampler(s) for each s of a ``uint64`` seed array, without __init__ calls."""
+        samplers = [object.__new__(cls) for _ in range(len(seeds))]
+        for sampler, seed in zip(samplers, seeds.tolist()):
+            sampler.seed = sampler._state = seed
+        return samplers
+
 
 def draw_uniforms(samplers: Sequence[SeededSampler], k: int) -> np.ndarray:
     """The next k ``uniform()`` draws of every sampler, one row per sampler.
@@ -101,7 +110,9 @@ class Moments:
 
 @dataclass(frozen=True)
 class IntervalDistribution:
-    """Atomic waiting-time density: list of (mu in us > 0, probability)."""
+    """Atomic waiting-time density: list of (mu in us > 0, probability).  Its
+    values, probabilities (read-only: every reader shares them) and moments
+    are computed once."""
 
     atoms: tuple[tuple[float, float], ...]
 
@@ -162,23 +173,31 @@ class IntervalDistribution:
         except TypeError as exc:
             raise ValueError(f"distribution atoms must be (mu, prob) pairs: {exc}") from exc
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.array([mu for mu, _ in self.atoms])
+        return _read_only(np.array([mu for mu, _ in self.atoms]))
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
+        return _read_only(np.array([p for _, p in self.atoms]))
+
+    @cached_property
+    def _moments(self) -> Moments:
+        mu, p = self.values, self.probabilities
+        mean = float(np.dot(p, mu))
+        variance = float(np.dot(p, (mu - mean) ** 2))
+        third_raw = float(np.dot(p, mu**3))
+        return Moments(mean=mean, variance=variance, kappa=variance / mean**2, third_raw=third_raw)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def moments(d: IntervalDistribution) -> Moments:
     """Mean, variance, relative variance kappa and raw third moment."""
-    mu = d.values
-    p = d.probabilities
-    mean = float(np.dot(p, mu))
-    variance = float(np.dot(p, (mu - mean) ** 2))
-    third_raw = float(np.dot(p, mu**3))
-    return Moments(mean=mean, variance=variance, kappa=variance / mean**2, third_raw=third_raw)
+    return d._moments
 
 
 def atom_indices(d: IntervalDistribution, uniforms: np.ndarray) -> np.ndarray:

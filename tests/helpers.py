@@ -14,6 +14,8 @@ per rate and grid point, the reference for the factored grid evaluation.
 references for kernel passes over several laws and for ``preset_fig5``.
 ``tiled_word_tables`` builds the kernel's stacked word tables with
 repeat, tile and concatenate, the reference for their broadcast build.
+``lone_law`` builds one config's kernel operators on their own, the
+reference for ``protocols._laws``, which builds several configs' together.
 """
 
 from __future__ import annotations
@@ -38,13 +40,16 @@ from zenochain.chain import (
 )
 from zenochain.experiments import kappa_family, write_csv
 from zenochain.protocols import (
+    BLOCK,
     DEAD_BRANCH,
+    NORM_FLOOR,
     EnsembleFinals,
     ProtocolConfig,
     ProtocolKind,
     Trajectory,
     ZeroSurvivalError,
     _check_initial_state,
+    _word_length,
     run_lockstep,
 )
 from zenochain.stochastics import IntervalDistribution, SeededSampler, moments
@@ -325,6 +330,23 @@ def tiled_word_tables(mats: np.ndarray, length: int, head: int, tail: int) -> tu
         return np.concatenate([*heads, levels[steps - 1]], axis=1)
 
     return stacked(length), stacked(tail) if tail else None
+
+
+def lone_law(spec: ChainSpec, config: ProtocolConfig) -> tuple:
+    """protocols._law as built one config at a time: (config, the free
+    evolution of each atom, the blocks a column advances by, the slice cap K,
+    the word length L)."""
+    steps = linalg.propagators(hamiltonian(spec), config.distribution.values)
+    if config.kind is ProtocolKind.PROJECTIVE:
+        lam = spec.subspace_size
+        mats = steps[:, :lam, :lam]
+        s2 = np.clip(np.linalg.svd(mats, compute_uv=False).min() ** 2, DEAD_BRANCH, np.nextafter(1, 0))
+        cap = max(1, int(np.log(NORM_FLOOR) / np.log(s2)))
+    else:
+        mats = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
+        cap = BLOCK
+    length = _word_length(len(mats), mats.shape[-1], config.num_intervals, cap)
+    return config, steps, mats, cap, length
 
 
 def lone_runs(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenochain import cli, experiments, linalg, protocols
-from zenochain.analysis import aggregate, ensemble_fidelities
+from zenochain.analysis import aggregate, ensemble_fidelities, final_fidelities
 from zenochain.chain import ChainSpec, leftmost_excited, w_state, zeno_hamiltonian
 from zenochain.cli import main as cli_main
 from zenochain.config import parse_config
@@ -206,8 +206,8 @@ class TestRunExperiment:
     def test_sweep_points_after_the_first_run_one_kernel_pass_per_group(self, tmp_path, monkeypatch):
         # the base point runs alone, step by step.  The lambda = 3 point has a
         # chain of its own, so a pass of its own; the kappa points share the
-        # base chain: the one-atom law (1.0, 3.0, 3.0) is one pass and the
-        # two bimodal laws, of one atom count and word length, one more
+        # base chain and its word length (L = 4): the one-atom law (1.0, 3.0,
+        # 3.0), one column, and the two bimodal laws run in one pass
         text = CONFIG.replace("seed = 4242", "seed = 4242\nlambda_sweep = 3\n"
                               "kappa_sweep = (1.0, 3.0, 3.0); (0.8, 2.0, 7.0); (0.5, 0.5, 5.5)")
         config = parse_config(text)
@@ -219,7 +219,7 @@ class TestRunExperiment:
                             passes.append((len(laws), sum(map(len, samplers))))
                             or lockstep(spec, psi0, laws, samplers, *a))
         run_experiment(config, out_dir=tmp_path, reproducible=True)
-        assert passes == [(1, 3), (1, 3), (1, 1), (2, 6)]
+        assert passes == [(1, 3), (1, 3), (3, 7)]
         header, rows = read_csv(tmp_path / "summary.csv")
         at = header.index("F")
         assert [r[at : at + 2] for r in rows[1:]] == [
@@ -884,6 +884,17 @@ class TestSweeps:
         name = "fig5_kappa.csv" if initial == "wstate" else "fig5_inset_kappa.csv"
         assert (tmp_path / "preset" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
 
+    def test_one_overlap_per_chain_scores_each_point_as_its_own_evolution_does(self):
+        # run_ensembles scores a chain's points together, each point's ideal
+        # states from its own evolution: every fidelity equals the point's
+        # final_fidelities bit for bit, on two chains at once
+        laws = [IntervalDistribution.bimodal(mu1, mu2, p1) for p1, mu1, mu2 in kappa_family()]
+        points = [(ChainSpec(n_sites=12, subspace_size=lam), w_state(12, lam), ProtocolConfig(kind, 60, d))
+                  for lam in (2, 3) for kind in ProtocolKind for d in laws[::2]]
+        for (spec, psi0, _), (finals, fids) in zip(points, experiments.run_ensembles(points, 7, 11)):
+            want = final_fidelities(spec, psi0, finals.final_states, finals.total_times)
+            assert isinstance(fids, list) and np.array_equal(fids, want)
+
     @pytest.mark.parametrize("initial", ["Wstate", "leftmost_excited", ""])
     def test_fig5_rejects_an_unknown_initial_state_before_any_run(
         self, tmp_path, monkeypatch, initial
@@ -911,23 +922,42 @@ class TestSweeps:
 
     def test_fig5_runs_one_column_at_kappa_zero(self, tmp_path, monkeypatch):
         # kappa = 0 is a one-atom law: its projective (dim 2) and pulsed (dim 12)
-        # ensembles advance one column, each in a pass of its own; the six
-        # other points' R = 5 columns of each protocol advance in one pass of 30
-        calls = []  # (width, state dimension) of each batched advance
+        # ensembles advance one column, the first of a pass of 31 beside the six
+        # other points' R = 5 columns; its powers k^p are 1, the others' 2^p
+        calls = []  # (width, state dimension, one-atom columns) of each batched advance
         products = protocols._products
 
-        def counted(tables, block, powers, psi, out):
-            calls.append((len(block), psi.shape[1]))
-            return products(tables, block, powers, psi, out)
+        def counted(tables, block, powers, offsets, psi, out):
+            calls.append((len(block), psi.shape[1], np.flatnonzero(powers[:, 1] == 1).tolist()))
+            return products(tables, block, powers, offsets, psi, out)
 
         monkeypatch.setattr(protocols, "_products", counted)
         preset_fig5(tmp_path, m=20, realizations=5, reproducible=True)
-        assert calls == [(1, 2), (30, 2), (1, 12), (30, 12)]
+        assert calls == [(31, 2, [0]), (31, 12, [0])]
+
+    def test_fig5_slice_buffers_stay_within_the_slice_budget(self, tmp_path, monkeypatch):
+        # at the bench size (m = 100, R = 50) the projective pass advances 301
+        # columns of 2-dim states in 8-row words (L = 4): 52-step slices take
+        # 501 KB of SLICE_BYTES = 512 KiB, where a 64-step floor took 616 KB.
+        # The pulsed pass carries its state through two 12-row slots
+        buffers = []  # (state dimension, slice steps, slice buffer bytes) of each advance
+        products = protocols._products
+
+        def counted(tables, block, *args):
+            buffers.append((args[-2].shape[1], block.shape[1], args[-1].nbytes))
+            return products(tables, block, *args)
+
+        monkeypatch.setattr(protocols, "_products", counted)
+        preset_fig5(tmp_path, m=100, realizations=50, reproducible=True)
+        assert max(b[2] for b in buffers) <= protocols.SLICE_BYTES
+        assert [b[:2] for b in buffers] == [(2, 52), (2, 48), (12, 64), (12, 36)]
+        assert buffers[0][2] == 301 * 13 * 8 * 16 and buffers[2][2] == 301 * 2 * 12 * 16
 
     @pytest.mark.parametrize("m", [20, 100])
-    def test_fig5_makes_four_kernel_passes(self, tmp_path, monkeypatch, m):
-        # one pass per protocol for the six disordered laws, one per protocol
-        # for the one-atom kappa = 0 law; a lone ensemble is a pass of one law
+    def test_fig5_makes_two_kernel_passes(self, tmp_path, monkeypatch, m):
+        # one pass per protocol: every law of a protocol has one word length
+        # (L = 2 at m = 20, 4 at m = 100), whatever its atom count, so the
+        # one-atom kappa = 0 law shares the six disordered laws' pass
         passes = []  # (kind, laws, columns) of each pass
         lockstep = protocols._lockstep
 
@@ -938,7 +968,7 @@ class TestSweeps:
         monkeypatch.setattr(protocols, "_lockstep", counted)
         preset_fig5(tmp_path, m=m, realizations=5, reproducible=True)
         pm, pc = ProtocolKind.PROJECTIVE, ProtocolKind.PULSED
-        assert passes == [(pm, 1, 1), (pm, 6, 30), (pc, 1, 1), (pc, 6, 30)]
+        assert passes == [(pm, 7, 31), (pc, 7, 31)]
 
     def test_fig5_and_fig4_build_a_trajectory_for_continuous_runs_alone(self, tmp_path, monkeypatch):
         # the projective and pulsed ensembles keep end values, no per-step series

@@ -27,6 +27,7 @@ from zenochain.stochastics import IntervalDistribution, SeededSampler
 from zenochain.theory import three_level_survival
 
 from helpers import (
+    lone_law,
     lone_runs,
     scalar_next_uint64,
     scalar_run_projective,
@@ -477,9 +478,8 @@ class TestLockstepKernel:
                             products(tables, block, *a))
         spec = ChainSpec(n_sites=2, subspace_size=1)
         d = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
-        mats = linalg.propagators(hamiltonian(spec), d.values)[:, :1, :1]
-        assert protocols._steps_above_floor(mats) == 7
         config = pm_config(2000, d)
+        assert protocols._law(spec, config)[3] == 7
         traj = run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
         oracle = scalar_run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
         assert lengths == [4] and set(spans) == {4}
@@ -647,7 +647,7 @@ class TestWordKernel:
         for (atoms, dim, m), length in self.LENGTHS.items():
             assert protocols._word_length(atoms, dim, m) == length
             mats = np.linalg.qr(rng.standard_normal((atoms, dim, dim)) + 0j)[0]
-            table, tail = protocols._word_tables(mats, length, dim, length - 1)
+            table, tail = protocols._word_tables([mats[None]], length, dim, length - 1)
             assert table.shape == (atoms**length, length * dim, dim)
             assert table.nbytes <= length * protocols.TABLE_BYTES
             assert tail is None or tail.nbytes < table.nbytes
@@ -662,18 +662,37 @@ class TestWordKernel:
         full = rng.standard_normal((atoms, 4, 4)) + 1j * rng.standard_normal((atoms, 4, 4))
         mats = full[:, :3, :3]
         for tail in sorted({0, length - 1}):
-            got = protocols._word_tables(mats, length, head, tail)
+            got = protocols._word_tables([mats[None]], length, head, tail)
             want = tiled_word_tables(mats, length, head, tail)
             assert (got[1] is None) == (want[1] is None) == (tail == 0)
             for a, b in zip(got, want):
                 assert b is None or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("head", [0, 2, 3], ids=["no-head", "head-lambda", "head-dim"])
+    @pytest.mark.parametrize("length, tail", [(1, 0), (2, 1), (4, 0), (4, 3)])
+    def test_stacked_law_tables_equal_each_laws_tiled_tables(self, length, head, tail):
+        # two stacks of two-atom laws and one of three-atom laws, blocks a
+        # view into larger matrices: law after law within a stack, stack
+        # after stack, each law's words those of its own tiled build
+        rng = np.random.default_rng(length + head)
+        stacks = [(rng.standard_normal((laws, k, 4, 4)) + 1j * rng.standard_normal((laws, k, 4, 4)))
+                  [..., :3, :3] for laws, k in ((3, 2), (1, 1), (2, 3))]
+        got = protocols._word_tables(stacks, length, head, tail)
+        starts = [0, 0]  # the next law's first word in the whole and tail tables
+        for mats in (law for stack in stacks for law in stack):
+            for i, (table, want) in enumerate(zip(got, tiled_word_tables(mats, length, head, tail))):
+                assert (table is None) == (want is None) == (i == 1 and tail == 0)
+                if want is not None:
+                    assert np.array_equal(table[starts[i] : starts[i] + len(want)], want)
+                    starts[i] += len(want)
+        assert starts == [len(t) if t is not None else 0 for t in got]
 
     @pytest.mark.parametrize("atoms, length, head, tail", [(1, 4, 2, 3), (2, 3, 1, 2), (3, 2, 3, 1)])
     def test_stacked_word_rows_are_the_prefix_products(self, atoms, length, head, tail):
         # word c = sum_p a_p k^p: head rows of each proper prefix, then the whole product
         rng = np.random.default_rng(atoms)
         mats = rng.standard_normal((atoms, 3, 3)) + 1j * rng.standard_normal((atoms, 3, 3))
-        for steps, table in zip((length, tail), protocols._word_tables(mats, length, head, tail)):
+        for steps, table in zip((length, tail), protocols._word_tables([mats[None]], length, head, tail)):
             assert table.shape == (atoms**steps, (steps - 1) * head + 3, 3)
             for code in range(atoms**steps):
                 word = [code // atoms**p % atoms for p in range(steps)]
@@ -1057,21 +1076,78 @@ class TestPasses:
             assert list(got[0].aborted_at) == [1, BLOCK + 1, 2 * BLOCK + 1, 0, BLOCK]
             assert [list(f.aborted_at) for f in got[1:]] != [list(got[0].aborted_at)] * 2
 
-    def test_laws_of_other_atom_counts_run_in_passes_of_their_own(self, monkeypatch):
+    def test_laws_of_other_atom_counts_share_a_pass_when_their_word_length_does(self, monkeypatch):
         # one-atom laws (one column each, as post-selected runs they are
-        # deterministic) beside two- and three-atom laws, and a pulsed and a
-        # continuous law beside the projective ones
+        # deterministic) beside two- and three-atom laws, all at L = 4, in one
+        # projective pass; pulsed laws at m = 600, where the 256 KiB table cap
+        # gives the two- and three-atom laws L = 4 and the one-atom law L = 8,
+        # which runs apart; and a continuous law, its one run
         spec, psi0, m = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2), 2 * BLOCK + 3
         three = IntervalDistribution.from_atoms([(1.0, 0.2), (2.0, 0.3), (6.0, 0.5)])
         laws = [IntervalDistribution.deterministic(3.0), PASS_LAWS[0], three, PASS_LAWS[1],
                 IntervalDistribution.deterministic(5.0)]
         configs = [pm_config(m, d) for d in laws]
-        configs += [ProtocolConfig(ProtocolKind.PULSED, m, PASS_LAWS[2]),
-                    ProtocolConfig(ProtocolKind.CONTINUOUS, m, PASS_LAWS[2])]
+        configs += [ProtocolConfig(ProtocolKind.PULSED, 600, d)
+                    for d in (PASS_LAWS[2], IntervalDistribution.deterministic(3.0), three)]
+        configs += [ProtocolConfig(ProtocolKind.CONTINUOUS, m, PASS_LAWS[2])]
+        assert [law[4] for law in protocols._laws(spec, configs[:-1])] == [4] * 5 + [4, 8, 4]
         seeds = [[SeededSampler(5).spawn(i)._state for i in range(4)]] * len(configs)
         got, passes = self.run_pass(monkeypatch, spec, psi0, configs, seeds)
-        assert passes == [(2, 2), (2, 8), (1, 4), (1, 4)]  # one-atom, two-atom, three-atom, pulsed
-        assert [len(f.final_states) for f in got] == [1, 4, 4, 4, 1, 4, 1]
+        assert passes == [(5, 14), (2, 8), (1, 1)]  # projective, pulsed L = 4, pulsed L = 8
+        assert [len(f.final_states) for f in got] == [1, 4, 4, 4, 1, 4, 1, 4, 1]
+
+    MIXED = [IntervalDistribution.deterministic(3.0), PASS_LAWS[0],
+             IntervalDistribution.from_atoms([(1.0, 0.2), (2.0, 0.3), (6.0, 0.5)])]
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["one-slice", "sliced"])
+    @pytest.mark.parametrize("kind, bernoulli", [(ProtocolKind.PROJECTIVE, False),
+                                                 (ProtocolKind.PROJECTIVE, True),
+                                                 (ProtocolKind.PULSED, False)],
+                             ids=["post-selected", "bernoulli", "pulsed"])
+    def test_one_two_and_three_atom_laws_share_a_pass(self, monkeypatch, kind, bernoulli, sliced):
+        # n = 6, lambda = 2, m = 131: L = 4 for one-, two- and three-atom laws
+        # of either kind, and a tail of 3 steps.  Each column carries its law's
+        # powers and offset; a Bernoulli collapse reads its law's own atom
+        spec, psi0, m = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2), 2 * BLOCK + 3
+        configs = [ProtocolConfig(kind, m, d, bernoulli=bernoulli) for d in self.MIXED]
+        assert [law[4] for law in protocols._laws(spec, configs)] == [4, 4, 4]
+        if sliced:  # one word per slice
+            monkeypatch.setattr(protocols, "SLICE_BYTES", 0)
+            monkeypatch.setattr(protocols, "BLOCK", 4)
+        seeds = [SeededSampler(4).spawn(i)._state for i in range(6)]
+        got, passes = self.run_pass(monkeypatch, spec, psi0, configs, [seeds] * 3)
+        assert passes == [(3, 18 if bernoulli else 13)]  # a post-selected or pulsed one-atom law: one run
+        if bernoulli:  # every law has runs that collapse, and some runs do not
+            assert all(f.aborted_at.any() for f in got) and not all(f.aborted_at.all() for f in got)
+
+    def test_laws_built_together_equal_each_lone_build(self):
+        # one propagators call, one stacked SVD and one kick per pulse area
+        # give each config's steps, blocks, K and L bit for bit: projective
+        # laws of a low K and of no cap (unitary blocks, lambda = n), pulsed
+        # laws of two pulse areas
+        leaky = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
+        three = IntervalDistribution.from_atoms([(1.0, 0.2), (2.0, 0.3), (6.0, 0.5)])
+        projective = [pm_config(131, leaky), pm_config(2000, IntervalDistribution.deterministic(3.0)),
+                      pm_config(40, three, bernoulli=True)]
+        pulsed = [ProtocolConfig(ProtocolKind.PULSED, 600, three),
+                  ProtocolConfig(ProtocolKind.PULSED, 131, BIMODAL, pulse_area=1.0),
+                  ProtocolConfig(ProtocolKind.PULSED, 131, leaky)]
+        for spec, configs in ((ChainSpec(n_sites=3, subspace_size=1), [*projective, *pulsed]),
+                              (ChainSpec(n_sites=6, subspace_size=2), [pulsed[0], *projective, *pulsed]),
+                              (ChainSpec(n_sites=4, subspace_size=4), projective)):
+            laws = protocols._laws(spec, configs)
+            assert len(laws) == len(configs)
+            for law, config in zip(laws, configs):
+                want = lone_law(spec, config)
+                assert law[0] is config and law[3:] == want[3:]
+                for got_array, want_array in zip(law[1:3], want[1:3]):
+                    assert np.array_equal(got_array, want_array)
+            caps = {law[0]: law[3] for law in laws}
+            assert all(caps[c] == BLOCK for c in configs if c in pulsed)
+            if spec.subspace_size == spec.n_sites:  # no cap
+                assert min(caps[c] for c in projective) > 10**18
+            else:  # the leaky law's low K
+                assert caps[projective[0]] < 1000 < caps[projective[1]]
 
     def test_laws_whose_caps_give_different_word_lengths(self, monkeypatch):
         # lambda = 1: the leaky law's K = 7 caps its words at L = 4.  At m = 131
@@ -1098,8 +1174,8 @@ class TestPasses:
         ends = []  # (slots out holds, the slot of the last product) of each slice
         products = protocols._products
 
-        def recorded(tables, block, powers, psi, out):
-            used = products(tables, block, powers, psi, out)
+        def recorded(tables, block, powers, offsets, psi, out):
+            used = products(tables, block, powers, offsets, psi, out)
             rows = tables[0].shape[1]
             ends.append((out.shape[1] // rows, (used - 1) // rows))
             return used
@@ -1113,7 +1189,8 @@ class TestPasses:
         # identity steps, then one swap of site 1 out of the subspace at step
         # BLOCK + 5, in every column of both laws
         swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        monkeypatch.setattr(linalg, "propagators", lambda h, times: np.array([np.eye(2), swap]))
+        monkeypatch.setattr(linalg, "propagators",  # one call for both laws' atoms
+                            lambda h, times: np.array([np.eye(2), swap] * (len(times) // 2)))
         pattern = np.arange(2 * BLOCK + 3) == BLOCK + 4
         monkeypatch.setattr(
             protocols, "atom_indices", lambda d, u: np.broadcast_to(pattern, u.shape) * 1

@@ -92,6 +92,19 @@ class TestDistribution:
 
 
 class TestMoments:
+    def test_values_probabilities_and_moments_are_computed_once_and_read_only(self):
+        d = IntervalDistribution.from_atoms([(1.0, 0.2), (2.0, 0.3), (6.0, 0.5)])
+        assert d.values is d.values and d.probabilities is d.probabilities
+        assert moments(d) is moments(d)
+        for array in (d.values, d.probabilities):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert list(d.values) == [1.0, 2.0, 6.0] and list(d.probabilities) == [0.2, 0.3, 0.5]
+        # the cache is no field: equal laws stay equal and hash alike
+        fresh = IntervalDistribution.from_atoms([(1.0, 0.2), (2.0, 0.3), (6.0, 0.5)])
+        assert fresh == d and hash(fresh) == hash(d) and repr(fresh) == repr(d)
+
     def test_fig2_distribution(self):
         mom = moments(IntervalDistribution.bimodal(1.0, 5.0, 0.5))
         assert mom.mean == 3.0
@@ -182,6 +195,16 @@ class TestSampler:
         children = derive_seed(seed, np.arange(40, dtype=np.uint64)).tolist()
         assert children == [derive_seed(seed, i) for i in range(40)]
         assert children == [SeededSampler(seed).spawn(i).seed for i in range(40)]
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_many_equals_a_sampler_per_seed(self, seed):
+        seeds = derive_seed(seed, np.arange(7, dtype=np.uint64))
+        many = SeededSampler.many(seeds)
+        one_by_one = [SeededSampler(s) for s in seeds.tolist()]
+        assert [vars(s) for s in many] == [vars(s) for s in one_by_one]
+        assert all(type(s) is SeededSampler and type(s.seed) is int for s in many)
+        assert np.array_equal(draw_uniforms(many, 5), draw_uniforms(one_by_one, 5))
+        assert SeededSampler.many(seeds[:0]) == []
 
     def test_m_must_be_positive(self):
         d = IntervalDistribution.deterministic(1.0)

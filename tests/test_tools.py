@@ -115,6 +115,35 @@ class TestGoldenDiff:
         assert golden.compare(outputs["base"], outputs["head"], set(), lines.append) == 1
         assert "differs    fails/stderr.txt" in lines and "identical  fails/exit.txt" in lines
 
+    @pytest.mark.parametrize("flags, base, head", [
+        (["--head-env", "ZENO_GOLDEN_PROBE=on"], "unset", "on"),
+        (["--base-env", "ZENO_GOLDEN_PROBE=a=b", "--base-env", "ZENO_GOLDEN_OTHER=1"], "a=b 1", "unset"),
+        (["--base-env", "ZENO_GOLDEN_PROBE=on", "--head-env", "ZENO_GOLDEN_PROBE=on"], None, None),
+    ], ids=["head", "base-twice", "both"])
+    def test_a_side_variable_reaches_that_sides_jobs_alone(self, monkeypatch, capsys, flags, base, head):
+        probe = ("import os; open('env.txt', 'w').write(' '.join(os.environ[n] for n in "
+                 "('ZENO_GOLDEN_PROBE', 'ZENO_GOLDEN_OTHER') if n in os.environ) or 'unset')")
+        monkeypatch.setattr(golden, "JOBS", {"env": (["-c", probe], None)})
+        monkeypatch.setattr(golden, "extract", lambda rev, into: into.mkdir(parents=True))
+        for name in ("ZENO_GOLDEN_PROBE", "ZENO_GOLDEN_OTHER"):
+            monkeypatch.delenv(name, raising=False)
+        assert golden.main(["--base", "HEAD", "--head", "HEAD", *flags]) == (base is not None)
+        lines = capsys.readouterr().out.splitlines()
+        if base is None:
+            assert lines == ["identical  env/env.txt", "1 files, 0 with an unexpected difference"]
+        else:
+            assert lines[:4] == ["differs    env/env.txt", "    first differing line 1:",
+                                 f"      base: {base}", f"      head: {head}"]
+
+    @pytest.mark.parametrize("item", ["NOVALUE", "=value", ""])
+    @pytest.mark.parametrize("side", ["base", "head"])
+    def test_a_malformed_side_variable_is_a_parser_error(self, monkeypatch, capsys, side, item):
+        monkeypatch.setattr(golden, "extract", lambda rev, into: pytest.fail("ran a side"))
+        with pytest.raises(SystemExit) as exc:
+            golden.main(["--base", "HEAD", f"--{side}-env", item])
+        assert exc.value.code == 2
+        assert f"--{side}-env takes NAME=VALUE, got {item!r}" in capsys.readouterr().err
+
     def test_the_job_list_covers_every_preset_config_and_demo(self):
         names = set(golden.JOBS)
         fig5 = {f"fig5_{i}_{m}" for i in ("wstate", "leftmost") for m in ("default", 100, 20)}

@@ -4,6 +4,7 @@
 Usage::
 
     python3 tools/golden.py --base REV [--head REV] [--expect-moved FILE:COLUMN ...]
+                            [--base-env NAME=VALUE ...] [--head-env NAME=VALUE ...]
 
 Each revision is extracted with ``git archive`` into a temporary directory.
 A fixed list of jobs (``JOBS``) then runs against each side's ``src/``, one
@@ -15,6 +16,11 @@ fresh process per job with one BLAS thread:
   and Bernoulli configs that sweep both lambda and kappa, with each
   command's stdout and exit code;
 - the six demos, with their stdout.
+
+``--base-env`` and ``--head-env`` set an environment variable in one side's
+job processes only, so a revision can be diffed against itself under
+another setting: ``--base HEAD --head HEAD --head-env
+OPENBLAS_CORETYPE=Prescott`` compares two BLAS kernels.
 
 A job that exits with an error also keeps its exit code and its stderr,
 with the side's temporary paths written as ``<tree>`` and ``<out>``, so
@@ -104,11 +110,12 @@ def extract(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def run_jobs(tree: Path, out: Path) -> None:
-    """Every job against tree's package, its outputs under out/<job>; a job
-    that fails leaves exit.txt and stderr.txt there."""
+def run_jobs(tree: Path, out: Path, extra_env: dict[str, str] | None = None) -> None:
+    """Every job against tree's package, its outputs under out/<job>, with
+    extra_env set over the jobs' environment; a job that fails leaves
+    exit.txt and stderr.txt there."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", **(extra_env or {}))
     for name, (argv, config) in JOBS.items():
         where = out / name
         where.mkdir(parents=True)
@@ -216,7 +223,17 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default="HEAD", help="head revision (default HEAD)")
     parser.add_argument("--expect-moved", action="append", default=[], metavar="FILE:COLUMN",
                         help="a column allowed to differ in one file; repeatable")
+    for side in ("base", "head"):
+        parser.add_argument(f"--{side}-env", action="append", default=[], metavar="NAME=VALUE",
+                            help=f"a variable set in the {side} side's jobs only; repeatable")
     args = parser.parse_args(argv)
+    envs = {"base": {}, "head": {}}
+    for side, env in envs.items():
+        for item in getattr(args, f"{side}_env"):
+            name, sep, value = item.partition("=")
+            if not sep or not name:
+                parser.error(f"--{side}-env takes NAME=VALUE, got {item!r}")
+            env[name] = value
     expected = set()
     for item in args.expect_moved:
         name, sep, column = item.rpartition(":")
@@ -227,7 +244,7 @@ def main(argv=None) -> int:
         outputs = []
         for side, rev in (("base", args.base), ("head", args.head)):
             extract(rev, Path(tmp) / side / "tree")
-            run_jobs(Path(tmp) / side / "tree", Path(tmp) / side / "out")
+            run_jobs(Path(tmp) / side / "tree", Path(tmp) / side / "out", envs[side])
             outputs.append(Path(tmp) / side / "out")
         return compare(*outputs, expected)
 
