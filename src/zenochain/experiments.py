@@ -26,6 +26,7 @@ from .protocols import (
     ProtocolConfig,
     ProtocolKind,
     Trajectory,
+    _runs_made,
     run_continuous,
     run_exact_subspace,
     run_finals_many,
@@ -447,9 +448,9 @@ SUMMARY_HEADER = (
 
 
 def _samplers(protocol: ProtocolConfig, realizations: int, seed: int) -> list[SeededSampler]:
-    """Realization i's sampler, on the child stream derive_seed(seed, i)."""
-    runs = realizations if protocol.stochastic else min(realizations, 1)
-    return SeededSampler.many(derive_seed(seed, np.arange(runs, dtype=np.uint64)))
+    """Realization i's sampler on the child stream derive_seed(seed, i), per run made."""
+    runs = _runs_made(protocol, np.arange(realizations, dtype=np.uint64))
+    return SeededSampler.many(derive_seed(seed, runs))
 
 
 def _run_key(index: int, spec: ChainSpec, psi0: np.ndarray, protocol: ProtocolConfig):

@@ -272,12 +272,33 @@ def _row_sums(p: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, terms + [p[..., k] for k in range(full, lam)])
 
 
-def _laws(spec: ChainSpec, configs: list[ProtocolConfig]) -> list[tuple]:
-    """Each projective or pulsed config with its operators: the free evolution
-    of each atom, the blocks a column advances by, the slice cap K and the
-    word length L.  One propagators call covers every config's atoms, one
-    stacked SVD their lambda x lambda blocks (if a config is projective),
-    and one kick each pulse area.
+@dataclass(frozen=True, eq=False)
+class Law:
+    """A projective or pulsed config and what the kernel steps it by: each
+    atom's free evolution (steps), the blocks a column advances by (mats),
+    the slice cap K (cap) and the word length L (length)."""
+
+    config: ProtocolConfig
+    steps: np.ndarray
+    mats: np.ndarray
+    cap: int
+    length: int
+
+    @property
+    def key(self) -> tuple:
+        """What the laws of one kernel pass share: all settings but the law, and L."""
+        c = self.config
+        return c.kind, c.num_intervals, c.pulse_area, c.bernoulli, self.length
+
+    def atoms(self, draws: np.ndarray) -> np.ndarray:
+        """Each step's atom index, from its uniform draw (columns x steps)."""
+        return atom_indices(self.config.distribution, draws)
+
+
+def _laws(spec: ChainSpec, configs: list[ProtocolConfig]) -> list[Law]:
+    """The Law of each projective or pulsed config.  One propagators call
+    covers every config's atoms, one stacked SVD their lambda x lambda
+    blocks (if a config is projective), and one kick each pulse area.
 
     A projective law's K = floor(ln NORM_FLOOR / ln s^2), at least 1, s the
     smallest singular value of its blocks: no product of K of them takes a
@@ -301,39 +322,30 @@ def _laws(spec: ChainSpec, configs: list[ProtocolConfig]) -> list[tuple]:
         else:
             mats, cap = kicks[config.pulse_area] @ steps[a:b], BLOCK
         length = _word_length(len(mats), mats.shape[-1], config.num_intervals, cap)
-        laws.append((config, steps[a:b], mats, cap, length))
+        laws.append(Law(config, steps[a:b], mats, cap, length))
     return laws
 
 
-def _law(spec: ChainSpec, config: ProtocolConfig) -> tuple:
-    """_laws of one config."""
-    return _laws(spec, [config])[0]
-
-
-def _lockstep(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    laws: list[tuple],
-    samplers: list[list[SeededSampler]],
-    series: bool = True,
-) -> list[Trajectory] | EnsembleFinals:
+def _lockstep(spec: ChainSpec, psi0: np.ndarray, laws: list[Law],
+              samplers: list[list[SeededSampler]],
+              series: bool = True) -> list[Trajectory] | EnsembleFinals:
     """Advance every realization of projective or pulsed ensembles together:
-    one pass over the laws (_laws) that share every setting but their
-    distribution and their word length L, whatever their atom counts k,
+    one pass over laws of one Law.key, whatever their atom counts k,
     samplers[i] the columns of laws[i], law after law in the result.
 
-    One multi-stream draw gives every column its intervals (and Bernoulli
-    outcomes) from its own sampler, exactly as a lone run would.  A column
-    advances L steps per gather of one stacked word and batched product,
-    and L depends on the law, the state dimension and m only.  The word
-    tables of adjacent laws of one k are built together, law after law, and
-    a column's code takes its law's powers k^p and offset.  A sub-block
-    computes head rows per step, all dim of its last step's, which carry
-    on: none but those for a pulsed run that keeps no series, whose
-    sub-blocks alternate between two slots; lambda for a pulsed run that
-    records no states; dim otherwise.  Steps run in slices: the most
-    multiples of L whose states fit SLICE_BYTES, at least L steps (BLOCK
-    for the two-slot carry); m mod L steps at the end read a tail table.
+    One multi-stream draw gives every column m uniforms that its Law.atoms
+    turns into atom indices (and m Bernoulli outcomes) from its own sampler,
+    exactly as a lone run would.  A column advances L steps per gather of
+    one stacked word and batched product, and L depends on the law, the
+    state dimension and m only.  The word tables of adjacent laws of one k
+    are built together, law after law, and a column's code takes its law's
+    powers k^p and offset.  A sub-block computes head rows per step, all
+    dim of its last step's, which carry on: none but those for a pulsed run
+    that keeps no series, whose sub-blocks alternate between two slots;
+    lambda for a pulsed run that records no states; dim otherwise.  Steps
+    run in slices: the most multiples of L whose states fit SLICE_BYTES, at
+    least L steps (BLOCK for the two-slot carry); m mod L steps at the end
+    read a tail table.
 
     - pulsed: the fused kick @ U(mu) on the n-site state, unitary, so never
       renormalized;
@@ -354,7 +366,7 @@ def _lockstep(
     whole (width x steps) arrays a slice at a time and each Trajectory holds
     row slices of them; without, a pulsed word holds its whole product alone.
     """
-    config, length = laws[0][0], laws[0][4]  # the settings every law shares
+    config, length = laws[0].config, laws[0].length  # the settings every law shares
     n, lam, m = spec.n_sites, spec.subspace_size, config.num_intervals
     psi0 = _check_initial_state(psi0, lam)
     cols = [s for runs in samplers for s in runs]
@@ -362,12 +374,12 @@ def _lockstep(
     width, bounds = len(cols), [0, *itertools.accumulate(widths)]
     projective = config.kind is ProtocolKind.PROJECTIVE
     bernoulli = projective and config.bernoulli
-    steps = np.concatenate([law[1] for law in laws])  # one free evolution per atom, law after law
-    ks, dim = [len(law[2]) for law in laws], laws[0][2].shape[1]
-    cap = min(law[3] for law in laws)
+    steps = np.concatenate([law.steps for law in laws])  # one free evolution per atom, law after law
+    ks, dim = [len(law.mats) for law in laws], laws[0].mats.shape[1]
+    cap = min(law.cap for law in laws)
     head = (dim if config.record_states else lam) if series or projective else 0  # rows kept per step
     # the tables hold law after law, built a stack per run of laws of one k
-    same_k = itertools.groupby((law[2] for law in laws), len)
+    same_k = itertools.groupby((law.mats for law in laws), len)
     tables = _word_tables([np.stack(list(run)) for _, run in same_k], length, head, m % length)
     # per column, from its law: the first words in each table (after the laws
     # before it, k^L and k^t words each), the first atom in steps, and k^p
@@ -379,13 +391,13 @@ def _lockstep(
         span = min(span, cap // length * length)
     draws = draw_uniforms(cols, 2 * m if bernoulli else m)  # intervals, then outcomes
     atoms = np.empty((width, m), np.min_scalar_type(max(ks) - 1))
-    for (law, *_), a, b in zip(laws, bounds, bounds[1:]):
-        atoms[a:b] = atom_indices(law.distribution, draws[a:b, :m])
+    for law, a, b in zip(laws, bounds, bounds[1:]):
+        atoms[a:b] = law.atoms(draws[a:b, :m])
     if not bernoulli:
         del draws  # only Bernoulli outcomes are read later
     intervals = np.empty((width, m))  # after the draws: in pages they used
-    for (law, *_), a, b in zip(laws, bounds, bounds[1:]):
-        law.distribution.values.take(atoms[a:b], out=intervals[a:b], mode="clip")
+    for law, a, b in zip(laws, bounds, bounds[1:]):
+        law.config.distribution.values.take(atoms[a:b], out=intervals[a:b], mode="clip")
     times = np.cumsum(intervals, 1, out=None if series else intervals)  # finals: in place
     if not (series or bernoulli):  # every run ends at step m: keep its end time alone
         intervals = times = times[:, -1:].copy()
@@ -488,40 +500,26 @@ def _lockstep(
     ]
 
 
-def run_projective(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    config: ProtocolConfig,
-    sampler: SeededSampler,
-) -> Trajectory:
+def run_projective(spec: ChainSpec, psi0: np.ndarray, config: ProtocolConfig,
+                   sampler: SeededSampler) -> Trajectory:
     """Random-interval projective protocol (post-selected by default)."""
     if config.kind is not ProtocolKind.PROJECTIVE:
         raise ValueError(f"run_projective needs a projective config, not {config.kind.value}")
-    return _lockstep(spec, psi0, [_law(spec, config)], [[sampler]])[0]
+    return run_lockstep(spec, psi0, config, [sampler])[0]
 
 
-def run_pulsed(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    config: ProtocolConfig,
-    sampler: SeededSampler,
-) -> Trajectory:
+def run_pulsed(spec: ChainSpec, psi0: np.ndarray, config: ProtocolConfig,
+               sampler: SeededSampler) -> Trajectory:
     """Random-interval kick protocol: psi <- exp(-i H_c s) U(mu_j) psi."""
     if config.kind is not ProtocolKind.PULSED:
         raise ValueError(f"run_pulsed needs a pulsed config, not {config.kind.value}")
-    return _lockstep(spec, psi0, [_law(spec, config)], [[sampler]])[0]
+    return run_lockstep(spec, psi0, config, [sampler])[0]
 
 
-def run_continuous(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    total_time: float,
-    coupling: float,
-    sample_times: Optional[np.ndarray] = None,
-    *,
-    hamiltonian_override: Optional[np.ndarray] = None,
-    record_states: bool = False,
-) -> Trajectory:
+def run_continuous(spec: ChainSpec, psi0: np.ndarray, total_time: float, coupling: float,
+                   sample_times: Optional[np.ndarray] = None, *,
+                   hamiltonian_override: Optional[np.ndarray] = None,
+                   record_states: bool = False) -> Trajectory:
     """Constant strong-coupling protocol, exact via one eigendecomposition.
 
     The final state is the state at the last sample time, total_time by default.
@@ -578,12 +576,8 @@ def run_exact_subspace(
     return SubspaceEvolution(times=t_grid, states=states)
 
 
-def run_lockstep(
-    spec: ChainSpec,
-    psi0: np.ndarray,
-    config: ProtocolConfig,
-    samplers: list[SeededSampler],
-) -> list[Trajectory]:
+def run_lockstep(spec: ChainSpec, psi0: np.ndarray, config: ProtocolConfig,
+                 samplers: list[SeededSampler]) -> list[Trajectory]:
     """One realization of the configured protocol per sampler, run together.
 
     Realization r is bit-identical to a lone run with samplers[r].  A
@@ -593,23 +587,9 @@ def run_lockstep(
     grid the stochastic protocols use, and a post-selected projective or
     pulsed ensemble under a one-atom law, run with samplers[0].  It leaves
     samplers[1:] untouched.  Bernoulli ensembles keep one run per sampler,
-    since their outcomes stay random.
+    since their outcomes stay random.  The series face of _plan.
     """
-    if not samplers:
-        raise ValueError("need at least one realization")
-    if config.kind is not ProtocolKind.CONTINUOUS:
-        runs = samplers if config.stochastic else samplers[:1]
-        return _lockstep(spec, psi0, [_law(spec, config)], [runs])
-    mean = moments(config.distribution).mean
-    traj = run_continuous(
-        spec,
-        psi0,
-        total_time=config.num_intervals * mean,
-        coupling=config.effective_coupling(),
-        sample_times=mean * np.arange(1, config.num_intervals + 1),
-        record_states=config.record_states,
-    )
-    return [traj]
+    return _plan(spec, psi0, [config], [samplers], True)[0]
 
 
 def run_finals(spec: ChainSpec, psi0: np.ndarray, config: ProtocolConfig,
@@ -621,31 +601,48 @@ def run_finals(spec: ChainSpec, psi0: np.ndarray, config: ProtocolConfig,
 
 def run_finals_many(spec: ChainSpec, psi0: np.ndarray, configs: list[ProtocolConfig],
                     samplers: list[list[SeededSampler]]) -> list[EnsembleFinals]:
-    """run_finals of each config with its samplers[i], each bit for bit its lone run.
+    """run_finals of each config with its samplers[i], bit for bit its lone
+    run: the finals face of _plan, where laws of one Law.key share a pass."""
+    return _plan(spec, psi0, configs, samplers, False)
 
-    Projective and pulsed laws that share every setting but their
-    distribution, and also their word length L, advance in one _lockstep
-    pass whatever their atom counts, each column from its own sampler; all
-    their laws are built together (_laws), and the passes run in the order
-    of their first law.  A continuous config is its one run.
-    """
-    results: list = [None] * len(configs)
-    members = []
-    for i, (config, runs) in enumerate(zip(configs, samplers)):
-        if config.kind is ProtocolKind.CONTINUOUS or not runs:  # its one run, or its error
-            results[i] = EnsembleFinals.of(run_lockstep(spec, psi0, config, runs))
+
+def _runs_made(config: ProtocolConfig, runs):
+    """The runs (samplers, or their seeds) an ensemble makes: all where they
+    differ (ProtocolConfig.stochastic), else the first alone."""
+    return runs if config.stochastic else runs[:1]
+
+
+def _plan(spec: ChainSpec, psi0: np.ndarray, configs: list[ProtocolConfig],
+          samplers: list[list[SeededSampler]], series: bool) -> list:
+    """Each config's ensemble with its samplers[i], bit for bit its lone run:
+    a Trajectory list (series) or an EnsembleFinals.  A continuous config is
+    its one run, which draws nothing.  The other configs' laws are built
+    together (_laws) and their runs trimmed (_runs_made); laws of one
+    Law.key advance in one _lockstep pass in atom-count order, and each
+    law's runs are sliced from its result.  Passes run in the order of
+    their first law."""
+    if len(samplers) != len(configs):
+        raise ValueError(f"{len(configs)} configs need as many sampler lists, got {len(samplers)}")
+    if not all(map(len, samplers)):
+        raise ValueError("need at least one realization")
+    stepped = [c for c in configs if c.kind is not ProtocolKind.CONTINUOUS]
+    built, results, passes = iter(_laws(spec, stepped) if stepped else []), [], {}
+    for config, runs in zip(configs, samplers):
+        if config.kind is ProtocolKind.CONTINUOUS:
+            mean, m = moments(config.distribution).mean, config.num_intervals
+            traj = run_continuous(spec, psi0, total_time=m * mean,
+                                  coupling=config.effective_coupling(),
+                                  sample_times=mean * np.arange(1, m + 1),
+                                  record_states=config.record_states)
+            results.append([traj] if series else EnsembleFinals.of([traj]))
         else:
-            members.append((i, runs if config.stochastic else runs[:1]))
-    built = _laws(spec, [configs[i] for i, _ in members]) if members else []
-    passes: dict[tuple, list] = {}
-    for (i, runs), law in zip(members, built):
-        config = law[0]
-        key = (config.kind, config.num_intervals, config.pulse_area, config.bernoulli, law[4])
-        passes.setdefault(key, []).append((i, law, runs))
+            law = next(built)
+            passes.setdefault(law.key, []).append((len(results), law, _runs_made(config, runs)))
+            results.append(None)
     for group in passes.values():  # laws of one atom count adjacent: one table build each
-        index, laws, runs = zip(*sorted(group, key=lambda member: len(member[1][2])))
-        finals = _lockstep(spec, psi0, list(laws), list(runs), False)
+        index, laws, runs = zip(*sorted(group, key=lambda member: len(member[1].mats)))
+        out = _lockstep(spec, psi0, list(laws), list(runs), series)
         bounds = [0, *itertools.accumulate(map(len, runs))]
         for i, a, b in zip(index, bounds, bounds[1:]):
-            results[i] = EnsembleFinals(*(v[a:b] for v in vars(finals).values()))
+            results[i] = out[a:b] if series else EnsembleFinals(*(v[a:b] for v in vars(out).values()))
     return results

@@ -44,6 +44,7 @@ from zenochain.protocols import (
     DEAD_BRANCH,
     NORM_FLOOR,
     EnsembleFinals,
+    Law,
     ProtocolConfig,
     ProtocolKind,
     Trajectory,
@@ -332,10 +333,10 @@ def tiled_word_tables(mats: np.ndarray, length: int, head: int, tail: int) -> tu
     return stacked(length), stacked(tail) if tail else None
 
 
-def lone_law(spec: ChainSpec, config: ProtocolConfig) -> tuple:
-    """protocols._law as built one config at a time: (config, the free
-    evolution of each atom, the blocks a column advances by, the slice cap K,
-    the word length L)."""
+def lone_law(spec: ChainSpec, config: ProtocolConfig) -> Law:
+    """The Law protocols._laws builds, as built one config at a time: the
+    free evolution of each atom, the blocks a column advances by, the slice
+    cap K and the word length L."""
     steps = linalg.propagators(hamiltonian(spec), config.distribution.values)
     if config.kind is ProtocolKind.PROJECTIVE:
         lam = spec.subspace_size
@@ -346,7 +347,7 @@ def lone_law(spec: ChainSpec, config: ProtocolConfig) -> tuple:
         mats = linalg.propagator(coupling_hamiltonian(spec), config.pulse_area) @ steps
         cap = BLOCK
     length = _word_length(len(mats), mats.shape[-1], config.num_intervals, cap)
-    return config, steps, mats, cap, length
+    return Law(config, steps, mats, cap, length)
 
 
 def lone_runs(

@@ -962,7 +962,7 @@ class TestSweeps:
         lockstep = protocols._lockstep
 
         def counted(spec, psi0, laws, samplers, *args):
-            passes.append((laws[0][0].kind, len(laws), sum(map(len, samplers))))
+            passes.append((laws[0].config.kind, len(laws), sum(map(len, samplers))))
             return lockstep(spec, psi0, laws, samplers, *args)
 
         monkeypatch.setattr(protocols, "_lockstep", counted)

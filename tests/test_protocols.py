@@ -11,6 +11,7 @@ from zenochain.chain import ChainSpec, coupling_hamiltonian, hamiltonian, leftmo
 from zenochain.linalg import propagator
 from zenochain.protocols import (
     BLOCK,
+    EnsembleFinals,
     InitialStateOutsideSubspaceError,
     ProtocolConfig,
     ProtocolKind,
@@ -479,7 +480,8 @@ class TestLockstepKernel:
         spec = ChainSpec(n_sites=2, subspace_size=1)
         d = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
         config = pm_config(2000, d)
-        assert protocols._law(spec, config)[3] == 7
+        [law] = protocols._laws(spec, [config])
+        assert law.cap == 7
         traj = run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
         oracle = scalar_run_projective(spec, leftmost_excited(2), config, SeededSampler(5))
         assert lengths == [4] and set(spans) == {4}
@@ -770,17 +772,41 @@ class TestOneAtomEnsemble:
 
     @pytest.mark.parametrize("record_states", [False, True])
     def test_one_run_equals_a_lone_run_bit_for_bit(self, record_states):
+        # both faces of the planner: run_lockstep's one Trajectory, and in one
+        # run_finals_many call the same run's end values, beside a continuous
+        # config's one run and a one-atom Bernoulli ensemble's six
         spec, psi0 = ChainSpec(n_sites=9, subspace_size=3), w_state(9, 3)
-        for config in self.configs(record_states):
-            run_one = run_projective if config.kind is ProtocolKind.PROJECTIVE else run_pulsed
+        continuous = ProtocolConfig(ProtocolKind.CONTINUOUS, 150, self.ONE_ATOM,
+                                    record_states=record_states)
+        bernoulli = pm_config(150, self.ONE_ATOM, bernoulli=True)
+        configs = [*self.configs(record_states), continuous, bernoulli]
+        trajs, states = [], []
+        for config in configs:
             samplers = [SeededSampler(11).spawn(i) for i in range(6)]
             starts = [s._state for s in samplers]
-            [traj] = run_lockstep(spec, psi0, config, samplers)
+            trajs.append(run_lockstep(spec, psi0, config, samplers))
+            states.append([s._state for s in samplers])
+            if config is bernoulli:
+                assert len(trajs[-1]) == 6
+                continue
+            [traj] = trajs[-1]
+            assert (traj.states is not None) is record_states
+            assert states[-1][1:] == starts[1:]  # left untouched
+            if config is continuous:  # draws nothing
+                assert states[-1][0] == starts[0]
+                continue
+            run_one = run_projective if config.kind is ProtocolKind.PROJECTIVE else run_pulsed
             assert_same_run(traj, run_one(spec, psi0, config, SeededSampler(11).spawn(0)))
             assert traj.aborted_at is None
-            assert (traj.states is not None) is record_states
-            assert samplers[0]._state == (starts[0] + 150 * stochastics._GAMMA) % 2**64
-            assert [s._state for s in samplers[1:]] == starts[1:]  # left untouched
+            assert states[-1][0] == (starts[0] + 150 * stochastics._GAMMA) % 2**64
+        samplers = [[SeededSampler(11).spawn(i) for i in range(6)] for _ in configs]
+        got = run_finals_many(spec, psi0, configs, samplers)
+        assert [len(f.final_states) for f in got] == [1, 1, 1, 6]
+        for finals, runs, want, ran in zip(got, trajs, states, samplers):
+            assert [s._state for s in ran] == want
+            for got_values, want_values in zip(vars(finals).values(),
+                                               vars(EnsembleFinals.of(runs)).values()):
+                assert np.array_equal(got_values, want_values)
 
     def test_arrays_are_writeable(self):
         spec, psi0 = ChainSpec(n_sites=9, subspace_size=3), w_state(9, 3)
@@ -1011,6 +1037,15 @@ class TestFinals:
         with pytest.raises(ValueError, match="at least one realization"):
             run_finals(ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2), pm_config(5), [])
 
+    @pytest.mark.parametrize("lists", [1, 3])
+    def test_one_sampler_list_per_config(self, lists):
+        # two configs with one sampler list (or three) are an error naming
+        # both lengths, not a None result or a dropped list
+        spec, psi0 = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2)
+        samplers = [[SeededSampler(i)] for i in range(lists)]
+        with pytest.raises(ValueError, match=f"2 configs need as many sampler lists, got {lists}"):
+            run_finals_many(spec, psi0, [pm_config(5), pm_config(6)], samplers)
+
 
 # three bimodal laws of one word length in each PASS_SETTINGS setting; the
 # first is FINALS_CASES' bimodal(4, 9), under which ABORTING's streams fail
@@ -1090,7 +1125,7 @@ class TestPasses:
         configs += [ProtocolConfig(ProtocolKind.PULSED, 600, d)
                     for d in (PASS_LAWS[2], IntervalDistribution.deterministic(3.0), three)]
         configs += [ProtocolConfig(ProtocolKind.CONTINUOUS, m, PASS_LAWS[2])]
-        assert [law[4] for law in protocols._laws(spec, configs[:-1])] == [4] * 5 + [4, 8, 4]
+        assert [law.length for law in protocols._laws(spec, configs[:-1])] == [4] * 5 + [4, 8, 4]
         seeds = [[SeededSampler(5).spawn(i)._state for i in range(4)]] * len(configs)
         got, passes = self.run_pass(monkeypatch, spec, psi0, configs, seeds)
         assert passes == [(5, 14), (2, 8), (1, 1)]  # projective, pulsed L = 4, pulsed L = 8
@@ -1110,7 +1145,7 @@ class TestPasses:
         # powers and offset; a Bernoulli collapse reads its law's own atom
         spec, psi0, m = ChainSpec(n_sites=6, subspace_size=2), w_state(6, 2), 2 * BLOCK + 3
         configs = [ProtocolConfig(kind, m, d, bernoulli=bernoulli) for d in self.MIXED]
-        assert [law[4] for law in protocols._laws(spec, configs)] == [4, 4, 4]
+        assert [law.length for law in protocols._laws(spec, configs)] == [4, 4, 4]
         if sliced:  # one word per slice
             monkeypatch.setattr(protocols, "SLICE_BYTES", 0)
             monkeypatch.setattr(protocols, "BLOCK", 4)
@@ -1139,10 +1174,9 @@ class TestPasses:
             assert len(laws) == len(configs)
             for law, config in zip(laws, configs):
                 want = lone_law(spec, config)
-                assert law[0] is config and law[3:] == want[3:]
-                for got_array, want_array in zip(law[1:3], want[1:3]):
-                    assert np.array_equal(got_array, want_array)
-            caps = {law[0]: law[3] for law in laws}
+                assert law.config is config and (law.cap, law.length) == (want.cap, want.length)
+                assert np.array_equal(law.steps, want.steps) and np.array_equal(law.mats, want.mats)
+            caps = {law.config: law.cap for law in laws}
             assert all(caps[c] == BLOCK for c in configs if c in pulsed)
             if spec.subspace_size == spec.n_sites:  # no cap
                 assert min(caps[c] for c in projective) > 10**18
@@ -1158,8 +1192,8 @@ class TestPasses:
         leaky = IntervalDistribution.from_atoms([(1.0, 0.92), (50.0, 0.08)])
         for m, lengths, want in ((2 * BLOCK + 3, [4, 4], [(2, 4)]), (600, [4, 8], [(1, 2), (1, 2)])):
             configs = [pm_config(m, leaky), pm_config(m, BIMODAL)]
-            assert [protocols._law(spec, c)[3:] for c in configs] == [(7, lengths[0]),
-                                                                     (23233, lengths[1])]
+            assert [(law.cap, law.length) for c in configs
+                    for law in protocols._laws(spec, [c])] == [(7, lengths[0]), (23233, lengths[1])]
             _, passes = self.run_pass(monkeypatch, spec, psi0, configs, [[7, 1]] * 2)
             assert passes == want
 

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from zenochain.config import parse_config
+from zenochain.protocols import ProtocolKind
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -115,6 +118,15 @@ class TestGoldenDiff:
         assert golden.compare(outputs["base"], outputs["head"], set(), lines.append) == 1
         assert "differs    fails/stderr.txt" in lines and "identical  fails/exit.txt" in lines
 
+    def test_a_side_variable_overrides_the_one_thread_setting(self, tmp_path, monkeypatch):
+        # a side may set a variable run_jobs sets itself, such as the BLAS thread count
+        probe = "import os; open('env.txt', 'w').write(os.environ['OPENBLAS_NUM_THREADS'])"
+        monkeypatch.setattr(golden, "JOBS", {"env": (["-c", probe], None)})
+        for threads in ("1", "2"):
+            extra = None if threads == "1" else {"OPENBLAS_NUM_THREADS": threads}
+            golden.run_jobs(tmp_path, tmp_path / threads, extra)
+            assert (tmp_path / threads / "env" / "env.txt").read_text() == threads
+
     @pytest.mark.parametrize("flags, base, head", [
         (["--head-env", "ZENO_GOLDEN_PROBE=on"], "unset", "on"),
         (["--base-env", "ZENO_GOLDEN_PROBE=a=b", "--base-env", "ZENO_GOLDEN_OTHER=1"], "a=b 1", "unset"),
@@ -155,6 +167,10 @@ class TestGoldenDiff:
         assert len(demos) == len(list((ROOT / "demos").glob("*.py")))
         for kind in ("projective", "pulsed", "bernoulli"):
             assert "kappa_sweep" in golden.JOBS[f"{kind}_simulate"][1]
+        # a base law of one atom: the base point's ensemble is one run
+        one_atom = parse_config(golden.JOBS["one_atom_simulate"][1])
+        assert len(one_atom.protocol.distribution.atoms) == 1 and one_atom.realizations > 1
+        assert one_atom.protocol.kind is ProtocolKind.PROJECTIVE and not one_atom.protocol.bernoulli
 
 
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tools").rglob("*.py"))

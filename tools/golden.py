@@ -14,7 +14,8 @@ fresh process per job with one BLAS thread:
   for both initial states at its default m, m = 100 and m = 20;
 - ``simulate``, ``theory`` and ``compare`` on projective, pulsed, continuous
   and Bernoulli configs that sweep both lambda and kappa, with each
-  command's stdout and exit code;
+  command's stdout and exit code, and ``simulate`` on a projective config
+  whose base law has one atom;
 - the six demos, with their stdout.
 
 ``--base-env`` and ``--head-env`` set an environment variable in one side's
@@ -59,7 +60,7 @@ lambda = 2
 [protocol]
 kind = {kind}
 m = 150
-dist = [(1.0, 0.5), (5.0, 0.5)]
+dist = {dist}
 {extra}
 [experiment]
 initial_state = wstate
@@ -75,6 +76,8 @@ KINDS = {
     "continuous": ("continuous", ""),
     "bernoulli": ("projective", "bernoulli = true\n"),
 }
+BIMODAL = "[(1.0, 0.5), (5.0, 0.5)]"
+ONE_ATOM = "[(3.0, 1.0)]"  # a deterministic base law: the base ensemble is one run
 
 
 def _jobs() -> dict[str, tuple[list[str], str | None]]:
@@ -91,7 +94,9 @@ def _jobs() -> dict[str, tuple[list[str], str | None]]:
     for name, (kind, extra) in KINDS.items():
         for command in ("simulate", "theory", "compare"):
             argv = ["-m", "zenochain.cli", command, "config.txt", "--reproducible"]
-            jobs[f"{name}_{command}"] = (argv, CONFIG.format(kind=kind, extra=extra))
+            jobs[f"{name}_{command}"] = (argv, CONFIG.format(kind=kind, extra=extra, dist=BIMODAL))
+    argv = ["-m", "zenochain.cli", "simulate", "config.txt", "--reproducible"]
+    jobs["one_atom_simulate"] = (argv, CONFIG.format(kind="projective", extra="", dist=ONE_ATOM))
     for k, demo in enumerate(("01_three_level_confinement", "02_wstate_survival",
                               "03_edge_staircase", "04_protocol_comparison",
                               "05_time_disorder", "06_excitation_front"), 1):
@@ -114,8 +119,8 @@ def run_jobs(tree: Path, out: Path, extra_env: dict[str, str] | None = None) -> 
     """Every job against tree's package, its outputs under out/<job>, with
     extra_env set over the jobs' environment; a job that fails leaves
     exit.txt and stderr.txt there."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", **(extra_env or {}))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", **(extra_env or {})}
     for name, (argv, config) in JOBS.items():
         where = out / name
         where.mkdir(parents=True)
